@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..adversary import AttackConfig
-from ..errors import ContractError
+from ..errors import ContractError, ResourceLimitError
+from ..qsim import MAX_QUBITS
 from ..rng import derive_rng, random_bits
 from .common import ProtocolParams, Transcript
 from .conference import run_conference
@@ -70,6 +71,15 @@ class RunConfig:
                 raise ContractError("n_parties: dialogue protocols take exactly 2")
         elif self.n_parties < 3:
             raise ContractError("n_parties: conference/xor need at least 3")
+        # The relay measures one carrier per party jointly; entangle_measure
+        # ties an ancilla to each carrier, doubling the joint state's qubits.
+        qubits = self.n_parties * (2 if self.attack.kind == "entangle_measure" else 1)
+        if qubits > MAX_QUBITS:
+            raise ResourceLimitError(
+                f"n_parties: {self.n_parties} parties need a joint state of {qubits} "
+                f"qubits ({16 * 2**qubits / 2**20:,.0f} MiB of amplitudes); the "
+                f"simulator's limit is {MAX_QUBITS} qubits"
+            )
         if self.message_length < 1:
             raise ContractError("message_length: must be >= 1")
         if self.trials < 1:

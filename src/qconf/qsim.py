@@ -17,8 +17,10 @@ consumes exactly one uniform draw per measurement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -127,11 +129,14 @@ class Outcome:
 
 @dataclass(frozen=True)
 class JointBasis:
-    """The full 2^n-vector joint basis, ordered by outcome code."""
+    """The relay's joint basis over ``num_qubits`` qubits, ordered by code.
+
+    Each vector pairs an index with its complement, so the Born rule needs
+    only the pair overlaps (``outcome_distribution``); ``dense_joint_basis``
+    builds the full matrix for reference checks.
+    """
 
     num_qubits: int
-    vectors: tuple
-    matrix: np.ndarray  # row `code` holds the amplitudes of that basis vector
 
     @property
     def dim(self) -> int:
@@ -168,23 +173,29 @@ def tensor(states: Sequence[PureState]) -> PureState:
     return PureState(n, amps)
 
 
-@lru_cache(maxsize=MAX_QUBITS)
 def build_joint_basis(num_qubits: int) -> JointBasis:
-    """All 2^n vectors pairing each index with its bitwise complement."""
+    """The basis pairing each index with its bitwise complement."""
     if not 2 <= num_qubits <= MAX_QUBITS:
         raise ResourceLimitError(
             f"joint basis supports 2..{MAX_QUBITS} qubits, got {num_qubits}"
         )
-    dim = 2**num_qubits
+    return JointBasis(num_qubits)
+
+
+def dense_joint_basis(num_qubits: int) -> np.ndarray:
+    """The basis as a dense 2^n x 2^n matrix; row ``code`` is that vector.
+
+    O(4^n) reference for the table checks and tests; measurement never
+    builds it.
+    """
+    dim = build_joint_basis(num_qubits).dim
     matrix = np.zeros((dim, dim), dtype=complex)
     for index in range(dim // 2):
         for sign in (0, 1):
             code = 2 * index + sign
             matrix[code, index] = INV_SQRT2
             matrix[code, dim - 1 - index] = INV_SQRT2 if sign == 0 else -INV_SQRT2
-    matrix.setflags(write=False)
-    vectors = tuple(PureState(num_qubits, matrix[code]) for code in range(dim))
-    return JointBasis(num_qubits, vectors, matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +209,39 @@ def outcome_distribution(state: PureState, basis: JointBasis) -> np.ndarray:
         raise ContractError(
             f"state has {state.num_qubits} qubits, basis {basis.num_qubits}"
         )
-    overlaps = basis.matrix.conj() @ state.amplitudes
-    return np.abs(overlaps) ** 2
+    return _pair_probabilities(state.amplitudes)
+
+
+def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """Born probabilities by outcome code: |a +/- b|^2 / 2 for each pair.
+
+    ``a = amplitudes[i]`` and ``b = amplitudes[dim - 1 - i]``.  The overlaps
+    are summed on Python complex scalars in the same float order as the
+    dense product ``dense_joint_basis(n).conj() @ amplitudes``, so the
+    probabilities are bit-identical to it; abs and square stay in numpy,
+    whose results differ from Python's by up to 1 ULP.  Python scalars beat
+    numpy slicing on the 4- and 8-amplitude states most runs measure.
+    """
+    values = amplitudes.tolist()
+    overlaps = []
+    for a, b in zip(values[: len(values) // 2], reversed(values)):
+        a *= INV_SQRT2
+        b *= INV_SQRT2
+        overlaps.append(a + b)
+        overlaps.append(a - b)
+    return np.abs(np.array(overlaps)) ** 2
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector using one uniform draw."""
-    cumulative = np.cumsum(probs)
+    """Draw an index from a probability vector using one uniform draw.
+
+    Sequential Python sums equal ``np.cumsum`` bit for bit, and
+    ``bisect_right`` equals ``np.searchsorted(side="right")``; on the short
+    vectors most runs draw from they skip numpy's per-call overhead.
+    """
+    cumulative = list(accumulate(probs.tolist()))
     r = rng.random() * cumulative[-1]
-    return min(int(np.searchsorted(cumulative, r, side="right")), len(probs) - 1)
+    return min(bisect_right(cumulative, r), len(cumulative) - 1)
 
 
 def measure_joint(
@@ -243,8 +278,7 @@ def measure_embedded(
     rest = [q for q in range(n) if q not in set(targets)]
     psi = state.amplitudes.reshape((2,) * n)
     psi = np.transpose(psi, axes=targets + rest).reshape(2**k, -1)
-    coeffs = basis.matrix.conj() @ psi
-    probs = np.sum(np.abs(coeffs) ** 2, axis=1)
+    probs = sum(_pair_probabilities(column) for column in psi.T)
     return Outcome.from_code(sample_index(probs, rng))
 
 

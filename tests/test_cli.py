@@ -55,6 +55,24 @@ def test_config_error_names_field(tmp_path, capsys):
     assert "delta" in captured.err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"protocol": "conferenceN", "n_parties": 17},
+        {"protocol": "xor", "n_parties": 9, "attack": {"kind": "entangle_measure"}},
+    ],
+)
+def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: n_parties:")
+    assert "MiB" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 2

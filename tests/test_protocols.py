@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qconf.adversary import AttackConfig
-from qconf.errors import ContractError
+from qconf.errors import ContractError, ResourceLimitError
 from qconf.protocols import (
     ProtocolParams,
     RunConfig,
@@ -373,6 +373,21 @@ class TestRunConfigValidation:
             RunConfig(protocol="mdi_qd_original", message_length=100, n_parties=3).validate()
         with pytest.raises(ContractError, match="n_parties"):
             RunConfig(protocol="xor", message_length=100, n_parties=2).validate()
+
+    def test_joint_state_size_bound(self):
+        # The relay's joint state holds one qubit per party, two under
+        # entangle_measure; more than MAX_QUBITS (16) is rejected up front.
+        entangle = AttackConfig(kind="entangle_measure")
+        RunConfig(protocol="conferenceN", message_length=100, n_parties=16).validate()
+        RunConfig(
+            protocol="xor", message_length=100, n_parties=8, attack=entangle
+        ).validate()
+        with pytest.raises(ResourceLimitError, match="17 qubits"):
+            RunConfig(protocol="conferenceN", message_length=100, n_parties=17).validate()
+        with pytest.raises(ResourceLimitError, match="18 qubits"):
+            RunConfig(
+                protocol="conferenceN", message_length=100, n_parties=9, attack=entangle
+            ).validate()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ContractError, match="unknown fields"):

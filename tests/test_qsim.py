@@ -1,11 +1,13 @@
 """Simulator core: state construction, joint basis, Born rule, sampling."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from qconf import qsim
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
     BASIS_X,
@@ -20,6 +22,7 @@ from qconf.qsim import (
     apply_cnot,
     bits_to_index,
     build_joint_basis,
+    dense_joint_basis,
     index_to_bits,
     materialize,
     measure_embedded,
@@ -27,6 +30,7 @@ from qconf.qsim import (
     measure_qubit,
     measure_single,
     outcome_distribution,
+    sample_index,
     tensor,
 )
 from qconf.rng import make_rng
@@ -97,27 +101,22 @@ class TestTensor:
 
 class TestJointBasis:
     def test_bell_basis_psi_plus(self):
-        b2 = build_joint_basis(2)
-        np.testing.assert_allclose(b2.vectors[2].amplitudes, [0, R, R, 0], atol=1e-15)
+        np.testing.assert_allclose(dense_joint_basis(2)[2], [0, R, R, 0], atol=1e-15)
 
     def test_three_qubit_phi2_minus(self):
-        b3 = build_joint_basis(3)
         expected = np.zeros(8)
         expected[2], expected[5] = R, -R
-        np.testing.assert_allclose(b3.vectors[5].amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(dense_joint_basis(3)[5], expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_gram_matrix_is_identity(self, n):
-        basis = build_joint_basis(n)
-        gram = basis.matrix.conj() @ basis.matrix.T
+        matrix = dense_joint_basis(n)
+        gram = matrix.conj() @ matrix.T
         np.testing.assert_allclose(gram, np.eye(2**n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_completeness(self, n):
-        basis = build_joint_basis(n)
-        total = sum(
-            np.outer(v.amplitudes, v.amplitudes.conj()) for v in basis.vectors
-        )
+        total = sum(np.outer(v, v.conj()) for v in dense_joint_basis(n))
         np.testing.assert_allclose(total, np.eye(2**n), atol=1e-12)
 
     def test_resource_guard(self):
@@ -125,6 +124,8 @@ class TestJointBasis:
             build_joint_basis(17)
         with pytest.raises(ResourceLimitError):
             build_joint_basis(1)
+        with pytest.raises(ResourceLimitError):
+            dense_joint_basis(17)
 
     def test_outcome_code_bijection(self):
         codes = [Outcome(i, s).code for i in range(4) for s in (0, 1)]
@@ -180,12 +181,91 @@ class TestOutcomeDistribution:
                 assert abs(probs[code] - want) < 1e-12
 
 
+def random_state(n, rng):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
+class TestPairFold:
+    """The closed-form joint measurement against the dense reference basis."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_dense_product_exactly(self, n):
+        rng = np.random.default_rng(n)
+        conj = dense_joint_basis(n).conj()
+        basis = build_joint_basis(n)
+        products = [
+            tensor([materialize(QubitSpec("ZX"[rng.integers(2)], int(rng.integers(2))))
+                    for _ in range(n)])
+            for _ in range(20)
+        ]
+        for state in products + [random_state(n, rng) for _ in range(10)]:
+            dense = np.abs(conj @ state.amplitudes) ** 2
+            assert np.array_equal(outcome_distribution(state, basis), dense)
+
+    @pytest.mark.parametrize(
+        "n, targets",
+        [
+            (3, [0, 2]),
+            (3, [2, 1]),
+            (4, [1, 3]),
+            (4, [3, 0, 2]),
+            (5, [4, 1, 2]),
+            (6, [5, 0, 3, 1]),
+            (8, [0, 2, 4, 6]),
+        ],
+    )
+    def test_embedded_matches_dense_marginal(self, n, targets, monkeypatch):
+        rng = np.random.default_rng(n)
+        state = random_state(n, rng)
+        k = len(targets)
+        seen = []
+        real_sample = qsim.sample_index
+
+        def recording_sample(probs, draws):
+            seen.append(probs)
+            return real_sample(probs, draws)
+
+        monkeypatch.setattr(qsim, "sample_index", recording_sample)
+        measure_embedded(state, targets, build_joint_basis(k), rng)
+        # The dense marginal sums over non-target columns in a matrix product,
+        # so it may differ from the elementwise fold in the last bit.
+        rest = [q for q in range(n) if q not in targets]
+        psi = np.transpose(state.amplitudes.reshape((2,) * n), targets + rest)
+        coeffs = dense_joint_basis(k).conj() @ psi.reshape(2**k, -1)
+        dense = np.sum(np.abs(coeffs) ** 2, axis=1)
+        np.testing.assert_allclose(seen[0], dense, rtol=0, atol=1e-15)
+
+    def test_sample_index_matches_numpy_search(self):
+        rng = np.random.default_rng(11)
+        for dim in (4, 8, 1024):
+            probs = rng.random(dim) ** 3
+            probs /= probs.sum()
+            draws_a, draws_b = make_rng(dim), make_rng(dim)
+            for _ in range(200):
+                cumulative = np.cumsum(probs)
+                r = draws_b.random() * cumulative[-1]
+                want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
+                assert sample_index(probs, draws_a) == want
+
+    def test_twelve_qubit_measurement_stays_small(self):
+        state = random_state(12, np.random.default_rng(12))
+        rng = make_rng(12)
+        tracemalloc.start()
+        try:
+            measure_joint(state, build_joint_basis(12), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestMeasurement:
     def test_eigenstate_deterministic(self):
         rng = make_rng(0)
         basis = build_joint_basis(3)
-        for code in range(8):
-            outcome = measure_joint(basis.vectors[code], basis, rng)
+        for code, vector in enumerate(dense_joint_basis(3)):
+            outcome = measure_joint(PureState(3, vector), basis, rng)
             assert outcome.code == code
 
     def test_111_lands_on_index_zero(self):
@@ -250,7 +330,7 @@ class TestMeasurement:
     def test_measure_qubit_collapses_partner(self):
         # Bell pair: measuring one qubit in Z pins the other.
         rng = make_rng(8)
-        bell = build_joint_basis(2).vectors[0]
+        bell = PureState(2, dense_joint_basis(2)[0])
         for _ in range(20):
             bit, post = measure_qubit(bell, 0, BASIS_Z, rng)
             expected = np.zeros(4)
