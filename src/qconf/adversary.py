@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import FlyingQubit, measure_flying
+from .channels import FlyingQubit, flying, measure_flying
 from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import (
     BASIS_X,
     BASIS_Z,
+    LABEL_SPECS,
     Outcome,
     PAULI_I,
     PAULI_IY,
@@ -26,6 +27,7 @@ from .qsim import (
     QubitSpec,
     apply_1q_unitary,
     apply_cnot,
+    label_spec,
     materialize,
     tensor,
 )
@@ -102,14 +104,13 @@ class AttackConfig:
 
 @dataclass
 class AdversaryRecord:
-    """Everything the adversary saw or fabricated during one run."""
+    """What the adversary saw or fabricated during one run, as transcripts report it."""
 
     kind: str = "none"
-    guesses: dict = field(default_factory=dict)       # channel -> [(basis, bit)]
-    ancillas: dict = field(default_factory=dict)      # channel -> [joint PureState]
-    substituted: dict = field(default_factory=dict)   # channel -> [spec label]
-    kept: dict = field(default_factory=dict)          # channel -> [FlyingQubit]
-    announced: list = field(default_factory=list)     # outcome codes (middle)
+    guesses: dict = field(default_factory=dict)         # channel -> [(basis, bit)]
+    ancilla_counts: dict = field(default_factory=dict)  # channel -> ancillas attached
+    substituted: dict = field(default_factory=dict)     # channel -> [spec label]
+    announced: list = field(default_factory=list)       # outcome codes (middle)
     pauli_counts: list = field(default_factory=lambda: [0, 0, 0, 0])
 
     def to_dict(self) -> dict:
@@ -120,7 +121,7 @@ class AdversaryRecord:
                 for ch, entries in self.guesses.items()
             },
             "substituted": dict(self.substituted),
-            "ancilla_counts": {ch: len(v) for ch, v in self.ancillas.items()},
+            "ancilla_counts": dict(self.ancilla_counts),
             "announced": list(self.announced),
             "pauli_counts": list(self.pauli_counts),
         }
@@ -146,10 +147,10 @@ def entangle_measure(
     """Entangle a fresh |0> ancilla via CNOT and forward the wire qubit.
 
     The forwarded carrier keeps the whole joint state so later measurements
-    of the wire qubit stay physically correct; the pre-forwarding joint state
-    is what the adversary retains.
+    of the wire qubit stay physically correct; that joint state is also
+    returned on its own.
     """
-    joint = tensor([qubit.state, materialize(QubitSpec(BASIS_Z, 0))])
+    joint = tensor([qubit.state, materialize(label_spec(BASIS_Z, 0))])
     ancilla_index = qubit.state.num_qubits
     joint = apply_cnot(joint, qubit.channel_qubit, ancilla_index)
     return FlyingQubit(joint, qubit.channel_qubit), joint
@@ -175,14 +176,8 @@ def mitm_attack(
 ) -> tuple[list[FlyingQubit], list[FlyingQubit], list[QubitSpec]]:
     """Keep the genuine sequence; substitute fresh uniformly random qubits."""
     picks = rng.integers(0, 4, size=len(sequence))
-    choices = (
-        QubitSpec(BASIS_Z, 0),
-        QubitSpec(BASIS_Z, 1),
-        QubitSpec(BASIS_X, 0),
-        QubitSpec(BASIS_X, 1),
-    )
-    specs = [choices[int(p)] for p in picks]
-    substituted = [FlyingQubit(materialize(s)) for s in specs]
+    specs = [LABEL_SPECS[int(p)] for p in picks]
+    substituted = [flying(s) for s in specs]
     return list(sequence), substituted, specs
 
 
@@ -243,13 +238,9 @@ class EntangleMeasureTap:
         self.record = record
 
     def apply(self, qubits, rng, channel_id):
-        retained = self.record.ancillas.setdefault(channel_id, [])
-        out = []
-        for qubit in qubits:
-            forwarded, joint = entangle_measure(qubit, rng)
-            retained.append(joint)
-            out.append(forwarded)
-        return out
+        counts = self.record.ancilla_counts
+        counts[channel_id] = counts.get(channel_id, 0) + len(qubits)
+        return [entangle_measure(qubit, rng)[0] for qubit in qubits]
 
 
 class DosTap:
@@ -279,8 +270,7 @@ class MitmTap:
         self.record = record
 
     def apply(self, qubits, rng, channel_id):
-        kept, substituted, specs = mitm_attack(qubits, rng)
-        self.record.kept[channel_id] = kept
+        _, substituted, specs = mitm_attack(qubits, rng)
         self.record.substituted[channel_id] = [s.label for s in specs]
         return substituted
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ContractError
 from .qsim import (
-    BASIS_X,
-    BASIS_Z,
     JointBasis,
+    LABEL_SPECS,
     Outcome,
     PureState,
     QubitSpec,
@@ -44,8 +43,14 @@ class FlyingQubit:
     channel_qubit: int = 0
 
 
+_LABEL_QUBITS = {
+    (spec.basis, spec.bit): FlyingQubit(materialize(spec)) for spec in LABEL_SPECS
+}
+
+
 def flying(spec: QubitSpec) -> FlyingQubit:
-    return FlyingQubit(materialize(spec))
+    """The shared, immutable in-flight qubit for a preparation."""
+    return _LABEL_QUBITS[spec.basis, spec.bit]
 
 
 def measure_flying(
@@ -53,8 +58,8 @@ def measure_flying(
 ) -> tuple[int, FlyingQubit]:
     """Measure the wire qubit in Z or X; returns (bit, collapsed carrier)."""
     if qubit.state.num_qubits == 1:
-        bit, post = measure_single(qubit.state, basis, rng)
-        return bit, FlyingQubit(post, 0)
+        bit, _ = measure_single(qubit.state, basis, rng)
+        return bit, _LABEL_QUBITS[basis, bit]
     bit, post = measure_qubit(qubit.state, qubit.channel_qubit, basis, rng)
     return bit, FlyingQubit(post, qubit.channel_qubit)
 
@@ -138,14 +143,6 @@ class DecoySet:
         return len(self.positions)
 
 
-_DECOY_CHOICES = (
-    QubitSpec(BASIS_Z, 0),
-    QubitSpec(BASIS_Z, 1),
-    QubitSpec(BASIS_X, 0),
-    QubitSpec(BASIS_X, 1),
-)
-
-
 def make_decoy_set(
     payload_len: int, count: int, rng: np.random.Generator
 ) -> DecoySet:
@@ -154,7 +151,7 @@ def make_decoy_set(
         raise ContractError("decoy count must be >= 0")
     positions = np.sort(rng.choice(payload_len + count, size=count, replace=False))
     picks = rng.integers(0, 4, size=count)
-    specs = tuple(_DECOY_CHOICES[int(p)] for p in picks)
+    specs = tuple(LABEL_SPECS[int(p)] for p in picks)
     return DecoySet(tuple(int(p) for p in positions), specs)
 
 
@@ -325,25 +322,19 @@ class QuantumChannel:
         self,
         qubits: list[FlyingQubit],
         rng: np.random.Generator,
-        events: list,
+        record_event: Callable[..., None],
         **event_fields,
     ) -> list[FlyingQubit]:
-        events.append(
-            {
-                "type": "transmit",
-                "channel": self.channel_id,
-                "count": len(qubits),
-                **event_fields,
-            }
+        """Carry the qubits through the tap; ``record_event`` logs the traffic.
+
+        ``record_event(type_, **fields)`` is the transcript's ``add_event``.
+        """
+        record_event(
+            "transmit", channel=self.channel_id, count=len(qubits), **event_fields
         )
         if self.tap is not None:
             qubits = self.tap.apply(qubits, rng, self.channel_id)
-            events.append(
-                {
-                    "type": "attack",
-                    "channel": self.channel_id,
-                    "kind": self.tap.kind,
-                    **event_fields,
-                }
+            record_event(
+                "attack", channel=self.channel_id, kind=self.tap.kind, **event_fields
             )
         return list(qubits)

@@ -21,7 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ProtocolCorruptionError
-from .qsim import BASIS_X, BASIS_Z, Outcome, QubitSpec, bits_to_index, index_to_bits
+from .qsim import (
+    BASIS_X,
+    BASIS_Z,
+    Outcome,
+    QubitSpec,
+    bits_to_index,
+    index_to_bits,
+    label_spec,
+)
 from .rng import random_bits
 
 # Two-party sifting keeps exactly the outcomes that leak nothing about the
@@ -31,7 +39,7 @@ SIFT_KEEP_CODES = frozenset({1, 2})
 
 def encode_message_qubit(msg_bit: int, key_bit: int) -> QubitSpec:
     """Message-phase preparation: key bit picks the basis, message the vector."""
-    return QubitSpec(BASIS_X if key_bit else BASIS_Z, int(msg_bit))
+    return label_spec(BASIS_X if key_bit else BASIS_Z, int(msg_bit))
 
 
 def decode_partner_bit(own_bit: int, key_bit: int, outcome: Outcome) -> int:
@@ -78,7 +86,7 @@ def decode_x_round(outcome: Outcome) -> int:
 
 def encode_exchange_qubit(msg_bit: int, position: int) -> QubitSpec:
     """Exchange-phase preparation; `position` is the 1-based round index."""
-    return QubitSpec(BASIS_Z if position % 2 == 0 else BASIS_X, int(msg_bit))
+    return label_spec(exchange_basis(position), int(msg_bit))
 
 
 def exchange_basis(position: int) -> str:
@@ -133,7 +141,7 @@ def embed_payload(
 
 def encode_xor_qubit(carrier_bit: int, key_bit: int, select: int) -> QubitSpec:
     """XOR-phase preparation: payload-basis (X) where the key matches select."""
-    return QubitSpec(BASIS_X if key_bit == select else BASIS_Z, int(carrier_bit))
+    return label_spec(BASIS_X if key_bit == select else BASIS_Z, int(carrier_bit))
 
 
 def consistent_outcome_codes(

@@ -1,6 +1,6 @@
 """Protocol orchestrators and the trial runner."""
 
-from .common import MIDDLE, PartyId, ProtocolParams, Transcript, party_names
+from .common import MIDDLE, ProtocolParams, Transcript, party_names
 from .conference import run_conference
 from .mdi_qd import run_mdi_qd_modified, run_mdi_qd_original
 from .runner import PROTOCOLS, RunConfig, execute_trial, run_trials, trial_messages
@@ -13,12 +13,9 @@ def run_conference3(message_a, message_b, message_c, attack, rng, params=None, s
     return run_conference([message_a, message_b, message_c], attack, rng, snapshot=snapshot, **kwargs)
 
 
-run_conferenceN = run_conference
-
 __all__ = [
     "MIDDLE",
     "PROTOCOLS",
-    "PartyId",
     "ProtocolParams",
     "RunConfig",
     "Transcript",
@@ -26,7 +23,6 @@ __all__ = [
     "party_names",
     "run_conference",
     "run_conference3",
-    "run_conferenceN",
     "run_mdi_qd_modified",
     "run_mdi_qd_original",
     "run_trials",

@@ -14,20 +14,8 @@ from ..errors import ContractError
 MIDDLE = "middle"
 
 
-@dataclass(frozen=True)
-class PartyId:
-    """A protocol role: numbered participant or the untrusted middle party."""
-
-    role: str  # "party" | "middle"
-    index: int  # 1-based among participants; 0 for the middle
-
-    @property
-    def name(self) -> str:
-        return MIDDLE if self.role == "middle" else f"P{self.index}"
-
-
 def party_names(n: int) -> tuple[str, ...]:
-    return tuple(PartyId("party", i + 1).name for i in range(n))
+    return tuple(f"P{i + 1}" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -74,14 +62,24 @@ def str_to_bits(text: str) -> np.ndarray:
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
+_NATIVE = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value):
-    """Make a value JSON-safe (numpy scalars/arrays to native types)."""
+    """JSON-safe copy of a value: numpy scalars/arrays to native types.
+
+    Containers come back as new dicts and lists.  Native scalars, nearly
+    every value a transcript holds, are returned by the first check, and
+    container items that are native scalars skip the recursive call.
+    """
+    if type(value) in _NATIVE:
+        return value
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): v if type(v) in _NATIVE else _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [v if type(v) in _NATIVE else _plain(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
+        return _plain(value.tolist())
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -99,6 +97,9 @@ class Transcript:
     public announcements); ``secrets`` is the simulator's omniscient side
     record (true messages, keys, masks) used only for scoring and replay
     checks and never shown to adversary taps.
+
+    Events and estimates are made JSON-safe once, as they are added, so
+    ``to_dict`` copies them without walking them again.
     """
 
     config: dict
@@ -134,18 +135,23 @@ class Transcript:
         return bool(self.abort["aborted"])
 
     def to_dict(self) -> dict:
-        return _plain(
-            {
-                "config": self.config,
-                "key_stages": self.key_stages,
-                "events": self.events,
-                "estimates": self.estimates,
-                "outputs": self.outputs,
-                "abort": self.abort,
-                "adversary": self.adversary,
-                "secrets": self.secrets,
-            }
-        )
+        """JSON-safe dict of the run; changing it leaves the transcript as is.
+
+        Each event, estimate and key stage is copied one level deep: their
+        values were made JSON-safe on entry and are never changed after.
+        The fields the drivers set directly are small and go through
+        ``_plain``.
+        """
+        return {
+            "config": _plain(self.config),
+            "key_stages": [dict(stage) for stage in self.key_stages],
+            "events": [dict(event) for event in self.events],
+            "estimates": [dict(estimate) for estimate in self.estimates],
+            "outputs": _plain(self.outputs),
+            "abort": dict(self.abort),
+            "adversary": _plain(self.adversary),
+            "secrets": _plain(self.secrets),
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

@@ -93,7 +93,7 @@ def run_conference(
     for p in parties:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
         held[p] = channel.transmit(
-            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.events
+            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
         )
 
     def _finish() -> Transcript:
@@ -234,7 +234,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
             nxt = parties[(a + 1) % n_parties]
             channel = QuantumChannel(p, nxt, tap=make_tap(attack, record, f"{p}->{nxt}"))
             received[nxt] = channel.transmit(
-                outgoing[p], rng, transcript.events, round=hop
+                outgoing[p], rng, transcript.add_event, round=hop
             )
         for a, p in enumerate(parties):
             nxt = parties[(a + 1) % n_parties]

@@ -147,7 +147,7 @@ def run_mdi_qd_original(
         channel = QuantumChannel(
             p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}", shared_bases)
         )
-        held[p] = channel.transmit([flying(s) for s in specs], rng, transcript.events)
+        held[p] = channel.transmit([flying(s) for s in specs], rng, transcript.add_event)
 
     basis2 = build_joint_basis(2)
     outcomes = [
@@ -202,7 +202,7 @@ def run_mdi_qd_modified(
     for p in PAIR_PARTIES:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
         shuffled = permute([flying(s) for s in prepared[p]], perms[p])
-        held[p] = channel.transmit(shuffled, rng, transcript.events)
+        held[p] = channel.transmit(shuffled, rng, transcript.add_event)
 
     sample1 = sorted_sample(rng, n, sample_size(params.delta, n))
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample1)

@@ -112,7 +112,7 @@ def run_xor(
         received = channel.transmit(
             insert_decoys([flying(s) for s in specs], decoys),
             rng,
-            transcript.events,
+            transcript.add_event,
             purpose="mask_distribution",
         )
         transcript.add_event("receipt_ack", channel=f"{parties[0]}->{p}")
@@ -156,7 +156,7 @@ def run_xor(
     for p in parties:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
         held[p] = channel.transmit(
-            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.events
+            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
         )
 
     sample1 = sorted_sample(rng, length, sample_size(params.delta, length))

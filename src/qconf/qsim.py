@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -66,7 +65,7 @@ class PureState:
                 f"amplitude vector must have length {2 ** self.num_qubits}, "
                 f"got shape {amps.shape}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > STATE_ATOL:
             raise ContractError(f"state norm {norm} is not 1")
         amps.setflags(write=False)
@@ -99,6 +98,19 @@ class QubitSpec:
         if len(label) != 2:
             raise ContractError(f"bad qubit label {label!r}")
         return cls(label[0], int(label[1]))
+
+
+# The four preparations, in the order decoy and substitute draws index them.
+LABEL_SPECS = tuple(
+    QubitSpec(basis, bit) for basis in (BASIS_Z, BASIS_X) for bit in (0, 1)
+)
+_SPEC_BY_LABEL = {(spec.basis, spec.bit): spec for spec in LABEL_SPECS}
+
+
+def label_spec(basis: str, bit: int) -> QubitSpec:
+    """The shared ``QubitSpec(basis, bit)``; invalid labels raise as it does."""
+    spec = _SPEC_BY_LABEL.get((basis, bit))
+    return spec if spec is not None else QubitSpec(basis, bit)
 
 
 @dataclass(frozen=True)
@@ -148,18 +160,21 @@ class JointBasis:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _materialize_cached(basis: str, bit: int) -> PureState:
-    if basis == BASIS_Z:
-        amps = [1.0, 0.0] if bit == 0 else [0.0, 1.0]
-    else:
-        amps = [INV_SQRT2, INV_SQRT2] if bit == 0 else [INV_SQRT2, -INV_SQRT2]
-    return PureState(1, np.array(amps, dtype=complex))
+_LABEL_AMPLITUDES = {
+    (BASIS_Z, 0): [1.0, 0.0],
+    (BASIS_Z, 1): [0.0, 1.0],
+    (BASIS_X, 0): [INV_SQRT2, INV_SQRT2],
+    (BASIS_X, 1): [INV_SQRT2, -INV_SQRT2],
+}
+_LABEL_STATES = {
+    label: PureState(1, np.array(amps, dtype=complex))
+    for label, amps in _LABEL_AMPLITUDES.items()
+}
 
 
 def materialize(spec: QubitSpec) -> PureState:
-    """Amplitude vector for a symbolic single-qubit preparation."""
-    return _materialize_cached(spec.basis, spec.bit)
+    """Amplitude vector for a symbolic single-qubit preparation (shared)."""
+    return _LABEL_STATES[spec.basis, spec.bit]
 
 
 def tensor(states: Sequence[PureState]) -> PureState:
@@ -282,21 +297,29 @@ def measure_embedded(
     return Outcome.from_code(sample_index(probs, rng))
 
 
+def _zero_probability(state: PureState, basis: str) -> float:
+    """Born probability of bit 0 for a single qubit measured in Z or X.
+
+    Computed on Python complex scalars: their add, abs (hypot) and ``** 2``
+    (pow) are the IEEE operations numpy applies to its complex128 scalars,
+    so the value, and every bit sampled from it, equals numpy's.
+    """
+    a0, a1 = state.amplitudes.tolist()
+    if basis == BASIS_Z:
+        return abs(a0) ** 2
+    if basis == BASIS_X:
+        return abs(a0 + a1) ** 2 / 2.0
+    raise ContractError(f"basis must be Z or X, got {basis!r}")
+
+
 def measure_single(
     state: PureState, basis: str, rng: np.random.Generator
 ) -> tuple[int, PureState]:
-    """Born-rule bit for a single qubit; collapses onto the basis vector."""
+    """Born-rule bit for a single qubit; collapses onto the shared basis state."""
     if state.num_qubits != 1:
         raise ContractError("measure_single expects a single-qubit state")
-    a0, a1 = state.amplitudes
-    if basis == BASIS_Z:
-        p0 = abs(a0) ** 2
-    elif basis == BASIS_X:
-        p0 = abs(a0 + a1) ** 2 / 2.0
-    else:
-        raise ContractError(f"basis must be Z or X, got {basis!r}")
-    bit = 0 if rng.random() < p0 else 1
-    return bit, materialize(QubitSpec(basis, bit))
+    bit = 0 if rng.random() < _zero_probability(state, basis) else 1
+    return bit, _LABEL_STATES[basis, bit]
 
 
 def measure_qubit(

@@ -21,6 +21,7 @@ from qconf.channels import (
 )
 from qconf.codec import consistent_outcome_codes, encode_message_qubit
 from qconf.errors import ContractError
+from qconf.protocols import Transcript
 from qconf.qsim import Outcome, QubitSpec, materialize
 from qconf.rng import make_rng, random_bits
 
@@ -179,13 +180,24 @@ class TestSecondEstimation:
         assert abs(passes / trials - 0.25) < 0.01
 
 
+class TestFlying:
+    def test_shared_per_preparation(self):
+        assert flying(QubitSpec("X", 1)) is flying(encode_message_qubit(1, 1))
+        assert flying(QubitSpec("X", 1)).state is materialize(QubitSpec("X", 1))
+
+    def test_single_qubit_collapse_is_shared(self):
+        bit, post = measure_flying(flying(QubitSpec("X", 0)), "X", make_rng(28))
+        assert bit == 0
+        assert post is flying(QubitSpec("X", 0))
+
+
 class TestQuantumChannel:
     def test_transmit_records_event(self):
-        events = []
+        transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle")
-        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(29), events)
+        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(29), transcript.add_event)
         assert len(out) == 1
-        assert events == [{"type": "transmit", "channel": "P1->middle", "count": 1}]
+        assert transcript.events == [{"type": "transmit", "channel": "P1->middle", "count": 1}]
 
     def test_tap_applies_and_records(self):
         class FlipTap:
@@ -194,9 +206,9 @@ class TestQuantumChannel:
             def apply(self, qubits, rng, channel_id):
                 return [flying(QubitSpec("Z", 1)) for _ in qubits]
 
-        events = []
+        transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle", tap=FlipTap())
-        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(30), events)
+        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(30), transcript.add_event)
         bit, _ = measure_flying(out[0], "Z", make_rng(31))
         assert bit == 1
-        assert [e["type"] for e in events] == ["transmit", "attack"]
+        assert [e["type"] for e in transcript.events] == ["transmit", "attack"]

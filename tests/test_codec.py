@@ -56,6 +56,11 @@ class TestMessageEncoding:
         assert encode_message_qubit(0, 1) == QubitSpec("X", 0)
         assert encode_message_qubit(1, 1) == QubitSpec("X", 1)
 
+    def test_shared_and_validated(self):
+        assert encode_message_qubit(1, 1) is encode_message_qubit(np.uint8(1), True)
+        with pytest.raises(ContractError):
+            encode_message_qubit(2, 0)
+
 
 class TestTwoPartyDecode:
     @pytest.mark.parametrize("key,own", list(TWO_PARTY_GUESS_TABLE))

@@ -1,5 +1,8 @@
 """Golden hashes: exact transcript bytes and suite counts at fixed seeds.
 
+Also checks the shape those bytes come from: ``Transcript.to_dict`` holds
+only native JSON types and is a copy the caller may change.
+
 A refactor or speed-up must leave every hash here unchanged.  A change that
 alters the RNG stream or the transcript format on purpose updates the hashes
 in the same commit and says why.
@@ -13,11 +16,13 @@ attacked qubits also reach the joint measurement and the later ceremonies.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from qconf import stats
 from qconf.adversary import ATTACK_KINDS, AttackConfig
-from qconf.protocols import RunConfig, execute_trial
+from qconf.channels import ErrorEstimate, QuantumChannel
+from qconf.protocols import RunConfig, Transcript, execute_trial
 
 # protocol -> (n_parties, message_length)
 SIZES = {
@@ -156,3 +161,71 @@ def test_transcript_bytes(protocol, kind, seed):
 
 def test_suite_counts():
     assert _sha256(json.dumps(suite_counts())) == SUITE_HASH
+
+
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def assert_json_native(node, path="transcript"):
+    """Every node's exact type is a JSON type: no numpy scalars, no tuples."""
+    assert type(node) in JSON_TYPES, f"{path}: {type(node).__name__}"
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            assert_json_native(value, f"{path}.{key}")
+    elif type(node) is list:
+        for i, value in enumerate(node):
+            assert_json_native(value, f"{path}[{i}]")
+
+
+def scribble(node):
+    """Change every container of a JSON tree in place."""
+    if type(node) is dict:
+        for value in node.values():
+            scribble(value)
+        node["scribbled"] = True
+    elif type(node) is list:
+        for value in node:
+            scribble(value)
+        node.append("scribbled")
+
+
+def scribble_transcript_dict(data: dict) -> None:
+    """Change a ``to_dict`` result everywhere it promises a fresh copy.
+
+    That is every container of the directly set fields, each events,
+    estimates and key-stages list, and each item of those lists; the values
+    inside an item are shared with the transcript, which never changes them.
+    """
+    for name in ("events", "estimates", "key_stages"):
+        for item in data[name]:
+            item.clear()
+        data[name].append({})
+    for name in ("config", "outputs", "abort", "adversary", "secrets"):
+        scribble(data[name])
+    data["scribbled"] = True
+
+
+@pytest.mark.parametrize("protocol,kind,seed", CASES, ids=[f"{p}-{k}-{s}" for p, k, s in CASES])
+def test_transcript_dict_is_json_native(protocol, kind, seed):
+    transcript = execute_trial(golden_config(protocol, kind, seed), 0)
+    data = transcript.to_dict()
+    assert_json_native(data)
+    json.dumps(data)  # no default= hook needed
+    before = transcript.to_json()
+    scribble_transcript_dict(data)
+    assert transcript.to_json() == before
+
+
+def test_values_made_native_on_entry():
+    transcript = Transcript(config={"n": np.int64(3)})
+    transcript.add_event("probe", a=np.int64(1), b=(1, np.float64(0.5)), c=np.arange(2))
+    QuantumChannel("P1", "P2").transmit([], None, transcript.add_event, round=np.int32(2))
+    detail = (("P1", np.int64(4), np.bool_(True)),)
+    transcript.add_estimate(ErrorEstimate("first_estimation", 1, 0, 0.0, detail))
+    data = transcript.to_dict()
+    assert_json_native(data)
+    assert data["events"][0] == {"type": "probe", "a": 1, "b": [1, 0.5], "c": [0, 1]}
+    assert data["events"][1]["round"] == 2
+    assert data["estimates"][0]["detail"] == [["P1", 4, True]]
+    assert transcript.events == data["events"]

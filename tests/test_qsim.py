@@ -13,6 +13,8 @@ from qconf.qsim import (
     BASIS_X,
     BASIS_Z,
     HADAMARD,
+    LABEL_SPECS,
+    PAULI_IY,
     PAULI_X,
     PAULI_Z,
     Outcome,
@@ -24,6 +26,7 @@ from qconf.qsim import (
     build_joint_basis,
     dense_joint_basis,
     index_to_bits,
+    label_spec,
     materialize,
     measure_embedded,
     measure_joint,
@@ -66,6 +69,12 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
             PureState(1, np.array([1.0, 1.0]))
+
+    def test_norm_tolerance(self):
+        amps = np.array([0.6, 0.8j])
+        PureState(1, amps * math.sqrt(1.0 + 1e-13))
+        with pytest.raises(ContractError):
+            PureState(1, amps * math.sqrt(1.0 + 1e-11))
 
     def test_rejects_bad_length(self):
         with pytest.raises(ContractError):
@@ -349,6 +358,60 @@ class TestMeasurement:
         freq = counts / trials
         assert abs(freq[0] - 0.5) < 0.02 and abs(freq[1] - 0.5) < 0.02
         assert freq[2] == 0 and freq[3] == 0
+
+
+class TestScalarSingleMeasurement:
+    """``measure_single`` draws against a p0 equal, bit for bit, to numpy's."""
+
+    @staticmethod
+    def numpy_p0(state, basis):
+        a0, a1 = state.amplitudes  # numpy complex128 scalars
+        return abs(a0) ** 2 if basis == BASIS_Z else abs(a0 + a1) ** 2 / 2.0
+
+    def states(self):
+        labels = [materialize(spec) for spec in LABEL_SPECS]
+        images = [
+            apply_1q_unitary(state, u, 0)
+            for u in (PAULI_X, PAULI_IY, PAULI_Z)
+            for state in labels
+        ]
+        return labels + images
+
+    def test_label_states_and_pauli_images(self):
+        states = self.states()
+        assert len(states) == 16
+        for state in states:
+            for basis in (BASIS_Z, BASIS_X):
+                assert qsim._zero_probability(state, basis) == self.numpy_p0(state, basis)
+
+    def test_random_states(self):
+        rng = make_rng(12)
+        for _ in range(2000):
+            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+            state = PureState(1, amps / np.linalg.norm(amps))
+            for basis in (BASIS_Z, BASIS_X):
+                assert qsim._zero_probability(state, basis) == self.numpy_p0(state, basis)
+
+    def test_bits_follow_numpy_p0(self):
+        rng_a, rng_b = make_rng(13), make_rng(13)
+        for state in self.states():
+            for basis in (BASIS_Z, BASIS_X):
+                bit, post = measure_single(state, basis, rng_a)
+                assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
+                assert post is materialize(label_spec(basis, bit))
+
+    def test_label_specs_are_shared(self):
+        for spec in LABEL_SPECS:
+            assert label_spec(spec.basis, spec.bit) is spec
+            assert materialize(QubitSpec(spec.basis, spec.bit)) is materialize(spec)
+        with pytest.raises(ContractError):
+            label_spec("Y", 0)
+        with pytest.raises(ContractError):
+            label_spec(BASIS_Z, 2)
+
+    def test_rejects_bad_basis(self):
+        with pytest.raises(ContractError):
+            measure_single(materialize(LABEL_SPECS[0]), "Y", make_rng(0))
 
 
 class TestUnitaries:
