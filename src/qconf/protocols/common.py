@@ -139,8 +139,8 @@ class Transcript:
 
         Each event, estimate and key stage is copied one level deep: their
         values were made JSON-safe on entry and are never changed after.
-        The fields the drivers set directly are small and go through
-        ``_plain``.
+        The fields set by plain assignment (config, outputs, adversary,
+        secrets) are small and go through ``_plain``.
         """
         return {
             "config": _plain(self.config),
