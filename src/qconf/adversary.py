@@ -8,27 +8,27 @@ protocols rely on.  Everything an attack learns or fabricates is kept in an
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .channels import FlyingQubit, flying, measure_flying
+from .channels import FlyingQubit, carrier, flying, measure_flying
 from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import (
     BASIS_X,
     BASIS_Z,
     LABEL_SPECS,
+    PAULIS,
     Outcome,
-    PAULI_I,
-    PAULI_IY,
-    PAULI_X,
-    PAULI_Z,
     QubitSpec,
     apply_1q_unitary,
     apply_cnot,
     label_spec,
     materialize,
+    pauli_image,
     tensor,
 )
 from .rng import random_bits
@@ -44,8 +44,6 @@ ATTACK_KINDS = (
 )
 
 CHANNEL_TAP_KINDS = ("intercept_resend", "entangle_measure", "dos", "mitm")
-
-PAULIS = (PAULI_I, PAULI_X, PAULI_IY, PAULI_Z)
 
 # Per-Pauli probability of surviving a preparation-basis check when the
 # preparation basis is a fair Z/X coin: identity always passes, the bit-flip
@@ -72,7 +70,7 @@ class AttackConfig:
             if self.dos_weights is None or len(self.dos_weights) != 4:
                 raise ContractError("dos needs four mixing weights")
             norm = sum(w * w for w in self.dos_weights)
-            if abs(norm - 1.0) > 1e-10:
+            if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
                 raise ContractError(f"dos weights not unit-norm (sum w^2 = {norm})")
         elif self.dos_weights is not None:
             raise ContractError("dos_weights only apply to kind='dos'")
@@ -93,8 +91,24 @@ class AttackConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttackConfig":
+        if not isinstance(data, dict):
+            raise ContractError(f"attack: must be an object, got {data!r}")
+        extra = set(data) - {"kind", "dos_weights", "target_links"}
+        if extra:
+            raise ContractError(f"attack: unknown fields {sorted(extra)}")
+        if not isinstance(data.get("kind", "none"), str):
+            raise ContractError("attack.kind: must be a string")
         weights = data.get("dos_weights")
+        if weights is not None and (
+            not isinstance(weights, list)
+            or not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)
+        ):
+            raise ContractError("attack.dos_weights: must be a list of numbers")
         links = data.get("target_links")
+        if links is not None and (
+            not isinstance(links, list) or not all(isinstance(link, str) for link in links)
+        ):
+            raise ContractError("attack.target_links: must be a list of strings")
         return cls(
             kind=data.get("kind", "none"),
             dos_weights=tuple(weights) if weights else None,
@@ -159,14 +173,20 @@ def entangle_measure(
 def dos_attack(
     qubit: FlyingQubit, weights: tuple[float, ...], rng: np.random.Generator
 ) -> tuple[FlyingQubit, int]:
-    """Apply one Pauli drawn with probability weight^2 (stochastic mixture)."""
-    norm = sum(w * w for w in weights)
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractError("dos weights not unit-norm")
-    probs = np.array([w * w for w in weights])
-    choice = min(int(np.searchsorted(np.cumsum(probs), rng.random())), 3)
+    """Apply one Pauli drawn with probability weight^2 (stochastic mixture).
+
+    A single-qubit carrier takes its image from the intern table; the
+    running sum and ``bisect_left`` equal numpy's ``cumsum`` and
+    ``searchsorted`` bit for bit.
+    """
+    cumulative = list(accumulate(w * w for w in weights))
+    if len(cumulative) != len(PAULIS) or not abs(cumulative[-1] - 1.0) <= 1e-10:
+        raise ContractError("dos needs four unit-norm weights")
+    choice = min(bisect_left(cumulative, rng.random()), 3)
     if choice == 0:
         return qubit, choice
+    if qubit.sid is not None:
+        return carrier(pauli_image(qubit.sid, choice)), choice
     state = apply_1q_unitary(qubit.state, PAULIS[choice], qubit.channel_qubit)
     return FlyingQubit(state, qubit.channel_qubit), choice
 

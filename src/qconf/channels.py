@@ -4,7 +4,8 @@ A transmitted qubit is carried by a :class:`FlyingQubit`.  Normally its state
 is a single qubit, but an entangling adversary may extend it with ancilla
 qubits; ``channel_qubit`` marks which qubit of the state is actually on the
 wire, and every later measurement of that wire qubit goes through the full
-joint state.
+joint state.  A single-qubit carrier carries its state's intern id
+(``sid``), and the ceremonies here measure it by table lookup.
 """
 
 from __future__ import annotations
@@ -16,16 +17,20 @@ import numpy as np
 
 from .errors import ContractError
 from .qsim import (
+    MAX_TABLE_QUBITS,
     JointBasis,
     LABEL_SPECS,
     Outcome,
     PureState,
     QubitSpec,
+    intern,
+    interned,
     materialize,
     measure_embedded,
+    measure_interned,
     measure_joint,
+    measure_product,
     measure_qubit,
-    measure_single,
     tensor,
 )
 
@@ -37,14 +42,34 @@ PHASE_GUESS = "guess_comparison"
 
 @dataclass(frozen=True)
 class FlyingQubit:
-    """One in-flight qubit, possibly entangled with adversary ancillas."""
+    """One in-flight qubit, possibly entangled with adversary ancillas.
+
+    ``sid`` is the intern id of a single-qubit state, None for a carrier
+    entangled with ancillas.
+    """
 
     state: PureState
     channel_qubit: int = 0
+    sid: int | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.state.num_qubits == 1:
+            object.__setattr__(self, "sid", intern(self.state))
+
+
+_CARRIERS: dict[int, FlyingQubit] = {}
+
+
+def carrier(sid: int) -> FlyingQubit:
+    """The shared, immutable in-flight qubit of an interned state."""
+    qubit = _CARRIERS.get(sid)
+    if qubit is None:
+        qubit = _CARRIERS[sid] = FlyingQubit(interned(sid))
+    return qubit
 
 
 _LABEL_QUBITS = {
-    (spec.basis, spec.bit): FlyingQubit(materialize(spec)) for spec in LABEL_SPECS
+    (spec.basis, spec.bit): carrier(intern(materialize(spec))) for spec in LABEL_SPECS
 }
 
 
@@ -57,9 +82,9 @@ def measure_flying(
     qubit: FlyingQubit, basis: str, rng: np.random.Generator
 ) -> tuple[int, FlyingQubit]:
     """Measure the wire qubit in Z or X; returns (bit, collapsed carrier)."""
-    if qubit.state.num_qubits == 1:
-        bit, _ = measure_single(qubit.state, basis, rng)
-        return bit, _LABEL_QUBITS[basis, bit]
+    if qubit.sid is not None:
+        bit, post = measure_interned(qubit.sid, basis, rng)
+        return bit, carrier(post)
     bit, post = measure_qubit(qubit.state, qubit.channel_qubit, basis, rng)
     return bit, FlyingQubit(post, qubit.channel_qubit)
 
@@ -67,7 +92,15 @@ def measure_flying(
 def measure_channel_tuple(
     qubits: Sequence[FlyingQubit], basis: JointBasis, rng: np.random.Generator
 ) -> Outcome:
-    """Joint-basis measurement of one wire qubit per party, in party order."""
+    """Joint-basis measurement of one wire qubit per party, in party order.
+
+    Up to ``MAX_TABLE_QUBITS`` single-qubit carriers are measured from the
+    joint table; wider tuples and entangled carriers build the joint state.
+    """
+    if len(qubits) <= MAX_TABLE_QUBITS and len(qubits) == basis.num_qubits:
+        ids = tuple(q.sid for q in qubits)
+        if None not in ids:
+            return measure_product(ids, rng)
     joint = tensor([q.state for q in qubits])
     if joint.num_qubits == basis.num_qubits:
         return measure_joint(joint, basis, rng)
@@ -109,15 +142,15 @@ def permute(seq: Sequence, p: Permutation) -> list:
     if len(seq) != len(p):
         raise ContractError("sequence and permutation lengths differ")
     out = [None] * len(seq)
-    for i, item in enumerate(seq):
-        out[p.mapping[i]] = item
+    for slot, item in zip(p.mapping.tolist(), seq):
+        out[slot] = item
     return out
 
 
 def unpermute(seq: Sequence, p: Permutation) -> list:
     if len(seq) != len(p):
         raise ContractError("sequence and permutation lengths differ")
-    return [seq[p.mapping[i]] for i in range(len(seq))]
+    return [seq[slot] for slot in p.mapping.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +240,7 @@ class ErrorEstimate:
         return "abort" if self.rate > self.threshold else "continue"
 
     def to_dict(self) -> dict:
+        """The estimate as a dict; each detail row is a native [str, int, bool]."""
         return {
             "phase": self.phase,
             "positions_checked": self.positions_checked,
@@ -214,7 +248,7 @@ class ErrorEstimate:
             "rate": self.rate,
             "threshold": self.threshold,
             "verdict": self.verdict,
-            "detail": [list(entry) for entry in self.detail],
+            "detail": [[str(label), int(pos), bool(ok)] for label, pos, ok in self.detail],
         }
 
 

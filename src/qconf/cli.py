@@ -29,7 +29,8 @@ from .tables import tables_summary, tables_to_csv, verify_outcome_tables
 SUITES = ("tables", "attacks", "all")
 
 
-def _load_config(path: str, seed_override: int | None) -> RunConfig:
+def _load_config(path: str, seed_override: int | None) -> tuple[RunConfig, int | None]:
+    """The validated config and its optional ``trial_index``."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -40,16 +41,14 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
         raise ContractError("config: top level must be a JSON object")
     if seed_override is not None:
         data["seed"] = seed_override
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(data), data.get("trial_index")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args.seed)
+    config, only = _load_config(args.config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw = json.loads(Path(args.config).read_text())
-    only = raw.get("trial_index")
-    indices = [int(only)] if only is not None else None
+    indices = [only] if only is not None else None
     transcripts = run_trials(config, workers=args.workers, trial_indices=indices)
     for transcript in transcripts:
         trial = transcript["config"]["trial_index"]

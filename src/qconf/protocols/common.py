@@ -55,7 +55,10 @@ def sorted_sample(rng: np.random.Generator, total: int, count: int) -> list[int]
 
 
 def bits_to_str(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    """'0'/'1' text of a bit sequence: a numpy row or a list of ints."""
+    if isinstance(bits, np.ndarray):
+        bits = bits.tolist()
+    return "".join(map(str, bits))
 
 
 def str_to_bits(text: str) -> np.ndarray:
@@ -118,7 +121,13 @@ class Transcript:
         self.key_stages.append({"stage": stage, "length": int(length)})
 
     def add_estimate(self, estimate: ErrorEstimate) -> None:
-        self.estimates.append(_plain(estimate.to_dict()))
+        # The detail rows, most of an estimate, come native from to_dict.
+        self.estimates.append(
+            {
+                key: value if key == "detail" else _plain(value)
+                for key, value in estimate.to_dict().items()
+            }
+        )
         self.add_event(
             "estimation_verdict",
             phase=estimate.phase,

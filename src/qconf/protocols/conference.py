@@ -75,18 +75,19 @@ def run_conference(
         config=snapshot
         or {"protocol": "conferenceN", "n_parties": n_parties, "length": m}
     )
-    transcript.secrets["messages"] = [bits_to_str(row) for row in msg]
+    msg_rows = msg.tolist()
+    transcript.secrets["messages"] = [bits_to_str(row) for row in msg_rows]
     record = AdversaryRecord(kind=attack.kind)
 
-    key = establish_key(parties, m, rng).bits
-    transcript.secrets["key_initial"] = bits_to_str(key)
+    key_bits = establish_key(parties, m, rng).bits.tolist()
+    transcript.secrets["key_initial"] = bits_to_str(key_bits)
     transcript.add_key_stage("initial", m)
     transcript.add_event("key_established", parties=list(parties), length=m)
 
     # --- message phase -----------------------------------------------------
     prepared = {
-        p: [encode_message_qubit(int(msg[a, i]), int(key[i])) for i in range(m)]
-        for a, p in enumerate(parties)
+        p: [encode_message_qubit(b, k) for b, k in zip(row, key_bits)]
+        for p, row in zip(parties, msg_rows)
     }
     perms = {p: random_permutation(m, rng) for p in parties}
     held = {}
@@ -112,9 +113,9 @@ def run_conference(
         transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
     ordered = {p: unpermute(held[p], perms[p]) for p in parties}
 
-    keep = [i for i in range(m) if i not in set(sample1)]
-    key2 = key[keep]
-    msg2 = msg[:, keep]
+    discard = set(sample1)
+    keep = [i for i in range(m) if i not in discard]
+    key2 = [key_bits[i] for i in keep]
     seq2 = {p: [ordered[p][i] for i in keep] for p in parties}
     m2 = len(keep)
     transcript.add_key_stage("after_first_estimation", m2)
@@ -148,12 +149,12 @@ def run_conference(
         "message_reveal",
         phase="second_estimation",
         rounds=sample2,
-        bits={p: [int(msg2[a, i]) for i in sample2] for a, p in enumerate(parties)},
+        bits={p: [row[keep[i]] for i in sample2] for p, row in zip(parties, msg_rows)},
     )
     est2 = second_error_estimation(
         outcomes,
         key2,
-        {p: msg2[a] for a, p in enumerate(parties)},
+        {p: [row[i] for i in keep] for p, row in zip(parties, msg_rows)},
         sample2,
         n_parties,
         params.threshold,
@@ -164,11 +165,12 @@ def run_conference(
         transcript.record_abort(est2.phase)
         return _finish()
 
-    keep2 = [i for i in range(m2) if i not in set(sample2)]
-    key3 = key2[keep2]
-    msg3 = msg[:, keep][:, keep2]
+    discard2 = set(sample2)
+    keep2 = [i for i in range(m2) if i not in discard2]
     outcomes3 = [outcomes[i] for i in keep2]
     kept_positions = [keep[i] for i in keep2]
+    key3 = [key_bits[i] for i in kept_positions]
+    msg3 = [[row[i] for i in kept_positions] for row in msg_rows]
     n3 = len(keep2)
     transcript.add_key_stage("after_second_estimation", n3)
 
@@ -196,10 +198,12 @@ def run_conference(
 def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, transcript):
     """Exchange phase plus final per-party reassembly.
 
-    Returns (recovered, chi, ok); ok False means a decoy check aborted.
+    ``msg3`` holds one list of kept message bits per party and ``key3`` the
+    kept key bits.  Returns (recovered, chi, ok); ok False means a decoy
+    check aborted.
     """
     n_parties = len(parties)
-    n3 = msg3.shape[1]
+    n3 = len(key3)
     z_rounds = [i for i in range(n3) if key3[i] == 0]
     x_rounds = [i for i in range(n3) if key3[i] == 1]
     chi = [decode_x_round(outcomes3[i]) for i in x_rounds]
@@ -208,7 +212,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     z_bits = {p: {} for p in parties}
     for a, p in enumerate(parties):
         for i in z_rounds:
-            z_bits[p][i] = decode_z_round(int(msg3[a, i]), a, outcomes3[i], n_parties)
+            z_bits[p][i] = decode_z_round(msg3[a][i], a, outcomes3[i], n_parties)
 
     # Exchange phase: each party's X-round bits travel N-2 hops clockwise,
     # re-protected with fresh decoys at every hop.  Positions are 1-based in
@@ -216,7 +220,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     # every party can derive from the shared key.
     exchange_sets = {
         p: [
-            flying(encode_exchange_qubit(int(msg3[a, i]), i + 1))
+            flying(encode_exchange_qubit(msg3[a][i], i + 1))
             for i in x_rounds
         ]
         for a, p in enumerate(parties)
@@ -274,7 +278,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
         unknown = parties[(a + 1) % n_parties]
         inferred = []
         for j, i in enumerate(x_rounds):
-            acc = chi[j] ^ int(msg3[a, i])
+            acc = chi[j] ^ msg3[a][i]
             for q in parties:
                 if q not in (p, unknown):
                     acc ^= learned[p][q][j]
@@ -283,7 +287,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
         for b, q in enumerate(parties):
             if q == p:
                 continue
-            full = np.zeros(n3, dtype=np.uint8)
+            full = [0] * n3
             for i in z_rounds:
                 full[i] = z_bits[p][i][b]
             for j, i in enumerate(x_rounds):

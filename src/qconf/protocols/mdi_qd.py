@@ -42,14 +42,15 @@ from .common import (
 PAIR_PARTIES = party_names(2)
 
 
-def _check_messages(message_a, message_b) -> tuple[np.ndarray, np.ndarray]:
+def _check_messages(message_a, message_b) -> dict[str, list[int]]:
+    """Both parties' messages as lists of ints, keyed by party."""
     a = np.asarray(message_a, dtype=np.uint8)
     b = np.asarray(message_b, dtype=np.uint8)
     if len(a) != len(b):
         raise ContractError("both messages must have equal length")
     if len(a) == 0:
         raise ContractError("messages must be non-empty")
-    return a, b
+    return {PAIR_PARTIES[0]: a.tolist(), PAIR_PARTIES[1]: b.tolist()}
 
 
 def _shared_guess_bases(attack: AttackConfig, length: int, rng) -> list[str] | None:
@@ -64,8 +65,8 @@ def _shared_guess_bases(attack: AttackConfig, length: int, rng) -> list[str] | N
 
 
 def _guess_comparison(
-    msgs: dict[str, np.ndarray],
-    key: np.ndarray,
+    msgs: dict[str, list[int]],
+    key: list[int],
     outcomes,
     kept: list[int],
     fraction: float,
@@ -74,7 +75,10 @@ def _guess_comparison(
     rng,
     transcript: Transcript,
 ) -> tuple[ErrorEstimate, list[int]]:
-    """Disclose-and-compare ceremony on a sample of the sifted rounds."""
+    """Disclose-and-compare ceremony on a sample of the sifted rounds.
+
+    ``msgs`` and ``key`` hold bits as lists of ints.
+    """
     a, b = msgs[PAIR_PARTIES[0]], msgs[PAIR_PARTIES[1]]
     count = min(sample_size(fraction, total), len(kept))
     picked = (
@@ -87,11 +91,11 @@ def _guess_comparison(
     mismatches = 0
     guesses = {p: [] for p in PAIR_PARTIES}
     for i in picked:
-        guess_b = decode_partner_bit(int(a[i]), int(key[i]), outcomes[i])
-        guess_a = decode_partner_bit(int(b[i]), int(key[i]), outcomes[i])
+        guess_b = decode_partner_bit(a[i], key[i], outcomes[i])
+        guess_a = decode_partner_bit(b[i], key[i], outcomes[i])
         guesses[PAIR_PARTIES[0]].append(guess_b)
         guesses[PAIR_PARTIES[1]].append(guess_a)
-        ok = guess_b == int(b[i]) and guess_a == int(a[i])
+        ok = guess_b == b[i] and guess_a == a[i]
         mismatches += not ok
         detail.append(("pair", int(i), ok))
     transcript.add_event("guess_reveal", phase=PHASE_GUESS, guesses=guesses)
@@ -101,17 +105,17 @@ def _guess_comparison(
 
 
 def _decode_outputs(
-    msgs: dict[str, np.ndarray],
-    key: np.ndarray,
+    msgs: dict[str, list[int]],
+    key: list[int],
     outcomes,
     rounds: list[int],
     position_labels: list[int],
 ) -> dict:
     a, b = msgs[PAIR_PARTIES[0]], msgs[PAIR_PARTIES[1]]
-    rec_b = [decode_partner_bit(int(a[i]), int(key[i]), outcomes[i]) for i in rounds]
-    rec_a = [decode_partner_bit(int(b[i]), int(key[i]), outcomes[i]) for i in rounds]
+    rec_b = [decode_partner_bit(a[i], key[i], outcomes[i]) for i in rounds]
+    rec_a = [decode_partner_bit(b[i], key[i], outcomes[i]) for i in rounds]
     return {
-        "kept_positions": [int(position_labels[i]) for i in rounds],
+        "kept_positions": [position_labels[i] for i in rounds],
         "recovered": {
             PAIR_PARTIES[0]: {PAIR_PARTIES[1]: bits_to_str(rec_b)},
             PAIR_PARTIES[1]: {PAIR_PARTIES[0]: bits_to_str(rec_a)},
@@ -128,14 +132,13 @@ def run_mdi_qd_original(
     snapshot: dict | None = None,
 ) -> Transcript:
     """Unhardened dialogue: no permutation, no pre-measurement check."""
-    a, b = _check_messages(message_a, message_b)
-    n = len(a)
-    msgs = {PAIR_PARTIES[0]: a, PAIR_PARTIES[1]: b}
+    msgs = _check_messages(message_a, message_b)
+    n = len(msgs[PAIR_PARTIES[0]])
     transcript = Transcript(config=snapshot or {"protocol": "mdi_qd_original", "length": n})
-    transcript.secrets["messages"] = [bits_to_str(a), bits_to_str(b)]
+    transcript.secrets["messages"] = [bits_to_str(msgs[p]) for p in PAIR_PARTIES]
     record = AdversaryRecord(kind=attack.kind)
 
-    key = establish_key(PAIR_PARTIES, n, rng).bits
+    key = establish_key(PAIR_PARTIES, n, rng).bits.tolist()
     transcript.secrets["key_initial"] = bits_to_str(key)
     transcript.add_key_stage("initial", n)
     transcript.add_event("key_established", parties=list(PAIR_PARTIES), length=n)
@@ -143,7 +146,7 @@ def run_mdi_qd_original(
     shared_bases = _shared_guess_bases(attack, n, rng)
     held = {}
     for p in PAIR_PARTIES:
-        specs = [encode_message_qubit(int(msgs[p][i]), int(key[i])) for i in range(n)]
+        specs = [encode_message_qubit(b, k) for b, k in zip(msgs[p], key)]
         channel = QuantumChannel(
             p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}", shared_bases)
         )
@@ -167,7 +170,8 @@ def run_mdi_qd_original(
         transcript.record_abort(PHASE_GUESS)
         return transcript
 
-    remaining = [i for i in kept if i not in set(picked)]
+    picked = set(picked)
+    remaining = [i for i in kept if i not in picked]
     transcript.outputs = _decode_outputs(msgs, key, outcomes, remaining, list(range(n)))
     return transcript
 
@@ -181,20 +185,19 @@ def run_mdi_qd_modified(
     snapshot: dict | None = None,
 ) -> Transcript:
     """Hardened dialogue: permute, check single qubits, then measure jointly."""
-    a, b = _check_messages(message_a, message_b)
-    n = len(a)
-    msgs = {PAIR_PARTIES[0]: a, PAIR_PARTIES[1]: b}
+    msgs = _check_messages(message_a, message_b)
+    n = len(msgs[PAIR_PARTIES[0]])
     transcript = Transcript(config=snapshot or {"protocol": "mdi_qd_modified", "length": n})
-    transcript.secrets["messages"] = [bits_to_str(a), bits_to_str(b)]
+    transcript.secrets["messages"] = [bits_to_str(msgs[p]) for p in PAIR_PARTIES]
     record = AdversaryRecord(kind=attack.kind)
 
-    key = establish_key(PAIR_PARTIES, n, rng).bits
+    key = establish_key(PAIR_PARTIES, n, rng).bits.tolist()
     transcript.secrets["key_initial"] = bits_to_str(key)
     transcript.add_key_stage("initial", n)
     transcript.add_event("key_established", parties=list(PAIR_PARTIES), length=n)
 
     prepared = {
-        p: [encode_message_qubit(int(msgs[p][i]), int(key[i])) for i in range(n)]
+        p: [encode_message_qubit(b, k) for b, k in zip(msgs[p], key)]
         for p in PAIR_PARTIES
     }
     perms = {p: random_permutation(n, rng) for p in PAIR_PARTIES}
@@ -221,8 +224,8 @@ def run_mdi_qd_modified(
 
     discard = set(sample1)
     keep = [i for i in range(n) if i not in discard]
-    key2 = key[keep]
-    msgs2 = {p: msgs[p][keep] for p in PAIR_PARTIES}
+    key2 = [key[i] for i in keep]
+    msgs2 = {p: [msgs[p][i] for i in keep] for p in PAIR_PARTIES}
     seq2 = {p: [ordered[p][i] for i in keep] for p in PAIR_PARTIES}
     m2 = len(keep)
     transcript.add_key_stage("after_first_estimation", m2)
@@ -244,6 +247,7 @@ def run_mdi_qd_modified(
         transcript.record_abort(PHASE_GUESS)
         return transcript
 
-    remaining = [i for i in kept if i not in set(picked)]
+    picked = set(picked)
+    remaining = [i for i in kept if i not in picked]
     transcript.outputs = _decode_outputs(msgs2, key2, outcomes, remaining, keep)
     return transcript

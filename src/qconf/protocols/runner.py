@@ -10,6 +10,7 @@ workers cannot perturb each other.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +33,22 @@ PROTOCOLS = ("mdi_qd_original", "mdi_qd_modified", "conference3", "conferenceN",
 _CANONICAL = {"conference3": "conferenceN"}
 
 MIN_SAMPLED_POSITIONS = 10
+# Longest message a run accepts: a trial holds a few lists of this length
+# per party, and its transcript a permutation of it per party.
+MAX_MESSAGE_LENGTH = 100_000
+
+_INT_FIELDS = ("message_length", "n_parties", "decoy_count", "trials", "seed")
+_FLOAT_FIELDS = ("delta", "gamma", "threshold")
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name}: must be an integer, got {value!r}")
+
+
+def _check_float(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ContractError(f"{name}: must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,10 @@ class RunConfig:
         return 2 * self.message_length if self.protocol == "xor" else self.message_length
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            _check_int(name, getattr(self, name))
+        for name in _FLOAT_FIELDS:
+            _check_float(name, getattr(self, name))
         if self.protocol not in set(PROTOCOLS) | set(_CANONICAL.values()):
             raise ContractError(f"protocol: unknown value {self.protocol!r}")
         if self.protocol.startswith("mdi_qd"):
@@ -82,8 +103,15 @@ class RunConfig:
             )
         if self.message_length < 1:
             raise ContractError("message_length: must be >= 1")
+        if self.message_length > MAX_MESSAGE_LENGTH:
+            raise ResourceLimitError(
+                f"message_length: {self.message_length} exceeds the limit of "
+                f"{MAX_MESSAGE_LENGTH:,} bits"
+            )
         if self.trials < 1:
             raise ContractError("trials: must be >= 1")
+        if self.seed < 0:
+            raise ContractError("seed: must be >= 0")
         self.params  # range checks
         # Sampled check counts below ~10 make the estimation ceremonies
         # statistically meaningless; reject such configurations up front.
@@ -99,6 +127,8 @@ class RunConfig:
             if not self.messages_hex or len(self.messages_hex) != self.n_parties:
                 raise ContractError("messages_hex: need one hex string per party")
             for text in self.messages_hex:
+                if not isinstance(text, str):
+                    raise ContractError(f"messages_hex: {text!r} is not a string")
                 _hex_to_bits(text, self.message_length)  # raises on bad input
         elif self.messages_hex is not None:
             raise ContractError("messages_hex: only valid with message_source='hex'")
@@ -138,6 +168,11 @@ class RunConfig:
         extra = set(data) - known - {"trial_index"}
         if extra:
             raise ContractError(f"config: unknown fields {sorted(extra)}")
+        trial_index = data.get("trial_index")
+        if trial_index is not None:
+            _check_int("trial_index", trial_index)
+            if trial_index < 0:
+                raise ContractError("trial_index: must be >= 0")
         kwargs = {k: v for k, v in data.items() if k in known}
         if "attack" in kwargs and kwargs["attack"] is not None:
             kwargs["attack"] = AttackConfig.from_dict(kwargs["attack"])

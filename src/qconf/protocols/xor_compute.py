@@ -93,7 +93,8 @@ def run_xor(
         return transcript
 
     key = establish_key(parties, 2 * m, rng).bits
-    transcript.secrets["key_initial"] = bits_to_str(key)
+    key_bits = key.tolist()
+    transcript.secrets["key_initial"] = bits_to_str(key_bits)
     transcript.add_key_stage("initial", 2 * m)
     transcript.add_event("key_established", parties=list(parties), length=2 * m)
     select = derive_select_bit(key)
@@ -102,15 +103,15 @@ def run_xor(
     mask = random_bits(rng, m)
     transcript.secrets["mask"] = bits_to_str(mask)
     mask_received = {parties[0]: mask}
+    mask_specs = [encode_message_qubit(b, k) for b, k in zip(mask.tolist(), key_bits)]
     for a in range(1, n_parties):
         p = parties[a]
-        specs = [encode_message_qubit(int(mask[i]), int(key[i])) for i in range(m)]
         decoys = make_decoy_set(m, params.decoy_count, rng)
         channel = QuantumChannel(
             parties[0], p, tap=make_tap(attack, record, f"{parties[0]}->{p}")
         )
         received = channel.transmit(
-            insert_decoys([flying(s) for s in specs], decoys),
+            insert_decoys([flying(s) for s in mask_specs], decoys),
             rng,
             transcript.add_event,
             purpose="mask_distribution",
@@ -130,7 +131,7 @@ def run_xor(
         payload = extract_payload(received, decoys)
         bits = []
         for i in range(m):
-            basis = BASIS_X if key[i] else BASIS_Z
+            basis = BASIS_X if key_bits[i] else BASIS_Z
             bit, payload[i] = measure_flying(payload[i], basis, rng)
             bits.append(bit)
         mask_received[p] = np.array(bits, dtype=np.uint8)
@@ -147,9 +148,10 @@ def run_xor(
         [embed_payload(payloads[a], key, select, rng) for a in range(n_parties)]
     )
     length = 2 * m
+    carrier_rows = carriers.tolist()
     prepared = {
-        p: [encode_xor_qubit(int(carriers[a, i]), int(key[i]), select) for i in range(length)]
-        for a, p in enumerate(parties)
+        p: [encode_xor_qubit(b, k, select) for b, k in zip(row, key_bits)]
+        for p, row in zip(parties, carrier_rows)
     }
     perms = {p: random_permutation(length, rng) for p in parties}
     held = {}
@@ -171,9 +173,9 @@ def run_xor(
         transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
     ordered = {p: unpermute(held[p], perms[p]) for p in parties}
 
-    keep = [i for i in range(length) if i not in set(sample1)]
+    discard = set(sample1)
+    keep = [i for i in range(length) if i not in discard]
     key2 = key[keep]
-    carriers2 = carriers[:, keep]
     seq2 = {p: [ordered[p][i] for i in keep] for p in parties}
     len2 = len(keep)
     transcript.add_key_stage("after_first_estimation", len2)
@@ -206,12 +208,12 @@ def run_xor(
         "message_reveal",
         phase="second_estimation",
         rounds=sample2,
-        bits={p: [int(carriers2[a, i]) for i in sample2] for a, p in enumerate(parties)},
+        bits={p: [row[keep[i]] for i in sample2] for p, row in zip(parties, carrier_rows)},
     )
     est2 = second_error_estimation(
         outcomes,
         x_flags2,
-        {p: carriers2[a] for a, p in enumerate(parties)},
+        {p: [row[i] for i in keep] for p, row in zip(parties, carrier_rows)},
         sample2,
         n_parties,
         params.threshold,
@@ -222,7 +224,8 @@ def run_xor(
         transcript.record_abort(est2.phase)
         return _finish()
 
-    keep2 = [i for i in range(len2) if i not in set(sample2)]
+    discard2 = set(sample2)
+    keep2 = [i for i in range(len2) if i not in discard2]
     transcript.add_key_stage("after_second_estimation", len(keep2))
 
     # --- decoding -----------------------------------------------------------

@@ -10,6 +10,11 @@ computational index ``i`` with its bitwise complement::
 and outcomes are wire-encoded as ``code = 2 * index + sign_bit`` so that the
 code order matches the natural listing order of the basis.
 
+Single-qubit states are interned (see ``intern``): each distinct state gets
+a small integer id, and its Born probabilities, Pauli images and small joint
+distributions are computed once and looked up by id after.  Dense vectors
+carry entangled states and joint measurements of more than three qubits.
+
 Everything here is deterministic given a seeded generator; sampling always
 consumes exactly one uniform draw per measurement.
 """
@@ -42,6 +47,13 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array(
     [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=complex
 )
+# The Paulis in the order the stochastic-Pauli attack's weights index them.
+PAULIS = (PAULI_I, PAULI_X, PAULI_IY, PAULI_Z)
+
+# Bound on the number of distinct single-qubit states (see ``intern``).
+MAX_INTERNED = 64
+# Largest product of interned states measured through the joint table.
+MAX_TABLE_QUBITS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +178,11 @@ _LABEL_AMPLITUDES = {
     (BASIS_X, 0): [INV_SQRT2, INV_SQRT2],
     (BASIS_X, 1): [INV_SQRT2, -INV_SQRT2],
 }
-_LABEL_STATES = {
-    label: PureState(1, np.array(amps, dtype=complex))
-    for label, amps in _LABEL_AMPLITUDES.items()
-}
 
 
 def materialize(spec: QubitSpec) -> PureState:
-    """Amplitude vector for a symbolic single-qubit preparation (shared)."""
-    return _LABEL_STATES[spec.basis, spec.bit]
+    """Amplitude vector for a symbolic single-qubit preparation (interned)."""
+    return _INTERNED[_LABEL_IDS[spec.basis, spec.bit]]
 
 
 def tensor(states: Sequence[PureState]) -> PureState:
@@ -211,6 +219,130 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
             matrix[code, index] = INV_SQRT2
             matrix[code, dim - 1 - index] = INV_SQRT2 if sign == 0 else -INV_SQRT2
     return matrix
+
+
+# ---------------------------------------------------------------------------
+# Interned single-qubit states
+# ---------------------------------------------------------------------------
+#
+# Outside the entangling attack every carrier is one qubit in a state reached
+# from the four label states by Paulis and collapses: a small, closed set.
+# Each such state is interned once, keyed on its exact amplitude bytes, and
+# gets a small integer id.  Three tables keyed by id hold what the protocols
+# compute from it: ``_P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for
+# products of at most ``MAX_TABLE_QUBITS``, ``_JOINT[ids]``.  Each entry is
+# computed once by the dense code from those same bytes, so a lookup returns
+# exactly the float that code would return on every call.  States whose bytes
+# differ by one ULP keep separate ids, and more than ``MAX_INTERNED`` states
+# raise rather than grow the tables.
+
+_INTERN_IDS: dict[bytes, int] = {}
+_INTERNED: list[PureState] = []
+_P0: list[dict[str, float]] = []
+_IMAGE: list[list[int | None]] = []
+_JOINT: dict[tuple[int, ...], list[float]] = {}
+
+
+def _zero_probability(state: PureState, basis: str) -> float:
+    """Born probability of bit 0 for a single qubit measured in Z or X.
+
+    Computed on Python complex scalars: their add, abs (hypot) and ``** 2``
+    (pow) are the IEEE operations numpy applies to its complex128 scalars,
+    so the value, and every bit sampled from it, equals numpy's.
+    """
+    a0, a1 = state.amplitudes.tolist()
+    if basis == BASIS_Z:
+        return abs(a0) ** 2
+    if basis == BASIS_X:
+        return abs(a0 + a1) ** 2 / 2.0
+    raise ContractError(f"basis must be Z or X, got {basis!r}")
+
+
+def intern(state: PureState) -> int:
+    """Id of a single-qubit state; new amplitude bytes get the next id."""
+    if state.num_qubits != 1:
+        raise ContractError("only single-qubit states are interned")
+    key = state.amplitudes.tobytes()
+    sid = _INTERN_IDS.get(key)
+    if sid is None:
+        if len(_INTERNED) >= MAX_INTERNED:
+            raise ResourceLimitError(
+                f"more than {MAX_INTERNED} distinct single-qubit states; "
+                "amplitudes are drifting under renormalization"
+            )
+        sid = len(_INTERNED)
+        _P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
+        _IMAGE.append([None] * len(PAULIS))
+        _INTERNED.append(state)
+        _INTERN_IDS[key] = sid
+    return sid
+
+
+def interned(sid: int) -> PureState:
+    """The state behind an intern id."""
+    return _INTERNED[sid]
+
+
+def zero_probability(sid: int, basis: str) -> float:
+    """``p0`` table: Born probability of bit 0 in Z or X for an interned state."""
+    try:
+        return _P0[sid][basis]
+    except KeyError:
+        raise ContractError(f"basis must be Z or X, got {basis!r}") from None
+
+
+def pauli_image(sid: int, pauli: int) -> int:
+    """Id of ``PAULIS[pauli]`` applied to an interned state.
+
+    Each entry is computed once by ``apply_1q_unitary``, with its unitarity
+    check and renormalization.
+    """
+    images = _IMAGE[sid]
+    image = images[pauli]
+    if image is None:
+        image = intern(apply_1q_unitary(_INTERNED[sid], PAULIS[pauli], 0))
+        images[pauli] = image
+    return image
+
+
+def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
+    """Cumulative outcome probabilities of a product of interned states.
+
+    Built once per id tuple from ``tensor``, ``outcome_distribution`` and a
+    running sum, exactly as ``measure_joint`` and ``sample_index`` compute
+    them.  Only products of at most ``MAX_TABLE_QUBITS`` are tabled: wider
+    ones have too many tuples to keep.
+    """
+    cumulative = _JOINT.get(ids)
+    if cumulative is None:
+        if len(ids) > MAX_TABLE_QUBITS:
+            raise ResourceLimitError(
+                f"joint table holds products of at most {MAX_TABLE_QUBITS} qubits"
+            )
+        state = tensor([_INTERNED[sid] for sid in ids])
+        probs = outcome_distribution(state, build_joint_basis(len(ids)))
+        cumulative = list(accumulate(probs.tolist()))
+        _JOINT[ids] = cumulative
+    return cumulative
+
+
+def measure_interned(sid: int, basis: str, rng: np.random.Generator) -> tuple[int, int]:
+    """Born-rule bit of an interned state in Z or X, and the collapsed state's id."""
+    p0 = zero_probability(sid, basis)
+    bit = 0 if rng.random() < p0 else 1
+    return bit, _LABEL_IDS[basis, bit]
+
+
+def measure_product(ids: tuple[int, ...], rng: np.random.Generator) -> Outcome:
+    """Joint-basis outcome of a product of interned states, from the joint table."""
+    return Outcome.from_code(_draw(joint_cumulative(ids), rng))
+
+
+# The label states take ids 0-3, in ``LABEL_SPECS`` order.
+_LABEL_IDS = {
+    label: intern(PureState(1, np.array(amps, dtype=complex)))
+    for label, amps in _LABEL_AMPLITUDES.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +386,11 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     ``bisect_right`` equals ``np.searchsorted(side="right")``; on the short
     vectors most runs draw from they skip numpy's per-call overhead.
     """
-    cumulative = list(accumulate(probs.tolist()))
+    return _draw(list(accumulate(probs.tolist())), rng)
+
+
+def _draw(cumulative: list[float], rng: np.random.Generator) -> int:
+    """Index drawn from a cumulative distribution with one uniform draw."""
     r = rng.random() * cumulative[-1]
     return min(bisect_right(cumulative, r), len(cumulative) - 1)
 
@@ -297,29 +433,14 @@ def measure_embedded(
     return Outcome.from_code(sample_index(probs, rng))
 
 
-def _zero_probability(state: PureState, basis: str) -> float:
-    """Born probability of bit 0 for a single qubit measured in Z or X.
-
-    Computed on Python complex scalars: their add, abs (hypot) and ``** 2``
-    (pow) are the IEEE operations numpy applies to its complex128 scalars,
-    so the value, and every bit sampled from it, equals numpy's.
-    """
-    a0, a1 = state.amplitudes.tolist()
-    if basis == BASIS_Z:
-        return abs(a0) ** 2
-    if basis == BASIS_X:
-        return abs(a0 + a1) ** 2 / 2.0
-    raise ContractError(f"basis must be Z or X, got {basis!r}")
-
-
 def measure_single(
     state: PureState, basis: str, rng: np.random.Generator
 ) -> tuple[int, PureState]:
-    """Born-rule bit for a single qubit; collapses onto the shared basis state."""
+    """Born-rule bit for a single qubit; collapses onto the interned basis state."""
     if state.num_qubits != 1:
         raise ContractError("measure_single expects a single-qubit state")
-    bit = 0 if rng.random() < _zero_probability(state, basis) else 1
-    return bit, _LABEL_STATES[basis, bit]
+    bit, post = measure_interned(intern(state), basis, rng)
+    return bit, _INTERNED[post]
 
 
 def measure_qubit(

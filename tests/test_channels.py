@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from qconf import qsim
+from qconf.adversary import entangle_measure
 from qconf.channels import (
     DecoySet,
+    FlyingQubit,
     Permutation,
     QuantumChannel,
+    carrier,
     extract_payload,
     first_error_estimation,
     flying,
     insert_decoys,
     make_decoy_set,
+    measure_channel_tuple,
     measure_flying,
     permute,
     random_permutation,
@@ -21,8 +26,16 @@ from qconf.channels import (
 )
 from qconf.codec import consistent_outcome_codes, encode_message_qubit
 from qconf.errors import ContractError
-from qconf.protocols import Transcript
-from qconf.qsim import Outcome, QubitSpec, materialize
+from qconf.protocols import RunConfig, Transcript, execute_trial
+from qconf.qsim import (
+    LABEL_SPECS,
+    Outcome,
+    QubitSpec,
+    build_joint_basis,
+    materialize,
+    measure_joint,
+    tensor,
+)
 from qconf.rng import make_rng, random_bits
 
 
@@ -189,6 +202,35 @@ class TestFlying:
         bit, post = measure_flying(flying(QubitSpec("X", 0)), "X", make_rng(28))
         assert bit == 0
         assert post is flying(QubitSpec("X", 0))
+
+
+class TestInternedCarriers:
+    def test_one_shared_carrier_per_state(self):
+        for spec in LABEL_SPECS:
+            sid = qsim.intern(materialize(spec))
+            assert flying(spec) is carrier(sid)
+            assert carrier(sid).sid == sid
+            assert FlyingQubit(materialize(spec)).sid == sid
+
+    def test_entangled_carrier_has_no_id(self):
+        forwarded, _ = entangle_measure(flying(QubitSpec("X", 0)), make_rng(32))
+        assert forwarded.sid is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tuple_measurement_matches_dense(self, n):
+        picks = make_rng(33 + n).integers(0, 4, size=(200, n))
+        rng_a, rng_b = make_rng(40 + n), make_rng(40 + n)
+        basis = build_joint_basis(n)
+        for row in picks:
+            qubits = [flying(LABEL_SPECS[int(k)]) for k in row]
+            dense = measure_joint(tensor([q.state for q in qubits]), basis, rng_b)
+            assert measure_channel_tuple(qubits, basis, rng_a) == dense
+
+    def test_wide_honest_trial_keeps_joint_table_small(self):
+        config = RunConfig(protocol="conferenceN", n_parties=10, message_length=100, seed=3)
+        transcript = execute_trial(config, 0)
+        assert transcript.outputs is not None
+        assert all(len(ids) <= qsim.MAX_TABLE_QUBITS for ids in qsim._JOINT)
 
 
 class TestQuantumChannel:

@@ -1,11 +1,16 @@
 """CLI contract: exit codes, transcripts on disk, report files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qconf.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -71,6 +76,44 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
     assert "MiB" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"message_length": "64"}, "message_length"),
+        ({"delta": "x"}, "delta"),
+        ({"attack": "dos"}, "attack"),
+        ({"trials": True}, "trials"),
+        ({"message_length": 100_000_000_000}, "message_length"),
+        ({"attack": {"kind": "dos", "dos_weights": ["1", 0, 0, 0]}}, "attack.dos_weights"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field}")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_exits_2(tmp_path):
+    config = write_config(tmp_path, delta="x")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "qconf", "run", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: delta")
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -14,7 +14,9 @@ from qconf.qsim import (
     BASIS_Z,
     HADAMARD,
     LABEL_SPECS,
+    MAX_TABLE_QUBITS,
     PAULI_IY,
+    PAULIS,
     PAULI_X,
     PAULI_Z,
     Outcome,
@@ -412,6 +414,102 @@ class TestScalarSingleMeasurement:
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
             measure_single(materialize(LABEL_SPECS[0]), "Y", make_rng(0))
+
+
+class FixedDraw:
+    """Stands in for a generator whose next uniform draw is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def pauli_closure():
+    """Ids of every state reachable from the label states by Paulis."""
+    frontier = [qsim.intern(materialize(spec)) for spec in LABEL_SPECS]
+    seen = set(frontier)
+    while frontier:
+        sid = frontier.pop()
+        for pauli in range(len(PAULIS)):
+            image = qsim.pauli_image(sid, pauli)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return sorted(seen)
+
+
+class TestInternTables:
+    """Each id table holds exactly what the dense code computes per call."""
+
+    def test_closure_is_small(self):
+        ids = pauli_closure()
+        assert len(ids) <= qsim.MAX_INTERNED
+        assert ids[: len(LABEL_SPECS)] == list(range(len(LABEL_SPECS)))
+
+    def test_pauli_images_byte_equal(self):
+        for sid in pauli_closure():
+            state = qsim.interned(sid)
+            for pauli, u in enumerate(PAULIS):
+                image = qsim.interned(qsim.pauli_image(sid, pauli))
+                dense = apply_1q_unitary(state, u, 0)
+                assert image.amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+    def test_p0_equals_formula(self):
+        for sid in pauli_closure():
+            state = qsim.interned(sid)
+            for basis in (BASIS_Z, BASIS_X):
+                want = TestScalarSingleMeasurement.numpy_p0(state, basis)
+                assert qsim.zero_probability(sid, basis) == want
+
+    def test_collapse_to_label_states(self):
+        rng_a, rng_b = make_rng(14), make_rng(14)
+        for sid in pauli_closure():
+            for basis in (BASIS_Z, BASIS_X):
+                bit, post = qsim.measure_interned(sid, basis, rng_a)
+                assert bit == (0 if rng_b.random() < qsim.zero_probability(sid, basis) else 1)
+                assert qsim.interned(post) is materialize(label_spec(basis, bit))
+
+    @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
+    def test_joint_table_draws_like_sample_index(self, n):
+        ids = pauli_closure()
+        grid = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)] + list(np.linspace(0, 1, 17))
+        basis = build_joint_basis(n)
+        for combo in product(ids, repeat=n):
+            probs = outcome_distribution(tensor([qsim.interned(i) for i in combo]), basis)
+            cumulative = qsim.joint_cumulative(combo)
+            # Draws that land exactly on a boundary test the bisect side too.
+            for r in grid + cumulative:
+                draw = FixedDraw(r)
+                want = sample_index(probs, draw)
+                assert qsim.measure_product(combo, draw).code == want
+
+    def test_joint_table_refuses_wide_products(self):
+        with pytest.raises(ResourceLimitError):
+            qsim.joint_cumulative((0,) * (MAX_TABLE_QUBITS + 1))
+
+    def test_keys_on_exact_bytes(self):
+        state = materialize(QubitSpec("X", 0))
+        nudged = state.amplitudes.copy()
+        nudged[0] = np.nextafter(nudged[0].real, 1.0)
+        twin = PureState(1, state.amplitudes.copy())
+        assert qsim.intern(twin) == qsim.intern(state)
+        assert qsim.intern(PureState(1, nudged)) != qsim.intern(state)
+
+    def test_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(qsim, "MAX_INTERNED", len(qsim._INTERNED))
+        known = materialize(QubitSpec("Z", 1))
+        assert qsim.intern(known) == 1
+        fresh = random_state(1, np.random.default_rng(15))
+        with pytest.raises(ResourceLimitError):
+            qsim.intern(fresh)
+
+    def test_rejects_multi_qubit_and_bad_basis(self):
+        with pytest.raises(ContractError):
+            qsim.intern(state_of("Z0", "Z1"))
+        with pytest.raises(ContractError):
+            qsim.zero_probability(0, "Y")
 
 
 class TestUnitaries:
