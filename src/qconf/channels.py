@@ -4,8 +4,9 @@ A transmitted qubit is carried by a :class:`FlyingQubit`.  Normally its state
 is a single qubit, but an entangling adversary may extend it with ancilla
 qubits; ``channel_qubit`` marks which qubit of the state is actually on the
 wire, and every later measurement of that wire qubit goes through the full
-joint state.  A single-qubit carrier carries its state's intern id
-(``sid``), and the ceremonies here measure it by table lookup.
+joint state.  The shared single-qubit carriers made by ``carrier`` hold
+their state's intern id (``sid``), and the ceremonies here measure them by
+table lookup.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .qsim import (
     Outcome,
     PureState,
     QubitSpec,
-    intern,
     interned,
-    materialize,
+    label_id,
     measure_embedded,
     measure_interned,
     measure_joint,
@@ -44,17 +44,13 @@ PHASE_GUESS = "guess_comparison"
 class FlyingQubit:
     """One in-flight qubit, possibly entangled with adversary ancillas.
 
-    ``sid`` is the intern id of a single-qubit state, None for a carrier
-    entangled with ancillas.
+    ``sid`` is the intern id of the state of a shared carrier made by
+    ``carrier``; every other carrier has None and is measured densely.
     """
 
     state: PureState
     channel_qubit: int = 0
     sid: int | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        if self.state.num_qubits == 1:
-            object.__setattr__(self, "sid", intern(self.state))
 
 
 _CARRIERS: dict[int, FlyingQubit] = {}
@@ -65,17 +61,13 @@ def carrier(sid: int) -> FlyingQubit:
     qubit = _CARRIERS.get(sid)
     if qubit is None:
         qubit = _CARRIERS[sid] = FlyingQubit(interned(sid))
+        object.__setattr__(qubit, "sid", sid)
     return qubit
-
-
-_LABEL_QUBITS = {
-    (spec.basis, spec.bit): carrier(intern(materialize(spec))) for spec in LABEL_SPECS
-}
 
 
 def flying(spec: QubitSpec) -> FlyingQubit:
     """The shared, immutable in-flight qubit for a preparation."""
-    return _LABEL_QUBITS[spec.basis, spec.bit]
+    return carrier(label_id(spec))
 
 
 def measure_flying(

@@ -182,7 +182,12 @@ _LABEL_AMPLITUDES = {
 
 def materialize(spec: QubitSpec) -> PureState:
     """Amplitude vector for a symbolic single-qubit preparation (interned)."""
-    return _INTERNED[_LABEL_IDS[spec.basis, spec.bit]]
+    return _INTERNED[label_id(spec)]
+
+
+def label_id(spec: QubitSpec) -> int:
+    """Intern id of a label state: 0-3, in ``LABEL_SPECS`` order."""
+    return _LABEL_IDS[spec.basis, spec.bit]
 
 
 def tensor(states: Sequence[PureState]) -> PureState:
@@ -431,16 +436,6 @@ def measure_embedded(
     psi = np.transpose(psi, axes=targets + rest).reshape(2**k, -1)
     probs = sum(_pair_probabilities(column) for column in psi.T)
     return Outcome.from_code(sample_index(probs, rng))
-
-
-def measure_single(
-    state: PureState, basis: str, rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """Born-rule bit for a single qubit; collapses onto the interned basis state."""
-    if state.num_qubits != 1:
-        raise ContractError("measure_single expects a single-qubit state")
-    bit, post = measure_interned(intern(state), basis, rng)
-    return bit, _INTERNED[post]
 
 
 def measure_qubit(

@@ -27,8 +27,6 @@ from .protocols.common import sample_size, str_to_bits
 from .protocols.runner import RunConfig, execute_trial
 
 DEFAULT_Z = 4.0
-# Trials per pool job; each job parses the run configuration once.
-POOL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -289,31 +287,27 @@ def _count_trials(config: RunConfig, trials, statistics: tuple[str, ...]):
         yield _extract_counts(execute_trial(config, trial).to_dict(), statistics)
 
 
-def _experiment_worker(args: tuple) -> list[dict]:
-    """Pool job: one chunk of trials, its config parsed once."""
-    config_dict, trials, statistics = args
-    return list(_count_trials(RunConfig.from_dict(config_dict), trials, statistics))
+def _experiment_worker(args: tuple) -> dict:
+    config_dict, trial, statistics = args
+    config = RunConfig.from_dict(config_dict)
+    transcript = execute_trial(config, trial).to_dict()
+    return _extract_counts(transcript, tuple(statistics))
 
 
 def run_experiment(experiment: Experiment, workers: int = 1) -> dict[str, Estimate]:
     """Execute all trials and aggregate each statistic into an Estimate."""
     totals = {name: [0, 0] for name in experiment.statistics}
-    config = experiment.config
-    config.validate()
-    statistics = tuple(experiment.statistics)
-    trials = range(config.trials)
     if workers <= 1:
-        results = _count_trials(config, trials, statistics)
+        config = experiment.config
+        config.validate()
+        results = _count_trials(config, range(config.trials), tuple(experiment.statistics))
     else:
-        config_dict = config.to_dict()
         jobs = [
-            (config_dict, trials[start : start + POOL_CHUNK], statistics)
-            for start in range(0, len(trials), POOL_CHUNK)
+            (experiment.config.to_dict(), t, tuple(experiment.statistics))
+            for t in range(experiment.config.trials)
         ]
         pool = ProcessPoolExecutor(max_workers=workers)
-        results = (
-            counts for chunk in pool.map(_experiment_worker, jobs) for counts in chunk
-        )
+        results = pool.map(_experiment_worker, jobs, chunksize=32)
     for counts in results:
         for name, (successes, samples) in counts.items():
             totals[name][0] += successes

@@ -210,7 +210,22 @@ class TestInternedCarriers:
             sid = qsim.intern(materialize(spec))
             assert flying(spec) is carrier(sid)
             assert carrier(sid).sid == sid
-            assert FlyingQubit(materialize(spec)).sid == sid
+            assert FlyingQubit(materialize(spec)).sid is None
+
+    def test_direct_carrier_is_measured_densely(self):
+        # A carrier built outside ``carrier`` is not interned: any state goes,
+        # the intern table does not grow, and measurement takes measure_qubit.
+        states, rng_a, rng_b = make_rng(34), make_rng(35), make_rng(35)
+        interned = len(qsim._INTERNED)
+        for _ in range(2 * qsim.MAX_INTERNED):
+            amps = states.normal(size=2) + 1j * states.normal(size=2)
+            state = qsim.PureState(1, amps / np.linalg.norm(amps))
+            for basis in ("Z", "X"):
+                bit, post = measure_flying(FlyingQubit(state), basis, rng_a)
+                want, collapsed = qsim.measure_qubit(state, 0, basis, rng_b)
+                assert bit == want and post.sid is None
+                assert post.state.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
+        assert len(qsim._INTERNED) == interned
 
     def test_entangled_carrier_has_no_id(self):
         forwarded, _ = entangle_measure(flying(QubitSpec("X", 0)), make_rng(32))

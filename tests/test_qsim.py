@@ -33,7 +33,6 @@ from qconf.qsim import (
     measure_embedded,
     measure_joint,
     measure_qubit,
-    measure_single,
     outcome_distribution,
     sample_index,
     tensor,
@@ -45,6 +44,12 @@ R = 1.0 / math.sqrt(2.0)
 
 def state_of(*labels):
     return tensor([materialize(QubitSpec.from_label(lab)) for lab in labels])
+
+
+def measure_label(spec, basis, rng):
+    """Measure a label state through the intern tables: (bit, collapsed state)."""
+    bit, post = qsim.measure_interned(qsim.label_id(spec), basis, rng)
+    return bit, qsim.interned(post)
 
 
 class TestMaterialize:
@@ -300,7 +305,7 @@ class TestMeasurement:
 
     def test_single_minus_in_x(self):
         rng = make_rng(3)
-        bit, post = measure_single(materialize(QubitSpec("X", 1)), BASIS_X, rng)
+        bit, post = measure_label(QubitSpec("X", 1), BASIS_X, rng)
         assert bit == 1
         np.testing.assert_allclose(post.amplitudes, [R, -R])
 
@@ -308,7 +313,7 @@ class TestMeasurement:
         rng = make_rng(4)
         trials = 100_000
         ones = sum(
-            measure_single(materialize(QubitSpec("Z", 0)), BASIS_X, rng)[0]
+            measure_label(QubitSpec("Z", 0), BASIS_X, rng)[0]
             for _ in range(trials)
         )
         assert abs(ones / trials - 0.5) < 0.01
@@ -317,7 +322,7 @@ class TestMeasurement:
         rng = make_rng(5)
         trials = 100_000
         zeros = sum(
-            1 - measure_single(materialize(QubitSpec("X", 0)), BASIS_Z, rng)[0]
+            1 - measure_label(QubitSpec("X", 0), BASIS_Z, rng)[0]
             for _ in range(trials)
         )
         assert abs(zeros / trials - 0.5) < 0.01
@@ -326,7 +331,7 @@ class TestMeasurement:
         rng = make_rng(6)
         for basis, bit in product("ZX", (0, 1)):
             state = materialize(QubitSpec(basis, bit))
-            got, post = measure_single(state, basis, rng)
+            got, post = measure_label(QubitSpec(basis, bit), basis, rng)
             assert got == bit
             np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
@@ -334,7 +339,7 @@ class TestMeasurement:
         rng_a, rng_b = make_rng(7), make_rng(7)
         state = materialize(QubitSpec("Z", 0))
         for basis in (BASIS_Z, BASIS_X):
-            bit_a, _ = measure_single(state, basis, rng_a)
+            bit_a, _ = measure_label(QubitSpec("Z", 0), basis, rng_a)
             bit_b, _ = measure_qubit(state, 0, basis, rng_b)
             assert bit_a == bit_b
 
@@ -363,7 +368,7 @@ class TestMeasurement:
 
 
 class TestScalarSingleMeasurement:
-    """``measure_single`` draws against a p0 equal, bit for bit, to numpy's."""
+    """``measure_interned`` draws against a p0 equal, bit for bit, to numpy's."""
 
     @staticmethod
     def numpy_p0(state, basis):
@@ -398,9 +403,9 @@ class TestScalarSingleMeasurement:
         rng_a, rng_b = make_rng(13), make_rng(13)
         for state in self.states():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = measure_single(state, basis, rng_a)
+                bit, post = qsim.measure_interned(qsim.intern(state), basis, rng_a)
                 assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
-                assert post is materialize(label_spec(basis, bit))
+                assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
     def test_label_specs_are_shared(self):
         for spec in LABEL_SPECS:
@@ -413,7 +418,7 @@ class TestScalarSingleMeasurement:
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
-            measure_single(materialize(LABEL_SPECS[0]), "Y", make_rng(0))
+            qsim.measure_interned(qsim.label_id(LABEL_SPECS[0]), "Y", make_rng(0))
 
 
 class FixedDraw:
