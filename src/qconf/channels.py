@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import (
     MAX_TABLE_QUBITS,
@@ -303,9 +304,7 @@ def second_error_estimation(
     x_round_flags: Sequence[int],
     revealed_bits: Mapping[str, Sequence[int]],
     sample_rounds: Sequence[int],
-    n_parties: int,
     threshold: float,
-    consistent_codes: Callable[[Sequence[int], bool, int], tuple[int, ...]],
 ) -> ErrorEstimate:
     """Consistency check of announced joint outcomes against revealed bits.
 
@@ -318,7 +317,7 @@ def second_error_estimation(
     mismatches = 0
     for round_idx in sample_rounds:
         bits = [int(revealed_bits[p][round_idx]) for p in parties]
-        allowed = consistent_codes(bits, bool(x_round_flags[round_idx]), n_parties)
+        allowed = consistent_outcome_codes(bits, bool(x_round_flags[round_idx]), len(parties))
         ok = outcomes[round_idx].code in allowed
         mismatches += not ok
         detail.append(("round", int(round_idx), ok))

@@ -35,7 +35,7 @@ def _load_config(path: str, seed_override: int | None) -> tuple[RunConfig, int |
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ContractError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise ContractError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ContractError("config: top level must be a JSON object")

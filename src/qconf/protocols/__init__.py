@@ -7,12 +7,6 @@ from .runner import PROTOCOLS, RunConfig, execute_trial, run_trials, trial_messa
 from .xor_compute import run_xor
 
 
-def run_conference3(message_a, message_b, message_c, attack, rng, params=None, snapshot=None):
-    """Three-party conference: exactly the N = 3 instance of run_conference."""
-    kwargs = {} if params is None else {"params": params}
-    return run_conference([message_a, message_b, message_c], attack, rng, snapshot=snapshot, **kwargs)
-
-
 __all__ = [
     "MIDDLE",
     "PROTOCOLS",
@@ -22,7 +16,6 @@ __all__ = [
     "execute_trial",
     "party_names",
     "run_conference",
-    "run_conference3",
     "run_mdi_qd_modified",
     "run_mdi_qd_original",
     "run_trials",

@@ -1,4 +1,4 @@
-"""Shared protocol machinery: parties, parameters, transcripts."""
+"""Shared protocol machinery: parties, parameters, transcripts, the relay stage."""
 
 from __future__ import annotations
 
@@ -8,8 +8,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channels import ErrorEstimate
+from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
+from ..channels import (
+    ErrorEstimate,
+    QuantumChannel,
+    first_error_estimation,
+    flying,
+    measure_channel_tuple,
+    measure_flying,
+    permute,
+    random_permutation,
+    second_error_estimation,
+    unpermute,
+)
 from ..errors import ContractError
+from ..keysource import establish_key
+from ..qsim import BASIS_X, BASIS_Z, QubitSpec, build_joint_basis
 
 MIDDLE = "middle"
 
@@ -99,7 +113,8 @@ class Transcript:
     ``events`` is everything observable on the wire (channel traffic and
     public announcements); ``secrets`` is the simulator's omniscient side
     record (true messages, keys, masks) used only for scoring and replay
-    checks and never shown to adversary taps.
+    checks and never shown to adversary taps.  ``adversary`` is the active
+    attack's record, None on honest runs; ``to_dict`` renders it.
 
     Events and estimates are made JSON-safe once, as they are added, so
     ``to_dict`` copies them without walking them again.
@@ -111,7 +126,7 @@ class Transcript:
     estimates: list = field(default_factory=list)
     outputs: dict | None = None
     abort: dict = field(default_factory=lambda: {"aborted": False, "stage": None})
-    adversary: dict | None = None
+    adversary: AdversaryRecord | None = None
     secrets: dict = field(default_factory=dict)
 
     def add_event(self, type_: str, **fields) -> None:
@@ -148,8 +163,9 @@ class Transcript:
 
         Each event, estimate and key stage is copied one level deep: their
         values were made JSON-safe on entry and are never changed after.
-        The fields set by plain assignment (config, outputs, adversary,
-        secrets) are small and go through ``_plain``.
+        The fields set by plain assignment (config, outputs, secrets) and
+        the adversary record, rendered here, are small and go through
+        ``_plain``.
         """
         return {
             "config": _plain(self.config),
@@ -158,9 +174,137 @@ class Transcript:
             "estimates": [dict(estimate) for estimate in self.estimates],
             "outputs": _plain(self.outputs),
             "abort": dict(self.abort),
-            "adversary": _plain(self.adversary),
+            "adversary": None if self.adversary is None else _plain(self.adversary.to_dict()),
             "secrets": _plain(self.secrets),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+
+
+def open_run(
+    config: dict,
+    parties: tuple[str, ...],
+    rows: list,
+    key_length: int,
+    attack: AttackConfig,
+    rng: np.random.Generator,
+) -> tuple[Transcript, AdversaryRecord, np.ndarray]:
+    """Transcript, adversary record and shared key of a fresh run.
+
+    ``rows`` are the parties' true messages.  The transcript reports the
+    record only when an attack is active.
+    """
+    record = AdversaryRecord(kind=attack.kind)
+    transcript = Transcript(config=config, adversary=None if attack.kind == "none" else record)
+    transcript.secrets["messages"] = [bits_to_str(row) for row in rows]
+    key = establish_key(parties, key_length, rng).bits
+    transcript.secrets["key_initial"] = bits_to_str(key)
+    transcript.add_key_stage("initial", key_length)
+    transcript.add_event("key_established", parties=list(parties), length=key_length)
+    return transcript, record, key
+
+
+# ---------------------------------------------------------------------------
+# The relay stage shared by the hardened dialogue, the conference and XOR
+# ---------------------------------------------------------------------------
+
+
+def relay_round(
+    prepared: dict[str, list[QubitSpec]],
+    attack: AttackConfig,
+    record: AdversaryRecord,
+    params: ProtocolParams,
+    rng: np.random.Generator,
+    transcript: Transcript,
+    *,
+    cheating_middle: bool,
+) -> tuple[list[int], list] | None:
+    """Permute, send to the middle party, spot-check, reveal, measure jointly.
+
+    ``prepared`` holds each party's preparations in party order.  With
+    ``cheating_middle`` the middle party measures every qubit of a round in
+    one random basis and announces an outcome consistent with what it saw.
+    Returns the positions kept after the spot check and one announced
+    outcome per kept position, or None when the spot check aborts.
+    """
+    parties = list(prepared)
+    length = len(prepared[parties[0]])
+    perms = {p: random_permutation(length, rng) for p in parties}
+    held = {}
+    for p in parties:
+        channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
+        held[p] = channel.transmit(
+            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
+        )
+
+    sample = sorted_sample(rng, length, sample_size(params.delta, length))
+    transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)
+    estimate = first_error_estimation(prepared, held, perms, sample, params.threshold, rng)
+    transcript.add_estimate(estimate)
+    if estimate.verdict == "abort":
+        transcript.record_abort(estimate.phase)
+        return None
+
+    for p in parties:
+        transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
+    ordered = {p: unpermute(held[p], perms[p]) for p in parties}
+    discard = set(sample)
+    keep = [i for i in range(length) if i not in discard]
+    transcript.add_key_stage("after_first_estimation", len(keep))
+
+    if cheating_middle:
+        outcomes = []
+        for i in keep:
+            x_basis = rng.random() < 0.5
+            basis = BASIS_X if x_basis else BASIS_Z
+            bits = [measure_flying(ordered[p][i], basis, rng)[0] for p in parties]
+            outcome = dishonest_middle_announce(bits, x_basis, len(parties), rng)
+            record.announced.append(outcome.code)
+            outcomes.append(outcome)
+    else:
+        basis = build_joint_basis(len(parties))
+        outcomes = [
+            measure_channel_tuple([ordered[p][i] for p in parties], basis, rng) for i in keep
+        ]
+    transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
+    return keep, outcomes
+
+
+def consistency_check(
+    rows: list[list[int]],
+    x_flags: list,
+    keep: list[int],
+    outcomes: list,
+    params: ProtocolParams,
+    rng: np.random.Generator,
+    transcript: Transcript,
+) -> list[int] | None:
+    """Reveal the bits of sampled rounds and check the announced outcomes.
+
+    ``rows`` (one per party, in party order) and ``x_flags`` (1 where a
+    position was prepared in the X basis) cover every transmitted position;
+    ``keep`` and ``outcomes`` come from ``relay_round``.  Returns the indices
+    into ``keep`` that survive, or None when the check aborts.
+    """
+    parties = party_names(len(rows))
+    kept_rows = {p: [row[i] for i in keep] for p, row in zip(parties, rows)}
+    sample = sorted_sample(rng, len(keep), sample_size(params.gamma, len(keep)))
+    transcript.add_event("estimation_positions", phase="second_estimation", positions=sample)
+    transcript.add_event(
+        "message_reveal",
+        phase="second_estimation",
+        rounds=sample,
+        bits={p: [row[i] for i in sample] for p, row in kept_rows.items()},
+    )
+    estimate = second_error_estimation(
+        outcomes, [x_flags[i] for i in keep], kept_rows, sample, params.threshold
+    )
+    transcript.add_estimate(estimate)
+    if estimate.verdict == "abort":
+        transcript.record_abort(estimate.phase)
+        return None
+    discard = set(sample)
+    survivors = [i for i in range(len(keep)) if i not in discard]
+    transcript.add_key_stage("after_second_estimation", len(survivors))
+    return survivors

@@ -17,25 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
+from ..adversary import AttackConfig, make_tap
 from ..channels import (
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
-    first_error_estimation,
     flying,
     insert_decoys,
     make_decoy_set,
-    measure_channel_tuple,
     measure_flying,
-    permute,
-    random_permutation,
-    second_error_estimation,
-    unpermute,
     verify_decoys,
 )
 from ..codec import (
-    consistent_outcome_codes,
     decode_x_round,
     decode_z_round,
     encode_exchange_qubit,
@@ -43,16 +36,14 @@ from ..codec import (
     exchange_basis,
 )
 from ..errors import ContractError
-from ..keysource import establish_key
-from ..qsim import BASIS_X, BASIS_Z, build_joint_basis
 from .common import (
-    MIDDLE,
     ProtocolParams,
     Transcript,
     bits_to_str,
+    consistency_check,
+    open_run,
     party_names,
-    sample_size,
-    sorted_sample,
+    relay_round,
 )
 
 
@@ -71,113 +62,38 @@ def run_conference(
     if m == 0:
         raise ContractError("messages must be non-empty")
     parties = party_names(n_parties)
-    transcript = Transcript(
-        config=snapshot
-        or {"protocol": "conferenceN", "n_parties": n_parties, "length": m}
-    )
     msg_rows = msg.tolist()
-    transcript.secrets["messages"] = [bits_to_str(row) for row in msg_rows]
-    record = AdversaryRecord(kind=attack.kind)
-
-    key_bits = establish_key(parties, m, rng).bits.tolist()
-    transcript.secrets["key_initial"] = bits_to_str(key_bits)
-    transcript.add_key_stage("initial", m)
-    transcript.add_event("key_established", parties=list(parties), length=m)
+    transcript, record, key = open_run(
+        snapshot or {"protocol": "conferenceN", "n_parties": n_parties, "length": m},
+        parties, msg_rows, m, attack, rng,
+    )
+    key_bits = key.tolist()
 
     # --- message phase -----------------------------------------------------
     prepared = {
         p: [encode_message_qubit(b, k) for b, k in zip(row, key_bits)]
         for p, row in zip(parties, msg_rows)
     }
-    perms = {p: random_permutation(m, rng) for p in parties}
-    held = {}
-    for p in parties:
-        channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
-        held[p] = channel.transmit(
-            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
-        )
-
-    def _finish() -> Transcript:
-        transcript.adversary = record.to_dict() if attack.kind != "none" else None
+    relayed = relay_round(
+        prepared, attack, record, params, rng, transcript,
+        cheating_middle=attack.kind == "dishonest_middle",
+    )
+    if relayed is None:
+        return transcript
+    keep, outcomes = relayed
+    survivors = consistency_check(msg_rows, key_bits, keep, outcomes, params, rng, transcript)
+    if survivors is None:
         return transcript
 
-    sample1 = sorted_sample(rng, m, sample_size(params.delta, m))
-    transcript.add_event("estimation_positions", phase="first_estimation", positions=sample1)
-    est1 = first_error_estimation(prepared, held, perms, sample1, params.threshold, rng)
-    transcript.add_estimate(est1)
-    if est1.verdict == "abort":
-        transcript.record_abort(est1.phase)
-        return _finish()
-
-    for p in parties:
-        transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
-    ordered = {p: unpermute(held[p], perms[p]) for p in parties}
-
-    discard = set(sample1)
-    keep = [i for i in range(m) if i not in discard]
-    key2 = [key_bits[i] for i in keep]
-    seq2 = {p: [ordered[p][i] for i in keep] for p in parties}
-    m2 = len(keep)
-    transcript.add_key_stage("after_first_estimation", m2)
-
-    basis_n = build_joint_basis(n_parties)
-    outcomes = []
-    if attack.kind == "dishonest_middle":
-        # The middle party measures every qubit of a round in one random
-        # basis and announces an outcome consistent with what it saw.
-        for i in range(m2):
-            x_basis = rng.random() < 0.5
-            basis = BASIS_X if x_basis else BASIS_Z
-            bits = []
-            for p in parties:
-                bit, collapsed = measure_flying(seq2[p][i], basis, rng)
-                seq2[p][i] = collapsed
-                bits.append(bit)
-            outcome = dishonest_middle_announce(bits, x_basis, n_parties, rng)
-            record.announced.append(outcome.code)
-            outcomes.append(outcome)
-    else:
-        for i in range(m2):
-            outcomes.append(
-                measure_channel_tuple([seq2[p][i] for p in parties], basis_n, rng)
-            )
-    transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
-
-    sample2 = sorted_sample(rng, m2, sample_size(params.gamma, m2))
-    transcript.add_event("estimation_positions", phase="second_estimation", positions=sample2)
-    transcript.add_event(
-        "message_reveal",
-        phase="second_estimation",
-        rounds=sample2,
-        bits={p: [row[keep[i]] for i in sample2] for p, row in zip(parties, msg_rows)},
-    )
-    est2 = second_error_estimation(
-        outcomes,
-        key2,
-        {p: [row[i] for i in keep] for p, row in zip(parties, msg_rows)},
-        sample2,
-        n_parties,
-        params.threshold,
-        consistent_outcome_codes,
-    )
-    transcript.add_estimate(est2)
-    if est2.verdict == "abort":
-        transcript.record_abort(est2.phase)
-        return _finish()
-
-    discard2 = set(sample2)
-    keep2 = [i for i in range(m2) if i not in discard2]
-    outcomes3 = [outcomes[i] for i in keep2]
-    kept_positions = [keep[i] for i in keep2]
+    outcomes3 = [outcomes[i] for i in survivors]
+    kept_positions = [keep[i] for i in survivors]
     key3 = [key_bits[i] for i in kept_positions]
     msg3 = [[row[i] for i in kept_positions] for row in msg_rows]
-    n3 = len(keep2)
-    transcript.add_key_stage("after_second_estimation", n3)
+    n3 = len(survivors)
 
     recovered, chi, ok = _reconstruct(
         parties, msg3, key3, outcomes3, attack, record, params, rng, transcript
     )
-    _finish()
     if not ok:
         return transcript
 

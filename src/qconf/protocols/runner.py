@@ -96,10 +96,12 @@ class RunConfig:
         # ties an ancilla to each carrier, doubling the joint state's qubits.
         qubits = self.n_parties * (2 if self.attack.kind == "entangle_measure" else 1)
         if qubits > MAX_QUBITS:
+            # 16-byte amplitudes; the size is capped so that it stays printable.
+            mib = 2 ** (min(qubits, 64) - 16)
             raise ResourceLimitError(
                 f"n_parties: {self.n_parties} parties need a joint state of {qubits} "
-                f"qubits ({16 * 2**qubits / 2**20:,.0f} MiB of amplitudes); the "
-                f"simulator's limit is {MAX_QUBITS} qubits"
+                f"qubits ({'over ' if qubits > 64 else ''}{mib:,} MiB of amplitudes); "
+                f"the simulator's limit is {MAX_QUBITS} qubits"
             )
         if self.message_length < 1:
             raise ContractError("message_length: must be >= 1")
@@ -124,8 +126,11 @@ class RunConfig:
         if self.message_source not in ("random", "hex"):
             raise ContractError(f"message_source: unknown value {self.message_source!r}")
         if self.message_source == "hex":
-            if not self.messages_hex or len(self.messages_hex) != self.n_parties:
-                raise ContractError("messages_hex: need one hex string per party")
+            if (
+                not isinstance(self.messages_hex, (list, tuple))
+                or len(self.messages_hex) != self.n_parties
+            ):
+                raise ContractError("messages_hex: need a list with one hex string per party")
             for text in self.messages_hex:
                 if not isinstance(text, str):
                     raise ContractError(f"messages_hex: {text!r} is not a string")
@@ -178,7 +183,7 @@ class RunConfig:
             kwargs["attack"] = AttackConfig.from_dict(kwargs["attack"])
         elif "attack" in kwargs:
             kwargs["attack"] = AttackConfig()
-        if kwargs.get("messages_hex"):
+        if isinstance(kwargs.get("messages_hex"), list):
             kwargs["messages_hex"] = tuple(kwargs["messages_hex"])
         try:
             config = cls(**kwargs)

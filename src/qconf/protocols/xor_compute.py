@@ -19,31 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import (
-    AdversaryRecord,
-    AttackConfig,
-    dishonest_middle_announce,
-    draw_substitute_blind,
-    make_tap,
-)
+from ..adversary import AttackConfig, draw_substitute_blind, make_tap
 from ..channels import (
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
-    first_error_estimation,
     flying,
     insert_decoys,
     make_decoy_set,
-    measure_channel_tuple,
     measure_flying,
-    permute,
-    random_permutation,
-    second_error_estimation,
-    unpermute,
     verify_decoys,
 )
 from ..codec import (
-    consistent_outcome_codes,
     derive_select_bit,
     embed_payload,
     encode_message_qubit,
@@ -51,17 +38,16 @@ from ..codec import (
     payload_positions,
 )
 from ..errors import ContractError
-from ..keysource import establish_key
-from ..qsim import BASIS_X, BASIS_Z, build_joint_basis
+from ..qsim import BASIS_X, BASIS_Z
 from ..rng import random_bits
 from .common import (
-    MIDDLE,
     ProtocolParams,
     Transcript,
     bits_to_str,
+    consistency_check,
+    open_run,
     party_names,
-    sample_size,
-    sorted_sample,
+    relay_round,
 )
 
 
@@ -80,23 +66,13 @@ def run_xor(
     if m == 0:
         raise ContractError("numbers must be non-empty")
     parties = party_names(n_parties)
-    transcript = Transcript(
-        config=snapshot or {"protocol": "xor", "n_parties": n_parties, "length": m}
+    transcript, record, key = open_run(
+        snapshot or {"protocol": "xor", "n_parties": n_parties, "length": m},
+        parties, nums, 2 * m, attack, rng,
     )
     true_xor = np.bitwise_xor.reduce(nums, axis=0)
-    transcript.secrets["messages"] = [bits_to_str(row) for row in nums]
     transcript.secrets["true_xor"] = bits_to_str(true_xor)
-    record = AdversaryRecord(kind=attack.kind)
-
-    def _finish() -> Transcript:
-        transcript.adversary = record.to_dict() if attack.kind != "none" else None
-        return transcript
-
-    key = establish_key(parties, 2 * m, rng).bits
     key_bits = key.tolist()
-    transcript.secrets["key_initial"] = bits_to_str(key_bits)
-    transcript.add_key_stage("initial", 2 * m)
-    transcript.add_event("key_established", parties=list(parties), length=2 * m)
     select = derive_select_bit(key)
 
     # --- mask distribution (P1 -> everyone else, decoy protected) ----------
@@ -127,7 +103,7 @@ def run_xor(
         transcript.add_estimate(estimate)
         if estimate.verdict == "abort":
             transcript.record_abort(PHASE_DECOY)
-            return _finish()
+            return transcript
         payload = extract_payload(received, decoys)
         bits = []
         for i in range(m):
@@ -147,105 +123,36 @@ def run_xor(
     carriers = np.array(
         [embed_payload(payloads[a], key, select, rng) for a in range(n_parties)]
     )
-    length = 2 * m
     carrier_rows = carriers.tolist()
     prepared = {
         p: [encode_xor_qubit(b, k, select) for b, k in zip(row, key_bits)]
         for p, row in zip(parties, carrier_rows)
     }
-    perms = {p: random_permutation(length, rng) for p in parties}
-    held = {}
-    for p in parties:
-        channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
-        held[p] = channel.transmit(
-            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
-        )
-
-    sample1 = sorted_sample(rng, length, sample_size(params.delta, length))
-    transcript.add_event("estimation_positions", phase="first_estimation", positions=sample1)
-    est1 = first_error_estimation(prepared, held, perms, sample1, params.threshold, rng)
-    transcript.add_estimate(est1)
-    if est1.verdict == "abort":
-        transcript.record_abort(est1.phase)
-        return _finish()
-
-    for p in parties:
-        transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
-    ordered = {p: unpermute(held[p], perms[p]) for p in parties}
-
-    discard = set(sample1)
-    keep = [i for i in range(length) if i not in discard]
-    key2 = key[keep]
-    seq2 = {p: [ordered[p][i] for i in keep] for p in parties}
-    len2 = len(keep)
-    transcript.add_key_stage("after_first_estimation", len2)
-
-    basis_n = build_joint_basis(n_parties)
-    outcomes = []
-    x_flags2 = (key2 == select).astype(np.uint8)
-    if attack.kind == "dishonest_middle":
-        for i in range(len2):
-            x_basis = rng.random() < 0.5
-            basis = BASIS_X if x_basis else BASIS_Z
-            bits = []
-            for p in parties:
-                bit, collapsed = measure_flying(seq2[p][i], basis, rng)
-                seq2[p][i] = collapsed
-                bits.append(bit)
-            outcome = dishonest_middle_announce(bits, x_basis, n_parties, rng)
-            record.announced.append(outcome.code)
-            outcomes.append(outcome)
-    else:
-        for i in range(len2):
-            outcomes.append(
-                measure_channel_tuple([seq2[p][i] for p in parties], basis_n, rng)
-            )
-    transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
-
-    sample2 = sorted_sample(rng, len2, sample_size(params.gamma, len2))
-    transcript.add_event("estimation_positions", phase="second_estimation", positions=sample2)
-    transcript.add_event(
-        "message_reveal",
-        phase="second_estimation",
-        rounds=sample2,
-        bits={p: [row[keep[i]] for i in sample2] for p, row in zip(parties, carrier_rows)},
+    relayed = relay_round(
+        prepared, attack, record, params, rng, transcript,
+        cheating_middle=attack.kind == "dishonest_middle",
     )
-    est2 = second_error_estimation(
-        outcomes,
-        x_flags2,
-        {p: [row[i] for i in keep] for p, row in zip(parties, carrier_rows)},
-        sample2,
-        n_parties,
-        params.threshold,
-        consistent_outcome_codes,
-    )
-    transcript.add_estimate(est2)
-    if est2.verdict == "abort":
-        transcript.record_abort(est2.phase)
-        return _finish()
-
-    discard2 = set(sample2)
-    keep2 = [i for i in range(len2) if i not in discard2]
-    transcript.add_key_stage("after_second_estimation", len(keep2))
+    if relayed is None:
+        return transcript
+    keep, outcomes = relayed
+    x_flags = (key == select).tolist()
+    survivors = consistency_check(carrier_rows, x_flags, keep, outcomes, params, rng, transcript)
+    if survivors is None:
+        return transcript
 
     # --- decoding -----------------------------------------------------------
     # chi at an original position: from the surviving outcome when possible,
     # otherwise from the bits that were publicly revealed when the position
     # was sampled for estimation (the sampling is position-blind, so payload
     # positions can land in either ceremony).
-    survived = {keep[i]: rank for rank, i in enumerate(keep2)}
-    revealed_first = set(sample1)
-    revealed_second = {keep[i] for i in sample2}
-    outcomes3 = [outcomes[i] for i in keep2]
+    survived = {keep[i]: outcomes[i] for i in survivors}
     pay_pos = payload_positions(key, select)
     eta = np.zeros(m, dtype=np.uint8)
     for j, pos in enumerate(pay_pos):
         if pos in survived:
-            eta[j] = outcomes3[survived[pos]].sign
-        elif pos in revealed_first or pos in revealed_second:
+            eta[j] = survived[pos].sign
+        else:
             eta[j] = int(np.bitwise_xor.reduce(carriers[:, pos]))
-        else:  # unreachable: every position either survives or was sampled
-            raise ContractError("payload position lost without a reveal")
     transcript.secrets["blinded_xor"] = bits_to_str(eta)
 
     outputs = {}
@@ -256,4 +163,4 @@ def run_xor(
         "payload_positions": [int(i) for i in pay_pos],
         "xor_value": outputs,
     }
-    return _finish()
+    return transcript

@@ -166,9 +166,7 @@ class TestSecondEstimation:
             row = [bits[p][i] for p in bits]
             codes = consistent_outcome_codes(row, bool(key[i]), 3)
             outcomes.append(Outcome.from_code(codes[0]))
-        estimate = second_error_estimation(
-            outcomes, key, bits, [0, 1, 2], 3, 0.0, consistent_outcome_codes
-        )
+        estimate = second_error_estimation(outcomes, key, bits, [0, 1, 2], 0.0)
         assert estimate.mismatches == 0
 
     def test_uniform_announcements_pass_z_rounds_quarter(self):
@@ -185,9 +183,7 @@ class TestSecondEstimation:
                 [0],
                 {p: [row[i]] for i, p in enumerate(("P1", "P2", "P3"))},
                 [0],
-                3,
                 0.0,
-                consistent_outcome_codes,
             )
             passes += estimate.mismatches == 0
         assert abs(passes / trials - 0.25) < 0.01

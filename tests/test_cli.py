@@ -65,6 +65,7 @@ def test_config_error_names_field(tmp_path, capsys):
     [
         {"protocol": "conferenceN", "n_parties": 17},
         {"protocol": "xor", "n_parties": 9, "attack": {"kind": "entangle_measure"}},
+        {"protocol": "conferenceN", "n_parties": 1100},
     ],
 )
 def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
@@ -88,6 +89,11 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
         ({"message_length": 100_000_000_000}, "message_length"),
         ({"attack": {"kind": "dos", "dos_weights": ["1", 0, 0, 0]}}, "attack.dos_weights"),
         ({"seed": -1}, "seed"),
+        ({"message_source": "hex", "messages_hex": 5}, "messages_hex"),
+        (
+            {"message_source": "hex", "messages_hex": {"0" * 16: 1, "1" * 16: 2, "2" * 16: 3}},
+            "messages_hex",
+        ),
     ],
 )
 def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
@@ -98,6 +104,15 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
     assert captured.err.startswith(f"error: {field}")
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_unparsable_integer_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"protocol": "conferenceN", "seed": ' + "1" * 5000 + "}")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: config:")
 
 
 def test_module_entry_point_exits_2(tmp_path):

@@ -4,16 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qconf.adversary import AttackConfig
+from qconf.adversary import ATTACK_KINDS, AttackConfig
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.protocols import (
+    PROTOCOLS,
     ProtocolParams,
     RunConfig,
     execute_trial,
     party_names,
     run_conference,
-    run_conference3,
     run_mdi_qd_modified,
     run_mdi_qd_original,
     run_trials,
@@ -120,10 +122,10 @@ class TestConference:
         assert conference_outputs_exact(transcript, messages)
 
     def test_conference3_is_conferenceN_instance(self):
-        rng_a, rng_b = make_rng(70), make_rng(70)
-        messages = [random_bits(make_rng(71), 32) for _ in range(3)]
-        t_a = run_conference3(*messages, HONEST, rng_a, PARAMS)
-        t_b = run_conference(messages, HONEST, rng_b, PARAMS)
+        fields = {"message_length": 64, "n_parties": 3, "delta": 0.2, "seed": 70}
+        t_a = execute_trial(RunConfig.from_dict({"protocol": "conference3", **fields}))
+        t_b = execute_trial(RunConfig.from_dict({"protocol": "conferenceN", **fields}))
+        assert t_a.outputs is not None
         assert t_a.to_json() == t_b.to_json()
 
     def test_xor_view_matches_messages(self):
@@ -420,3 +422,60 @@ class TestRunConfigValidation:
                     "messages_hex": ["zz" * 8, "00" * 8, "a5" * 8],
                 }
             )
+
+
+# Any JSON value, for fields given the wrong type.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+# Values of the right type, in or near each field's valid range.
+PLAUSIBLE = {
+    "protocol": st.sampled_from(PROTOCOLS),
+    "message_length": st.integers(0, 300),
+    "n_parties": st.sampled_from([2, 3, 4, 17, 1100]),
+    "delta": st.floats(0, 1),
+    "gamma": st.floats(0, 1),
+    "decoy_count": st.integers(-1, 20),
+    "threshold": st.floats(0, 1),
+    "attack": st.fixed_dictionaries(
+        {"kind": st.sampled_from(ATTACK_KINDS)},
+        optional={
+            "dos_weights": st.sampled_from([[0.5, 0.5, 0.5, 0.5], [1, 0, 0, 0], [1, 1]]),
+            "target_links": st.lists(st.sampled_from(["P1->middle", "P1->P2"]), max_size=2),
+        },
+    ),
+    "message_source": st.sampled_from(["random", "hex"]),
+    "messages_hex": st.lists(st.text("0123456789abcdefz", min_size=1, max_size=100), max_size=4),
+    "trials": st.integers(-1, 4),
+    "seed": st.integers(-1, 2**64),
+    "trial_index": st.integers(-1, 4),
+}
+
+
+@st.composite
+def config_dicts(draw):
+    """A config of plausible values with up to three fields replaced by any JSON."""
+    required = ("protocol", "message_length", "n_parties")
+    data = draw(
+        st.fixed_dictionaries(
+            {name: PLAUSIBLE[name] for name in required},
+            optional={name: value for name, value in PLAUSIBLE.items() if name not in required},
+        )
+    )
+    for name in draw(st.lists(st.sampled_from([*PLAUSIBLE, "bogus"]), max_size=3, unique=True)):
+        data[name] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(config_dicts())
+def test_from_dict_returns_valid_config_or_contract_error(data):
+    try:
+        config = RunConfig.from_dict(data)
+    except ContractError:
+        return
+    config.validate()
+    assert RunConfig.from_dict(config.to_dict()) == config
