@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import FlyingQubit, carrier, flying, measure_flying
+from .channels import LABEL_CARRIERS, FlyingQubit, carrier, measure_flying
 from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import (
@@ -146,14 +146,18 @@ class AdversaryRecord:
 # ---------------------------------------------------------------------------
 
 
+def guess_basis(coin: float) -> str:
+    """The interceptor's fair Z/X basis guess, read from one uniform."""
+    return BASIS_Z if coin < 0.5 else BASIS_X
+
+
 def intercept_resend(
-    qubit: FlyingQubit, rng: np.random.Generator, basis: str | None = None
+    qubit: FlyingQubit, basis: str, u: float
 ) -> tuple[FlyingQubit, tuple[str, int]]:
-    """Measure in a guessed basis and forward the collapsed qubit."""
-    if basis is None:
-        basis = BASIS_Z if rng.random() < 0.5 else BASIS_X
-    bit, forwarded = measure_flying(qubit, basis, rng)
+    """Measure in the guessed basis with the uniform ``u``; forward the collapse."""
+    bit, forwarded = measure_flying(qubit, basis, u)
     return forwarded, (basis, bit)
+
 
 def entangle_measure(
     qubit: FlyingQubit, rng: np.random.Generator
@@ -170,19 +174,26 @@ def entangle_measure(
     return FlyingQubit(joint, qubit.channel_qubit), joint
 
 
-def dos_attack(
-    qubit: FlyingQubit, weights: tuple[float, ...], rng: np.random.Generator
-) -> tuple[FlyingQubit, int]:
-    """Apply one Pauli drawn with probability weight^2 (stochastic mixture).
+def dos_cumulative(weights: tuple[float, ...]) -> list[float]:
+    """Running sum of the squared mixing weights, which ``dos_attack`` draws from.
 
-    A single-qubit carrier takes its image from the intern table; the
-    running sum and ``bisect_left`` equal numpy's ``cumsum`` and
+    The running sum and ``bisect_left`` equal numpy's ``cumsum`` and
     ``searchsorted`` bit for bit.
     """
     cumulative = list(accumulate(w * w for w in weights))
     if len(cumulative) != len(PAULIS) or not abs(cumulative[-1] - 1.0) <= 1e-10:
         raise ContractError("dos needs four unit-norm weights")
-    choice = min(bisect_left(cumulative, rng.random()), 3)
+    return cumulative
+
+
+def dos_attack(
+    qubit: FlyingQubit, cumulative: list[float], u: float
+) -> tuple[FlyingQubit, int]:
+    """Apply the Pauli that the uniform ``u`` picks from ``dos_cumulative``.
+
+    A single-qubit carrier takes its image from the intern table.
+    """
+    choice = min(bisect_left(cumulative, u), 3)
     if choice == 0:
         return qubit, choice
     if qubit.sid is not None:
@@ -195,9 +206,9 @@ def mitm_attack(
     sequence: list[FlyingQubit], rng: np.random.Generator
 ) -> tuple[list[FlyingQubit], list[FlyingQubit], list[QubitSpec]]:
     """Keep the genuine sequence; substitute fresh uniformly random qubits."""
-    picks = rng.integers(0, 4, size=len(sequence))
-    specs = [LABEL_SPECS[int(p)] for p in picks]
-    substituted = [flying(s) for s in specs]
+    picks = rng.integers(0, 4, size=len(sequence)).tolist()
+    specs = [LABEL_SPECS[p] for p in picks]
+    substituted = [LABEL_CARRIERS[p] for p in picks]
     return list(sequence), substituted, specs
 
 
@@ -229,7 +240,9 @@ class InterceptResendTap:
 
     ``forced_bases`` coordinates the basis guess across channels by slot,
     which models a key-guessing eavesdropper on the unpermuted protocol;
-    without it each qubit gets an independent coin.
+    without it each qubit gets an independent coin.  ``apply`` draws one
+    block: a coin then a measurement uniform per qubit, or only the
+    measurement uniforms under ``forced_bases``.
     """
 
     kind = "intercept_resend"
@@ -240,10 +253,16 @@ class InterceptResendTap:
 
     def apply(self, qubits, rng, channel_id):
         guesses = self.record.guesses.setdefault(channel_id, [])
+        if self.forced_bases:
+            bases = self.forced_bases
+            uniforms = rng.random(len(qubits)).tolist()
+        else:
+            draws = rng.random(2 * len(qubits)).tolist()
+            bases = [guess_basis(coin) for coin in draws[::2]]
+            uniforms = draws[1::2]
         out = []
-        for slot, qubit in enumerate(qubits):
-            basis = self.forced_bases[slot] if self.forced_bases else None
-            forwarded, guess = intercept_resend(qubit, rng, basis)
+        for qubit, basis, u in zip(qubits, bases, uniforms):
+            forwarded, guess = intercept_resend(qubit, basis, u)
             guesses.append(guess)
             out.append(forwarded)
         return out
@@ -264,19 +283,23 @@ class EntangleMeasureTap:
 
 
 class DosTap:
-    """Stochastic Pauli channel with the configured mixing weights."""
+    """Stochastic Pauli channel with the configured mixing weights.
+
+    ``apply`` draws one uniform per qubit, as one block.
+    """
 
     kind = "dos"
 
     def __init__(self, record: AdversaryRecord, weights: tuple[float, ...]):
         self.record = record
-        self.weights = weights
+        self.cumulative = dos_cumulative(weights)
 
     def apply(self, qubits, rng, channel_id):
+        counts = self.record.pauli_counts
         out = []
-        for qubit in qubits:
-            forwarded, choice = dos_attack(qubit, self.weights, rng)
-            self.record.pauli_counts[choice] += 1
+        for qubit, u in zip(qubits, rng.random(len(qubits)).tolist()):
+            forwarded, choice = dos_attack(qubit, self.cumulative, u)
+            counts[choice] += 1
             out.append(forwarded)
         return out
 

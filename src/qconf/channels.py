@@ -7,6 +7,11 @@ wire, and every later measurement of that wire qubit goes through the full
 joint state.  The shared single-qubit carriers made by ``carrier`` hold
 their state's intern id (``sid``), and the ceremonies here measure them by
 table lookup.
+
+Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
+uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
+which on numpy's PCG64 equals k successive ``rng.random()`` calls, so the
+generator's stream is the one a draw per measurement would give.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import numpy as np
 from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import (
+    BASIS_X,
+    BASIS_Z,
     MAX_TABLE_QUBITS,
+    P0,
     JointBasis,
     LABEL_SPECS,
     Outcome,
@@ -28,7 +36,6 @@ from .qsim import (
     interned,
     label_id,
     measure_embedded,
-    measure_interned,
     measure_joint,
     measure_product,
     measure_qubit,
@@ -71,19 +78,31 @@ def flying(spec: QubitSpec) -> FlyingQubit:
     return carrier(label_id(spec))
 
 
-def measure_flying(
-    qubit: FlyingQubit, basis: str, rng: np.random.Generator
-) -> tuple[int, FlyingQubit]:
-    """Measure the wire qubit in Z or X; returns (bit, collapsed carrier)."""
-    if qubit.sid is not None:
-        bit, post = measure_interned(qubit.sid, basis, rng)
-        return bit, carrier(post)
-    bit, post = measure_qubit(qubit.state, qubit.channel_qubit, basis, rng)
+# The carriers of the four label states, in ``LABEL_SPECS`` order, so
+# ``codec.label_indices`` indexes them too.
+LABEL_CARRIERS = tuple(flying(spec) for spec in LABEL_SPECS)
+_COLLAPSED = {BASIS_Z: LABEL_CARRIERS[:2], BASIS_X: LABEL_CARRIERS[2:]}
+
+
+def measure_flying(qubit: FlyingQubit, basis: str, u: float) -> tuple[int, FlyingQubit]:
+    """Measure the wire qubit in Z or X; returns (bit, collapsed carrier).
+
+    A shared carrier reads its ``p0`` from the intern table and collapses
+    onto a label carrier, as ``qsim.measure_interned`` does, without a call.
+    """
+    sid = qubit.sid
+    if sid is not None:
+        try:
+            bit = 0 if u < P0[sid][basis] else 1
+        except KeyError:
+            raise ContractError(f"basis must be Z or X, got {basis!r}") from None
+        return bit, _COLLAPSED[basis][bit]
+    bit, post = measure_qubit(qubit.state, qubit.channel_qubit, basis, u)
     return bit, FlyingQubit(post, qubit.channel_qubit)
 
 
 def measure_channel_tuple(
-    qubits: Sequence[FlyingQubit], basis: JointBasis, rng: np.random.Generator
+    qubits: Sequence[FlyingQubit], basis: JointBasis, u: float
 ) -> Outcome:
     """Joint-basis measurement of one wire qubit per party, in party order.
 
@@ -93,16 +112,16 @@ def measure_channel_tuple(
     if len(qubits) <= MAX_TABLE_QUBITS and len(qubits) == basis.num_qubits:
         ids = tuple(q.sid for q in qubits)
         if None not in ids:
-            return measure_product(ids, rng)
+            return measure_product(ids, u)
     joint = tensor([q.state for q in qubits])
     if joint.num_qubits == basis.num_qubits:
-        return measure_joint(joint, basis, rng)
+        return measure_joint(joint, basis, u)
     targets = []
     offset = 0
     for q in qubits:
         targets.append(offset + q.channel_qubit)
         offset += q.state.num_qubits
-    return measure_embedded(joint, targets, basis, rng)
+    return measure_embedded(joint, targets, basis, u)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +273,14 @@ def verify_decoys(
 ) -> ErrorEstimate:
     """Measure each decoy in its preparation basis and count mismatches.
 
-    Collapses the decoy slots of ``received`` in place; payload slots are
-    untouched.
+    Draws ``decoys.count`` uniforms.  Collapses the decoy slots of
+    ``received`` in place; payload slots are untouched.
     """
     detail = []
     mismatches = 0
-    for pos, spec in zip(decoys.positions, decoys.specs):
-        bit, collapsed = measure_flying(received[pos], spec.basis, rng)
+    uniforms = rng.random(decoys.count).tolist()
+    for pos, spec, u in zip(decoys.positions, decoys.specs, uniforms):
+        bit, collapsed = measure_flying(received[pos], spec.basis, u)
         received[pos] = collapsed
         ok = bit == spec.bit
         mismatches += not ok
@@ -280,16 +300,19 @@ def first_error_estimation(
 
     For each sampled original position every sender tells the middle party
     the physical slot and preparation basis; the middle party measures and
-    announces, and the sender compares against the prepared bit.  Collapses
-    the checked slots of ``held`` in place.
+    announces, and the sender compares against the prepared bit.  Draws one
+    uniform per check, position-major.  Collapses the checked slots of
+    ``held`` in place.
     """
+    slots = {party: perms[party].mapping.tolist() for party in prepared}
+    uniforms = iter(rng.random(len(sample_positions) * len(prepared)).tolist())
     detail = []
     mismatches = 0
     for position in sample_positions:
         for party, specs in prepared.items():
-            slot = int(perms[party].mapping[position])
+            slot = slots[party][position]
             spec = specs[position]
-            bit, collapsed = measure_flying(held[party][slot], spec.basis, rng)
+            bit, collapsed = measure_flying(held[party][slot], spec.basis, next(uniforms))
             held[party][slot] = collapsed
             ok = bit == spec.bit
             mismatches += not ok

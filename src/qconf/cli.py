@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import ContractError
-from .protocols.runner import RunConfig, run_trials
+from .protocols.runner import RunConfig, iter_trials
 from .stats import (
     records_to_csv,
     records_to_summary,
@@ -49,8 +49,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = [only] if only is not None else None
-    transcripts = run_trials(config, workers=args.workers, trial_indices=indices)
-    for transcript in transcripts:
+    # Each transcript is written as it is produced, so memory stays flat in trials.
+    for transcript in iter_trials(config, workers=args.workers, trial_indices=indices):
         trial = transcript["config"]["trial_index"]
         path = out_dir / f"transcript_{trial:03d}.json"
         path.write_text(json.dumps(transcript, sort_keys=True, indent=1))

@@ -42,6 +42,16 @@ def encode_message_qubit(msg_bit: int, key_bit: int) -> QubitSpec:
     return label_spec(BASIS_X if key_bit else BASIS_Z, int(msg_bit))
 
 
+def label_indices(bits: Sequence[int], x_flags: Sequence[int]) -> list[int]:
+    """Each preparation as its index into ``LABEL_SPECS``: ``2 * x + bit``.
+
+    ``x`` is 1 (or True) where the basis is X.  The protocols pick carriers
+    (``channels.LABEL_CARRIERS``) and specs by this index, so
+    ``encode_message_qubit(b, k)`` is ``LABEL_SPECS[label_indices([b], [k])[0]]``.
+    """
+    return [2 * x + b for b, x in zip(bits, x_flags)]
+
+
 def decode_partner_bit(own_bit: int, key_bit: int, outcome: Outcome) -> int:
     """Partner's bit in the two-party dialogue.
 
@@ -153,7 +163,7 @@ def consistent_outcome_codes(
     every index at the parity-determined sign.
     """
     if x_round:
-        sign = int(np.bitwise_xor.reduce(np.asarray(bits, dtype=np.uint8)))
+        sign = sum(bits) & 1
         return tuple(2 * i + sign for i in range(2 ** (n_parties - 1)))
     j = bits_to_index(bits)
     j_hat = min(j, 2**n_parties - 1 - j)

@@ -3,7 +3,14 @@
 from .common import MIDDLE, ProtocolParams, Transcript, party_names
 from .conference import run_conference
 from .mdi_qd import run_mdi_qd_modified, run_mdi_qd_original
-from .runner import PROTOCOLS, RunConfig, execute_trial, run_trials, trial_messages
+from .runner import (
+    PROTOCOLS,
+    RunConfig,
+    execute_trial,
+    iter_trials,
+    run_trials,
+    trial_messages,
+)
 from .xor_compute import run_xor
 
 
@@ -14,6 +21,7 @@ __all__ = [
     "RunConfig",
     "Transcript",
     "execute_trial",
+    "iter_trials",
     "party_names",
     "run_conference",
     "run_mdi_qd_modified",

@@ -10,10 +10,10 @@ import numpy as np
 
 from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
 from ..channels import (
+    LABEL_CARRIERS,
     ErrorEstimate,
     QuantumChannel,
     first_error_estimation,
-    flying,
     measure_channel_tuple,
     measure_flying,
     permute,
@@ -23,7 +23,7 @@ from ..channels import (
 )
 from ..errors import ContractError
 from ..keysource import establish_key
-from ..qsim import BASIS_X, BASIS_Z, QubitSpec, build_joint_basis
+from ..qsim import BASIS_X, BASIS_Z, LABEL_SPECS, build_joint_basis
 
 MIDDLE = "middle"
 
@@ -211,7 +211,7 @@ def open_run(
 
 
 def relay_round(
-    prepared: dict[str, list[QubitSpec]],
+    labels: dict[str, list[int]],
     attack: AttackConfig,
     record: AdversaryRecord,
     params: ProtocolParams,
@@ -222,24 +222,26 @@ def relay_round(
 ) -> tuple[list[int], list] | None:
     """Permute, send to the middle party, spot-check, reveal, measure jointly.
 
-    ``prepared`` holds each party's preparations in party order.  With
+    ``labels`` holds each party's preparations in party order, as indices
+    into ``LABEL_SPECS`` (``codec.label_indices``).  With
     ``cheating_middle`` the middle party measures every qubit of a round in
     one random basis and announces an outcome consistent with what it saw.
     Returns the positions kept after the spot check and one announced
     outcome per kept position, or None when the spot check aborts.
     """
-    parties = list(prepared)
-    length = len(prepared[parties[0]])
+    parties = list(labels)
+    length = len(labels[parties[0]])
     perms = {p: random_permutation(length, rng) for p in parties}
     held = {}
     for p in parties:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
         held[p] = channel.transmit(
-            permute([flying(s) for s in prepared[p]], perms[p]), rng, transcript.add_event
+            permute([LABEL_CARRIERS[c] for c in labels[p]], perms[p]), rng, transcript.add_event
         )
 
     sample = sorted_sample(rng, length, sample_size(params.delta, length))
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)
+    prepared = {p: [LABEL_SPECS[c] for c in labels[p]] for p in parties}
     estimate = first_error_estimation(prepared, held, perms, sample, params.threshold, rng)
     transcript.add_estimate(estimate)
     if estimate.verdict == "abort":
@@ -254,18 +256,24 @@ def relay_round(
     transcript.add_key_stage("after_first_estimation", len(keep))
 
     if cheating_middle:
+        # Each round's announcement draws an integer after the round's basis
+        # coin and measurements, so these uniforms are drawn round by round.
         outcomes = []
         for i in keep:
-            x_basis = rng.random() < 0.5
+            coin, *uniforms = rng.random(1 + len(parties)).tolist()
+            x_basis = coin < 0.5
             basis = BASIS_X if x_basis else BASIS_Z
-            bits = [measure_flying(ordered[p][i], basis, rng)[0] for p in parties]
+            bits = [
+                measure_flying(ordered[p][i], basis, u)[0] for p, u in zip(parties, uniforms)
+            ]
             outcome = dishonest_middle_announce(bits, x_basis, len(parties), rng)
             record.announced.append(outcome.code)
             outcomes.append(outcome)
     else:
         basis = build_joint_basis(len(parties))
         outcomes = [
-            measure_channel_tuple([ordered[p][i] for p in parties], basis, rng) for i in keep
+            measure_channel_tuple([ordered[p][i] for p in parties], basis, u)
+            for i, u in zip(keep, rng.random(len(keep)).tolist())
         ]
     transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
     return keep, outcomes

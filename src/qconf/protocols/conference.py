@@ -19,23 +19,18 @@ import numpy as np
 
 from ..adversary import AttackConfig, make_tap
 from ..channels import (
+    LABEL_CARRIERS,
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
-    flying,
     insert_decoys,
     make_decoy_set,
     measure_flying,
     verify_decoys,
 )
-from ..codec import (
-    decode_x_round,
-    decode_z_round,
-    encode_exchange_qubit,
-    encode_message_qubit,
-    exchange_basis,
-)
+from ..codec import decode_x_round, decode_z_round, exchange_basis, label_indices
 from ..errors import ContractError
+from ..qsim import BASIS_X
 from .common import (
     ProtocolParams,
     Transcript,
@@ -70,12 +65,9 @@ def run_conference(
     key_bits = key.tolist()
 
     # --- message phase -----------------------------------------------------
-    prepared = {
-        p: [encode_message_qubit(b, k) for b, k in zip(row, key_bits)]
-        for p, row in zip(parties, msg_rows)
-    }
+    labels = {p: label_indices(row, key_bits) for p, row in zip(parties, msg_rows)}
     relayed = relay_round(
-        prepared, attack, record, params, rng, transcript,
+        labels, attack, record, params, rng, transcript,
         cheating_middle=attack.kind == "dishonest_middle",
     )
     if relayed is None:
@@ -134,10 +126,12 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     # re-protected with fresh decoys at every hop.  Positions are 1-based in
     # the relabeled sequence, and their parity fixes the encoding basis that
     # every party can derive from the shared key.
+    read_bases = [exchange_basis(i + 1) for i in x_rounds]
+    read_x = [basis == BASIS_X for basis in read_bases]
     exchange_sets = {
         p: [
-            flying(encode_exchange_qubit(msg3[a][i], i + 1))
-            for i in x_rounds
+            LABEL_CARRIERS[c]
+            for c in label_indices([msg3[a][i] for i in x_rounds], read_x)
         ]
         for a, p in enumerate(parties)
     }
@@ -182,8 +176,9 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
             payload = extract_payload(received[p], decoys[prev])
             source = parties[(a - hop) % n_parties]
             bits = []
-            for j, i in enumerate(x_rounds):
-                bit, payload[j] = measure_flying(payload[j], exchange_basis(i + 1), rng)
+            uniforms = rng.random(len(x_rounds)).tolist()
+            for j, (basis, u) in enumerate(zip(read_bases, uniforms)):
+                bit, payload[j] = measure_flying(payload[j], basis, u)
                 bits.append(bit)
             learned[p][source] = bits
             current[p] = payload

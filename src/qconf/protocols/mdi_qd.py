@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import AttackConfig, make_tap
+from ..adversary import AttackConfig, guess_basis, make_tap
 from ..channels import (
+    LABEL_CARRIERS,
     PHASE_GUESS,
     ErrorEstimate,
     QuantumChannel,
-    flying,
     measure_channel_tuple,
 )
-from ..codec import decode_partner_bit, encode_message_qubit, sift_outcome
+from ..codec import decode_partner_bit, label_indices, sift_outcome
 from ..errors import ContractError
-from ..qsim import BASIS_X, BASIS_Z, build_joint_basis
+from ..qsim import build_joint_basis
 from .common import (
     MIDDLE,
     ProtocolParams,
@@ -57,7 +57,7 @@ def _shared_guess_bases(attack: AttackConfig, length: int, rng) -> list[str] | N
     """
     if attack.kind != "intercept_resend":
         return None
-    return [BASIS_Z if rng.random() < 0.5 else BASIS_X for _ in range(length)]
+    return [guess_basis(coin) for coin in rng.random(length).tolist()]
 
 
 def _sift_and_decode(
@@ -136,16 +136,16 @@ def run_mdi_qd_original(
     shared_bases = _shared_guess_bases(attack, n, rng)
     held = {}
     for p in PAIR_PARTIES:
-        specs = [encode_message_qubit(b, k) for b, k in zip(msgs[p], key)]
+        sent = [LABEL_CARRIERS[c] for c in label_indices(msgs[p], key)]
         channel = QuantumChannel(
             p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}", shared_bases)
         )
-        held[p] = channel.transmit([flying(s) for s in specs], rng, transcript.add_event)
+        held[p] = channel.transmit(sent, rng, transcript.add_event)
 
     basis2 = build_joint_basis(2)
     outcomes = [
-        measure_channel_tuple([held[PAIR_PARTIES[0]][i], held[PAIR_PARTIES[1]][i]], basis2, rng)
-        for i in range(n)
+        measure_channel_tuple([a, b], basis2, u)
+        for a, b, u in zip(held[PAIR_PARTIES[0]], held[PAIR_PARTIES[1]], rng.random(n).tolist())
     ]
     transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
     _sift_and_decode(msgs, key, outcomes, list(range(n)), params, rng, transcript)
@@ -172,12 +172,9 @@ def run_mdi_qd_modified(
         PAIR_PARTIES, list(msgs.values()), n, attack, rng,
     )
     key = key.tolist()
-    prepared = {
-        p: [encode_message_qubit(b, k) for b, k in zip(msgs[p], key)]
-        for p in PAIR_PARTIES
-    }
+    labels = {p: label_indices(msgs[p], key) for p in PAIR_PARTIES}
     relayed = relay_round(
-        prepared, attack, record, params, rng, transcript, cheating_middle=False
+        labels, attack, record, params, rng, transcript, cheating_middle=False
     )
     if relayed is None:
         return transcript

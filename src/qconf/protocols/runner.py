@@ -13,6 +13,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -242,14 +243,28 @@ def _trial_worker(args: tuple) -> dict:
     return execute_trial(config, trial).to_dict()
 
 
+def iter_trials(
+    config: RunConfig, workers: int = 1, trial_indices: list[int] | None = None
+) -> Iterator[dict]:
+    """Transcript dicts of the configured trials, in trial order, one at a time.
+
+    Serially each trial runs only when the next transcript is asked for, so
+    a caller that writes and drops each one holds one transcript at a time.
+    Results are identical for any ``workers``.
+    """
+    config.validate()
+    indices = trial_indices if trial_indices is not None else range(config.trials)
+    if workers <= 1:
+        for t in indices:
+            yield execute_trial(config, t).to_dict()
+        return
+    config_dict = config.to_dict()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_trial_worker, [(config_dict, t) for t in indices])
+
+
 def run_trials(
     config: RunConfig, workers: int = 1, trial_indices: list[int] | None = None
 ) -> list[dict]:
-    """Execute the configured trials; results are identical for any workers."""
-    config.validate()
-    indices = trial_indices if trial_indices is not None else list(range(config.trials))
-    if workers <= 1:
-        return [execute_trial(config, t).to_dict() for t in indices]
-    jobs = [(config.to_dict(), t) for t in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_worker, jobs))
+    """Every transcript of ``iter_trials``, as a list."""
+    return list(iter_trials(config, workers, trial_indices))

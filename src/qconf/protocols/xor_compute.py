@@ -21,22 +21,16 @@ import numpy as np
 
 from ..adversary import AttackConfig, draw_substitute_blind, make_tap
 from ..channels import (
+    LABEL_CARRIERS,
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
-    flying,
     insert_decoys,
     make_decoy_set,
     measure_flying,
     verify_decoys,
 )
-from ..codec import (
-    derive_select_bit,
-    embed_payload,
-    encode_message_qubit,
-    encode_xor_qubit,
-    payload_positions,
-)
+from ..codec import derive_select_bit, embed_payload, label_indices, payload_positions
 from ..errors import ContractError
 from ..qsim import BASIS_X, BASIS_Z
 from ..rng import random_bits
@@ -79,7 +73,8 @@ def run_xor(
     mask = random_bits(rng, m)
     transcript.secrets["mask"] = bits_to_str(mask)
     mask_received = {parties[0]: mask}
-    mask_specs = [encode_message_qubit(b, k) for b, k in zip(mask.tolist(), key_bits)]
+    mask_sent = [LABEL_CARRIERS[c] for c in label_indices(mask.tolist(), key_bits)]
+    mask_bases = [BASIS_X if k else BASIS_Z for k in key_bits[:m]]
     for a in range(1, n_parties):
         p = parties[a]
         decoys = make_decoy_set(m, params.decoy_count, rng)
@@ -87,7 +82,7 @@ def run_xor(
             parties[0], p, tap=make_tap(attack, record, f"{parties[0]}->{p}")
         )
         received = channel.transmit(
-            insert_decoys([flying(s) for s in mask_specs], decoys),
+            insert_decoys(mask_sent, decoys),
             rng,
             transcript.add_event,
             purpose="mask_distribution",
@@ -106,9 +101,8 @@ def run_xor(
             return transcript
         payload = extract_payload(received, decoys)
         bits = []
-        for i in range(m):
-            basis = BASIS_X if key_bits[i] else BASIS_Z
-            bit, payload[i] = measure_flying(payload[i], basis, rng)
+        for i, (basis, u) in enumerate(zip(mask_bases, rng.random(m).tolist())):
+            bit, payload[i] = measure_flying(payload[i], basis, u)
             bits.append(bit)
         mask_received[p] = np.array(bits, dtype=np.uint8)
 
@@ -124,18 +118,16 @@ def run_xor(
         [embed_payload(payloads[a], key, select, rng) for a in range(n_parties)]
     )
     carrier_rows = carriers.tolist()
-    prepared = {
-        p: [encode_xor_qubit(b, k, select) for b, k in zip(row, key_bits)]
-        for p, row in zip(parties, carrier_rows)
-    }
+    # Positions whose key bit equals the select bit are X (``encode_xor_qubit``).
+    x_flags = (key == select).tolist()
+    labels = {p: label_indices(row, x_flags) for p, row in zip(parties, carrier_rows)}
     relayed = relay_round(
-        prepared, attack, record, params, rng, transcript,
+        labels, attack, record, params, rng, transcript,
         cheating_middle=attack.kind == "dishonest_middle",
     )
     if relayed is None:
         return transcript
     keep, outcomes = relayed
-    x_flags = (key == select).tolist()
     survivors = consistency_check(carrier_rows, x_flags, keep, outcomes, params, rng, transcript)
     if survivors is None:
         return transcript

@@ -15,8 +15,9 @@ a small integer id, and its Born probabilities, Pauli images and small joint
 distributions are computed once and looked up by id after.  Dense vectors
 carry entangled states and joint measurements of more than three qubits.
 
-Everything here is deterministic given a seeded generator; sampling always
-consumes exactly one uniform draw per measurement.
+Nothing here draws random numbers: each measurement takes one uniform
+``u`` in [0, 1), drawn by its caller, so a ceremony can draw the uniforms of
+all its measurements in one block.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 # from the four label states by Paulis and collapses: a small, closed set.
 # Each such state is interned once, keyed on its exact amplitude bytes, and
 # gets a small integer id.  Three tables keyed by id hold what the protocols
-# compute from it: ``_P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for
+# compute from it: ``P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for
 # products of at most ``MAX_TABLE_QUBITS``, ``_JOINT[ids]``.  Each entry is
 # computed once by the dense code from those same bytes, so a lookup returns
 # exactly the float that code would return on every call.  States whose bytes
@@ -243,7 +244,8 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 
 _INTERN_IDS: dict[bytes, int] = {}
 _INTERNED: list[PureState] = []
-_P0: list[dict[str, float]] = []
+# Read by ``channels.measure_flying``, which inlines ``zero_probability``.
+P0: list[dict[str, float]] = []
 _IMAGE: list[list[int | None]] = []
 _JOINT: dict[tuple[int, ...], list[float]] = {}
 
@@ -276,7 +278,7 @@ def intern(state: PureState) -> int:
                 "amplitudes are drifting under renormalization"
             )
         sid = len(_INTERNED)
-        _P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
+        P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
         _IMAGE.append([None] * len(PAULIS))
         _INTERNED.append(state)
         _INTERN_IDS[key] = sid
@@ -291,7 +293,7 @@ def interned(sid: int) -> PureState:
 def zero_probability(sid: int, basis: str) -> float:
     """``p0`` table: Born probability of bit 0 in Z or X for an interned state."""
     try:
-        return _P0[sid][basis]
+        return P0[sid][basis]
     except KeyError:
         raise ContractError(f"basis must be Z or X, got {basis!r}") from None
 
@@ -331,16 +333,15 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
     return cumulative
 
 
-def measure_interned(sid: int, basis: str, rng: np.random.Generator) -> tuple[int, int]:
+def measure_interned(sid: int, basis: str, u: float) -> tuple[int, int]:
     """Born-rule bit of an interned state in Z or X, and the collapsed state's id."""
-    p0 = zero_probability(sid, basis)
-    bit = 0 if rng.random() < p0 else 1
+    bit = 0 if u < zero_probability(sid, basis) else 1
     return bit, _LABEL_IDS[basis, bit]
 
 
-def measure_product(ids: tuple[int, ...], rng: np.random.Generator) -> Outcome:
+def measure_product(ids: tuple[int, ...], u: float) -> Outcome:
     """Joint-basis outcome of a product of interned states, from the joint table."""
-    return Outcome.from_code(_draw(joint_cumulative(ids), rng))
+    return Outcome.from_code(_draw(joint_cumulative(ids), u))
 
 
 # The label states take ids 0-3, in ``LABEL_SPECS`` order.
@@ -384,35 +385,29 @@ def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(np.array(overlaps)) ** 2
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector using one uniform draw.
+def sample_index(probs: np.ndarray, u: float) -> int:
+    """Index of a probability vector picked by the uniform ``u``.
 
     Sequential Python sums equal ``np.cumsum`` bit for bit, and
     ``bisect_right`` equals ``np.searchsorted(side="right")``; on the short
     vectors most runs draw from they skip numpy's per-call overhead.
     """
-    return _draw(list(accumulate(probs.tolist())), rng)
+    return _draw(list(accumulate(probs.tolist())), u)
 
 
-def _draw(cumulative: list[float], rng: np.random.Generator) -> int:
-    """Index drawn from a cumulative distribution with one uniform draw."""
-    r = rng.random() * cumulative[-1]
-    return min(bisect_right(cumulative, r), len(cumulative) - 1)
+def _draw(cumulative: list[float], u: float) -> int:
+    """Index of a cumulative distribution picked by the uniform ``u``."""
+    return min(bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 
-def measure_joint(
-    state: PureState, basis: JointBasis, rng: np.random.Generator
-) -> Outcome:
+def measure_joint(state: PureState, basis: JointBasis, u: float) -> Outcome:
     """Sample a joint-basis outcome for an exactly matching state."""
     probs = outcome_distribution(state, basis)
-    return Outcome.from_code(sample_index(probs, rng))
+    return Outcome.from_code(sample_index(probs, u))
 
 
 def measure_embedded(
-    state: PureState,
-    targets: Sequence[int],
-    basis: JointBasis,
-    rng: np.random.Generator,
+    state: PureState, targets: Sequence[int], basis: JointBasis, u: float
 ) -> Outcome:
     """Joint-basis measurement of a subset of qubits of a larger state.
 
@@ -430,16 +425,16 @@ def measure_embedded(
         # targets must then be a permutation of all qubits; the common case
         # is identity order, for which the plain path is faster.
         if targets == list(range(n)):
-            return measure_joint(state, basis, rng)
+            return measure_joint(state, basis, u)
     rest = [q for q in range(n) if q not in set(targets)]
     psi = state.amplitudes.reshape((2,) * n)
     psi = np.transpose(psi, axes=targets + rest).reshape(2**k, -1)
     probs = sum(_pair_probabilities(column) for column in psi.T)
-    return Outcome.from_code(sample_index(probs, rng))
+    return Outcome.from_code(sample_index(probs, u))
 
 
 def measure_qubit(
-    state: PureState, target: int, basis: str, rng: np.random.Generator
+    state: PureState, target: int, basis: str, u: float
 ) -> tuple[int, PureState]:
     """Measure one qubit of a multi-qubit state in Z or X; collapses in place."""
     n = state.num_qubits
@@ -453,7 +448,7 @@ def measure_qubit(
     amps = state.amplitudes
     ones = ((np.arange(state.dim) >> shift) & 1).astype(bool)
     p0 = float(np.sum(np.abs(amps[~ones]) ** 2))
-    bit = 0 if rng.random() < p0 else 1
+    bit = 0 if u < p0 else 1
     keep = ones if bit == 1 else ~ones
     collapsed = np.where(keep, amps, 0.0)
     prob = p0 if bit == 0 else 1.0 - p0

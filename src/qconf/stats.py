@@ -297,23 +297,25 @@ def _experiment_worker(args: tuple) -> dict:
 def run_experiment(experiment: Experiment, workers: int = 1) -> dict[str, Estimate]:
     """Execute all trials and aggregate each statistic into an Estimate."""
     totals = {name: [0, 0] for name in experiment.statistics}
+
+    def add(results) -> None:
+        for counts in results:
+            for name, (successes, samples) in counts.items():
+                totals[name][0] += successes
+                totals[name][1] += samples
+
     if workers <= 1:
         config = experiment.config
         config.validate()
-        results = _count_trials(config, range(config.trials), tuple(experiment.statistics))
+        add(_count_trials(config, range(config.trials), tuple(experiment.statistics)))
     else:
         jobs = [
             (experiment.config.to_dict(), t, tuple(experiment.statistics))
             for t in range(experiment.config.trials)
         ]
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_experiment_worker, jobs, chunksize=32)
-    for counts in results:
-        for name, (successes, samples) in counts.items():
-            totals[name][0] += successes
-            totals[name][1] += samples
-    if workers > 1:
-        pool.shutdown()
+        # ``with`` shuts the workers down even when a trial raises.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            add(pool.map(_experiment_worker, jobs, chunksize=32))
     estimates = {}
     for name, (successes, samples) in totals.items():
         value = successes / samples if samples else 0.0

@@ -11,8 +11,10 @@ from qconf.adversary import (
     AttackConfig,
     dishonest_middle_announce,
     dos_attack,
+    dos_cumulative,
     draw_substitute_blind,
     entangle_measure,
+    guess_basis,
     intercept_resend,
     mitm_attack,
 )
@@ -51,7 +53,7 @@ class TestAttackConfig:
 class TestInterceptResend:
     def test_matching_basis_undetectable(self):
         rng = make_rng(40)
-        forwarded, (basis, bit) = intercept_resend(flying(QubitSpec("Z", 0)), rng, "Z")
+        forwarded, (basis, bit) = intercept_resend(flying(QubitSpec("Z", 0)), "Z", rng.random())
         assert (basis, bit) == ("Z", 0)
         np.testing.assert_allclose(forwarded.state.amplitudes, [1, 0], atol=1e-12)
 
@@ -62,8 +64,8 @@ class TestInterceptResend:
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            forwarded, _ = intercept_resend(flying(QubitSpec("Z", 0)), rng, "X")
-            bit, _ = measure_flying(forwarded, "Z", rng)
+            forwarded, _ = intercept_resend(flying(QubitSpec("Z", 0)), "X", rng.random())
+            bit, _ = measure_flying(forwarded, "Z", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
 
@@ -73,8 +75,8 @@ class TestInterceptResend:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            forwarded, _ = intercept_resend(flying(spec), rng)
-            bit, _ = measure_flying(forwarded, spec.basis, rng)
+            forwarded, _ = intercept_resend(flying(spec), guess_basis(rng.random()), rng.random())
+            bit, _ = measure_flying(forwarded, spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.75) < 0.01
 
@@ -86,7 +88,7 @@ class TestEntangleMeasure:
         expected = np.zeros(4)
         expected[3] = 1.0
         np.testing.assert_allclose(joint.amplitudes, expected, atol=1e-12)
-        bit, _ = measure_flying(forwarded, "Z", rng)
+        bit, _ = measure_flying(forwarded, "Z", rng.random())
         assert bit == 1  # Z checks never fail
 
     def test_plus_becomes_phi_plus(self):
@@ -105,7 +107,7 @@ class TestEntangleMeasure:
         passes = 0
         for _ in range(trials):
             forwarded, _ = entangle_measure(flying(QubitSpec("X", 0)), rng)
-            bit, _ = measure_flying(forwarded, "X", rng)
+            bit, _ = measure_flying(forwarded, "X", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
 
@@ -113,9 +115,10 @@ class TestEntangleMeasure:
 class TestDos:
     def test_identity_weights_pass_always(self):
         rng = make_rng(47)
-        out, choice = dos_attack(flying(QubitSpec("X", 1)), (1.0, 0.0, 0.0, 0.0), rng)
+        weights = dos_cumulative((1.0, 0.0, 0.0, 0.0))
+        out, choice = dos_attack(flying(QubitSpec("X", 1)), weights, rng.random())
         assert choice == 0
-        bit, _ = measure_flying(out, "X", rng)
+        bit, _ = measure_flying(out, "X", rng.random())
         assert bit == 1
 
     def test_iy_weights_always_detected(self):
@@ -123,8 +126,8 @@ class TestDos:
         trials = 5000
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(flying(spec), (0.0, 0.0, 1.0, 0.0), rng)
-            bit, _ = measure_flying(out, spec.basis, rng)
+            out, _ = dos_attack(flying(spec), dos_cumulative((0.0, 0.0, 1.0, 0.0)), rng.random())
+            bit, _ = measure_flying(out, spec.basis, rng.random())
             assert bit != spec.bit
 
     def test_sigma_x_passes_half(self):
@@ -133,14 +136,14 @@ class TestDos:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(flying(spec), (0.0, 1.0, 0.0, 0.0), rng)
-            bit, _ = measure_flying(out, spec.basis, rng)
+            out, _ = dos_attack(flying(spec), dos_cumulative((0.0, 1.0, 0.0, 0.0)), rng.random())
+            bit, _ = measure_flying(out, spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.5) < 0.01
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ContractError):
-            dos_attack(flying(QubitSpec("Z", 0)), (0.5, 0.5, 0.5, 0.0), make_rng(0))
+            dos_cumulative((0.5, 0.5, 0.5, 0.0))
 
 
 class TestMitm:
@@ -158,7 +161,7 @@ class TestMitm:
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
             _, substituted, _ = mitm_attack([flying(spec)], rng)
-            bit, _ = measure_flying(substituted[0], spec.basis, rng)
+            bit, _ = measure_flying(substituted[0], spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.5) < 0.01
 

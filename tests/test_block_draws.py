@@ -1,0 +1,111 @@
+"""Block draws: each ceremony draws its uniforms once and keeps the stream.
+
+A ceremony draws the uniforms of all its measurements as one
+``rng.random(k).tolist()`` block.  On numpy's PCG64 that block equals k
+scalar ``rng.random()`` calls and leaves the generator in the same state, so
+the stream, and every golden transcript, is the one a draw per measurement
+gives.  These tests pin that identity and the count each ceremony draws.
+"""
+
+import numpy as np
+import pytest
+
+from qconf.adversary import AdversaryRecord, DosTap, InterceptResendTap, entangle_measure
+from qconf.channels import (
+    LABEL_CARRIERS,
+    first_error_estimation,
+    insert_decoys,
+    make_decoy_set,
+    permute,
+    random_permutation,
+    verify_decoys,
+)
+from qconf.qsim import BASIS_X, BASIS_Z, LABEL_SPECS
+from qconf.rng import make_rng
+
+PARTIES = ("P1", "P2", "P3")
+
+
+def twin(rng: np.random.Generator) -> np.random.Generator:
+    """A generator in the same state as ``rng``."""
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+def assert_advanced_by(rng, before, count):
+    """``rng`` is where ``before`` gets after ``count`` uniform draws."""
+    before.random(count)
+    assert rng.bit_generator.state == before.bit_generator.state
+
+
+def carriers(labels, entangled):
+    """Label carriers, or each one entangled with a |0> ancilla."""
+    sent = [LABEL_CARRIERS[c] for c in labels]
+    if entangled:
+        sent = [entangle_measure(q, None)[0] for q in sent]
+    return sent
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
+def test_block_equals_scalar_draws(k):
+    block, scalar = make_rng(k), make_rng(k)
+    values = block.random(k).tolist()
+    assert values == [scalar.random() for _ in range(k)]
+    assert all(type(v) is float for v in values)
+    assert block.bit_generator.state == scalar.bit_generator.state
+    assert block.random() == scalar.random()
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_first_estimation_draws_one_per_check(entangled):
+    rng = make_rng(60)
+    length, sample = 30, [1, 4, 9, 16, 25]
+    labels = {p: rng.integers(0, 4, size=length).tolist() for p in PARTIES}
+    prepared = {p: [LABEL_SPECS[c] for c in labels[p]] for p in PARTIES}
+    perms = {p: random_permutation(length, rng) for p in PARTIES}
+    held = {p: permute(carriers(labels[p], entangled), perms[p]) for p in PARTIES}
+    before = twin(rng)
+    estimate = first_error_estimation(prepared, held, perms, sample, 0.0, rng)
+    assert_advanced_by(rng, before, len(sample) * len(PARTIES))
+    assert estimate.positions_checked == len(sample) * len(PARTIES)
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_verify_decoys_draws_one_per_decoy(entangled):
+    rng = make_rng(61)
+    decoys = make_decoy_set(12, 9, rng)
+    payload = [LABEL_CARRIERS[c] for c in rng.integers(0, 4, size=12).tolist()]
+    received = insert_decoys(payload, decoys)
+    if entangled:
+        received = [entangle_measure(q, None)[0] for q in received]
+    before = twin(rng)
+    estimate = verify_decoys(received, decoys, 0.0, rng)
+    assert_advanced_by(rng, before, decoys.count)
+    assert estimate.positions_checked == 9
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+@pytest.mark.parametrize("forced", [False, True])
+def test_intercept_tap_draws_coin_and_measurement(entangled, forced):
+    rng = make_rng(62)
+    qubits = carriers(rng.integers(0, 4, size=20).tolist(), entangled)
+    bases = [BASIS_Z, BASIS_X] * 10 if forced else None
+    record = AdversaryRecord(kind="intercept_resend")
+    before = twin(rng)
+    out = InterceptResendTap(record, bases).apply(qubits, rng, "P1->middle")
+    assert_advanced_by(rng, before, len(qubits) * (1 if forced else 2))
+    assert len(out) == len(record.guesses["P1->middle"]) == len(qubits)
+    if forced:
+        assert [basis for basis, _ in record.guesses["P1->middle"]] == bases
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_dos_tap_draws_one_per_qubit(entangled):
+    rng = make_rng(63)
+    qubits = carriers(rng.integers(0, 4, size=20).tolist(), entangled)
+    record = AdversaryRecord(kind="dos")
+    before = twin(rng)
+    DosTap(record, (0.5, 0.5, 0.5, 0.5)).apply(qubits, rng, "P1->middle")
+    assert_advanced_by(rng, before, len(qubits))
+    assert sum(record.pauli_counts) == len(qubits)

@@ -195,7 +195,7 @@ class TestFlying:
         assert flying(QubitSpec("X", 1)).state is materialize(QubitSpec("X", 1))
 
     def test_single_qubit_collapse_is_shared(self):
-        bit, post = measure_flying(flying(QubitSpec("X", 0)), "X", make_rng(28))
+        bit, post = measure_flying(flying(QubitSpec("X", 0)), "X", make_rng(28).random())
         assert bit == 0
         assert post is flying(QubitSpec("X", 0))
 
@@ -217,8 +217,8 @@ class TestInternedCarriers:
             amps = states.normal(size=2) + 1j * states.normal(size=2)
             state = qsim.PureState(1, amps / np.linalg.norm(amps))
             for basis in ("Z", "X"):
-                bit, post = measure_flying(FlyingQubit(state), basis, rng_a)
-                want, collapsed = qsim.measure_qubit(state, 0, basis, rng_b)
+                bit, post = measure_flying(FlyingQubit(state), basis, rng_a.random())
+                want, collapsed = qsim.measure_qubit(state, 0, basis, rng_b.random())
                 assert bit == want and post.sid is None
                 assert post.state.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
         assert len(qsim._INTERNED) == interned
@@ -234,8 +234,8 @@ class TestInternedCarriers:
         basis = build_joint_basis(n)
         for row in picks:
             qubits = [flying(LABEL_SPECS[int(k)]) for k in row]
-            dense = measure_joint(tensor([q.state for q in qubits]), basis, rng_b)
-            assert measure_channel_tuple(qubits, basis, rng_a) == dense
+            dense = measure_joint(tensor([q.state for q in qubits]), basis, rng_b.random())
+            assert measure_channel_tuple(qubits, basis, rng_a.random()) == dense
 
     def test_wide_honest_trial_keeps_joint_table_small(self):
         config = RunConfig(protocol="conferenceN", n_parties=10, message_length=100, seed=3)
@@ -262,6 +262,6 @@ class TestQuantumChannel:
         transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle", tap=FlipTap())
         out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(30), transcript.add_event)
-        bit, _ = measure_flying(out[0], "Z", make_rng(31))
+        bit, _ = measure_flying(out[0], "Z", make_rng(31).random())
         assert bit == 1
         assert [e["type"] for e in transcript.events] == ["transmit", "attack"]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qconf.cli import main
+from qconf.protocols import RunConfig, runner
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +39,25 @@ def test_run_writes_transcripts(tmp_path, capsys):
     transcript = json.loads(files[0].read_text())
     assert transcript["outputs"] is not None
     assert transcript["config"]["protocol"] == "conferenceN"
+
+
+def test_run_writes_each_transcript_before_the_next_trial(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    execute_trial = runner.execute_trial
+
+    def checking(config, trial=0):
+        written = sorted(p.name for p in out.glob("transcript_*.json"))
+        assert written == [f"transcript_{t:03d}.json" for t in range(trial)]
+        return execute_trial(config, trial)
+
+    monkeypatch.setattr(runner, "execute_trial", checking)
+    config = write_config(tmp_path, trials=3)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    expected = runner.run_trials(RunConfig.from_dict(json.loads(config.read_text())))
+    for t, transcript in enumerate(expected):
+        text = (out / f"transcript_{t:03d}.json").read_text()
+        assert text == json.dumps(transcript, sort_keys=True, indent=1)
 
 
 def test_abort_is_still_exit_zero(tmp_path):

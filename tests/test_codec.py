@@ -16,11 +16,14 @@ from qconf.codec import (
     encode_message_qubit,
     encode_xor_qubit,
     exchange_basis,
+    label_indices,
     payload_positions,
     sift_outcome,
 )
 from qconf.errors import ContractError, ProtocolCorruptionError
 from qconf.qsim import (
+    BASIS_X,
+    LABEL_SPECS,
     Outcome,
     QubitSpec,
     build_joint_basis,
@@ -55,6 +58,18 @@ class TestMessageEncoding:
         assert encode_message_qubit(1, 0) == QubitSpec("Z", 1)
         assert encode_message_qubit(0, 1) == QubitSpec("X", 0)
         assert encode_message_qubit(1, 1) == QubitSpec("X", 1)
+
+    def test_label_indices_pick_the_encoded_spec(self):
+        # The protocols send LABEL_SPECS[label] in place of each encode_* call.
+        for bit, flag in product((0, 1), repeat=2):
+            [label] = label_indices([bit], [flag])
+            assert LABEL_SPECS[label] is encode_message_qubit(bit, flag)
+            assert LABEL_SPECS[label] is encode_xor_qubit(bit, flag, 1)
+            [label] = label_indices([bit], [flag == 0])
+            assert LABEL_SPECS[label] is encode_xor_qubit(bit, flag, 0)
+        for position, bit in product(range(1, 5), (0, 1)):
+            [label] = label_indices([bit], [exchange_basis(position) == BASIS_X])
+            assert LABEL_SPECS[label] is encode_exchange_qubit(bit, position)
 
     def test_shared_and_validated(self):
         assert encode_message_qubit(1, 1) is encode_message_qubit(np.uint8(1), True)

@@ -14,6 +14,7 @@ from qconf.protocols import (
     ProtocolParams,
     RunConfig,
     execute_trial,
+    iter_trials,
     party_names,
     run_conference,
     run_mdi_qd_modified,
@@ -22,6 +23,7 @@ from qconf.protocols import (
     run_xor,
     trial_messages,
 )
+from qconf.protocols import runner
 from qconf.protocols.common import str_to_bits
 from qconf.rng import make_rng, random_bits
 
@@ -286,6 +288,21 @@ class TestTranscriptContracts:
         serial = run_trials(config, workers=1)
         parallel = run_trials(config, workers=2)
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_iter_trials_is_lazy(self, monkeypatch):
+        calls = []
+
+        def counting(config, trial=0):
+            calls.append(trial)
+            return execute_trial(config, trial)
+
+        monkeypatch.setattr(runner, "execute_trial", counting)
+        trials = iter_trials(self._config(trials=3))
+        assert calls == []
+        assert next(trials)["config"]["trial_index"] == 0
+        assert calls == [0]
+        assert [t["config"]["trial_index"] for t in trials] == [1, 2]
+        assert calls == [0, 1, 2]
 
     def test_key_never_in_events(self):
         for attack in (HONEST, AttackConfig(kind="intercept_resend")):

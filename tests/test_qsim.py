@@ -48,7 +48,7 @@ def state_of(*labels):
 
 def measure_label(spec, basis, rng):
     """Measure a label state through the intern tables: (bit, collapsed state)."""
-    bit, post = qsim.measure_interned(qsim.label_id(spec), basis, rng)
+    bit, post = qsim.measure_interned(qsim.label_id(spec), basis, rng.random())
     return bit, qsim.interned(post)
 
 
@@ -238,12 +238,12 @@ class TestPairFold:
         seen = []
         real_sample = qsim.sample_index
 
-        def recording_sample(probs, draws):
+        def recording_sample(probs, u):
             seen.append(probs)
-            return real_sample(probs, draws)
+            return real_sample(probs, u)
 
         monkeypatch.setattr(qsim, "sample_index", recording_sample)
-        measure_embedded(state, targets, build_joint_basis(k), rng)
+        measure_embedded(state, targets, build_joint_basis(k), rng.random())
         # The dense marginal sums over non-target columns in a matrix product,
         # so it may differ from the elementwise fold in the last bit.
         rest = [q for q in range(n) if q not in targets]
@@ -262,14 +262,14 @@ class TestPairFold:
                 cumulative = np.cumsum(probs)
                 r = draws_b.random() * cumulative[-1]
                 want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
-                assert sample_index(probs, draws_a) == want
+                assert sample_index(probs, draws_a.random()) == want
 
     def test_twelve_qubit_measurement_stays_small(self):
         state = random_state(12, np.random.default_rng(12))
         rng = make_rng(12)
         tracemalloc.start()
         try:
-            measure_joint(state, build_joint_basis(12), rng)
+            measure_joint(state, build_joint_basis(12), rng.random())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,7 +281,7 @@ class TestMeasurement:
         rng = make_rng(0)
         basis = build_joint_basis(3)
         for code, vector in enumerate(dense_joint_basis(3)):
-            outcome = measure_joint(PureState(3, vector), basis, rng)
+            outcome = measure_joint(PureState(3, vector), basis, rng.random())
             assert outcome.code == code
 
     def test_111_lands_on_index_zero(self):
@@ -289,7 +289,7 @@ class TestMeasurement:
         basis = build_joint_basis(3)
         state = state_of("Z1", "Z1", "Z1")
         for _ in range(50):
-            assert measure_joint(state, basis, rng).index == 0
+            assert measure_joint(state, basis, rng.random()).index == 0
 
     def test_plus_plus_frequencies(self):
         rng = make_rng(2)
@@ -298,7 +298,7 @@ class TestMeasurement:
         counts = np.zeros(4)
         trials = 100_000
         for _ in range(trials):
-            counts[measure_joint(state, basis, rng).code] += 1
+            counts[measure_joint(state, basis, rng.random()).code] += 1
         freq = counts / trials
         assert abs(freq[0] - 0.5) < 0.01 and abs(freq[2] - 0.5) < 0.01
         assert freq[1] == 0 and freq[3] == 0
@@ -340,7 +340,7 @@ class TestMeasurement:
         state = materialize(QubitSpec("Z", 0))
         for basis in (BASIS_Z, BASIS_X):
             bit_a, _ = measure_label(QubitSpec("Z", 0), basis, rng_a)
-            bit_b, _ = measure_qubit(state, 0, basis, rng_b)
+            bit_b, _ = measure_qubit(state, 0, basis, rng_b.random())
             assert bit_a == bit_b
 
     def test_measure_qubit_collapses_partner(self):
@@ -348,7 +348,7 @@ class TestMeasurement:
         rng = make_rng(8)
         bell = PureState(2, dense_joint_basis(2)[0])
         for _ in range(20):
-            bit, post = measure_qubit(bell, 0, BASIS_Z, rng)
+            bit, post = measure_qubit(bell, 0, BASIS_Z, rng.random())
             expected = np.zeros(4)
             expected[3 if bit else 0] = 1.0
             np.testing.assert_allclose(post.amplitudes, expected, atol=1e-12)
@@ -361,7 +361,7 @@ class TestMeasurement:
         counts = np.zeros(4)
         trials = 20_000
         for _ in range(trials):
-            counts[measure_embedded(state, [0, 2], basis, rng).code] += 1
+            counts[measure_embedded(state, [0, 2], basis, rng.random()).code] += 1
         freq = counts / trials
         assert abs(freq[0] - 0.5) < 0.02 and abs(freq[1] - 0.5) < 0.02
         assert freq[2] == 0 and freq[3] == 0
@@ -403,7 +403,7 @@ class TestScalarSingleMeasurement:
         rng_a, rng_b = make_rng(13), make_rng(13)
         for state in self.states():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = qsim.measure_interned(qsim.intern(state), basis, rng_a)
+                bit, post = qsim.measure_interned(qsim.intern(state), basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
                 assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
@@ -418,17 +418,7 @@ class TestScalarSingleMeasurement:
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
-            qsim.measure_interned(qsim.label_id(LABEL_SPECS[0]), "Y", make_rng(0))
-
-
-class FixedDraw:
-    """Stands in for a generator whose next uniform draw is ``r``."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self):
-        return self.r
+            qsim.measure_interned(qsim.label_id(LABEL_SPECS[0]), "Y", 0.5)
 
 
 def pauli_closure():
@@ -472,7 +462,7 @@ class TestInternTables:
         rng_a, rng_b = make_rng(14), make_rng(14)
         for sid in pauli_closure():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = qsim.measure_interned(sid, basis, rng_a)
+                bit, post = qsim.measure_interned(sid, basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < qsim.zero_probability(sid, basis) else 1)
                 assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
@@ -485,10 +475,9 @@ class TestInternTables:
             probs = outcome_distribution(tensor([qsim.interned(i) for i in combo]), basis)
             cumulative = qsim.joint_cumulative(combo)
             # Draws that land exactly on a boundary test the bisect side too.
-            for r in grid + cumulative:
-                draw = FixedDraw(r)
-                want = sample_index(probs, draw)
-                assert qsim.measure_product(combo, draw).code == want
+            for u in grid + cumulative:
+                want = sample_index(probs, u)
+                assert qsim.measure_product(combo, u).code == want
 
     def test_joint_table_refuses_wide_products(self):
         with pytest.raises(ResourceLimitError):

@@ -1,13 +1,15 @@
 """Monte Carlo layer: estimates, agreement checks, catalog, suite plumbing."""
 
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+from qconf import stats
 from qconf.adversary import AttackConfig
 from qconf.errors import ContractError
-from qconf.protocols import RunConfig
+from qconf.protocols import RunConfig, execute_trial
 from qconf.stats import (
     DISHONEST_MIDDLE_TRUE_PASS,
     AnalyticFormula,
@@ -111,6 +113,18 @@ class TestRunExperiment:
         serial = run_experiment(self._experiment())
         parallel = run_experiment(self._experiment(), workers=2)
         assert serial == parallel
+
+    def test_pool_shut_down_when_a_trial_raises(self, monkeypatch):
+        # Forked workers inherit the patched ``execute_trial``.
+        def failing(config, trial=0):
+            if trial == 1:
+                raise RuntimeError("trial 1 failed")
+            return execute_trial(config, trial)
+
+        monkeypatch.setattr(stats, "execute_trial", failing)
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_experiment(self._experiment(trials=4), workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_se_formula(self):
         config = RunConfig(
