@@ -87,8 +87,9 @@ _COLLAPSED = {BASIS_Z: LABEL_CARRIERS[:2], BASIS_X: LABEL_CARRIERS[2:]}
 def measure_flying(qubit: FlyingQubit, basis: str, u: float) -> tuple[int, FlyingQubit]:
     """Measure the wire qubit in Z or X; returns (bit, collapsed carrier).
 
-    A shared carrier reads its ``p0`` from the intern table and collapses
-    onto a label carrier, as ``qsim.measure_interned`` does, without a call.
+    A shared carrier reads its ``p0`` from the intern table ``qsim.P0`` and
+    collapses onto the label carrier of (basis, bit); any other carrier is
+    measured densely by ``measure_qubit``.
     """
     sid = qubit.sid
     if sid is not None:

@@ -49,7 +49,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = [only] if only is not None else None
-    # Each transcript is written as it is produced, so memory stays flat in trials.
+    # Each transcript is written as it is produced; ``iter_trials`` holds at
+    # most two per worker ahead of the writer, so memory stays bounded in trials.
     for transcript in iter_trials(config, workers=args.workers, trial_indices=indices):
         trial = transcript["config"]["trial_index"]
         path = out_dir / f"transcript_{trial:03d}.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -250,7 +251,9 @@ def iter_trials(
 
     Serially each trial runs only when the next transcript is asked for, so
     a caller that writes and drops each one holds one transcript at a time.
-    Results are identical for any ``workers``.
+    With a pool at most two trials per worker are submitted and not yet
+    taken, so what is held stays bounded in ``trials`` there too.  Results
+    are identical for any ``workers``.
     """
     config.validate()
     indices = trial_indices if trial_indices is not None else range(config.trials)
@@ -259,8 +262,15 @@ def iter_trials(
             yield execute_trial(config, t).to_dict()
         return
     config_dict = config.to_dict()
+    window = 2 * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_trial_worker, [(config_dict, t) for t in indices])
+        pending: deque = deque()
+        for t in indices:
+            pending.append(pool.submit(_trial_worker, (config_dict, t)))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_trials(

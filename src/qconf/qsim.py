@@ -244,7 +244,8 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 
 _INTERN_IDS: dict[bytes, int] = {}
 _INTERNED: list[PureState] = []
-# Read by ``channels.measure_flying``, which inlines ``zero_probability``.
+# Read by ``channels.measure_flying``, the one single-qubit measurement of
+# an interned state.
 P0: list[dict[str, float]] = []
 _IMAGE: list[list[int | None]] = []
 _JOINT: dict[tuple[int, ...], list[float]] = {}
@@ -290,14 +291,6 @@ def interned(sid: int) -> PureState:
     return _INTERNED[sid]
 
 
-def zero_probability(sid: int, basis: str) -> float:
-    """``p0`` table: Born probability of bit 0 in Z or X for an interned state."""
-    try:
-        return P0[sid][basis]
-    except KeyError:
-        raise ContractError(f"basis must be Z or X, got {basis!r}") from None
-
-
 def pauli_image(sid: int, pauli: int) -> int:
     """Id of ``PAULIS[pauli]`` applied to an interned state.
 
@@ -331,12 +324,6 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
         cumulative = list(accumulate(probs.tolist()))
         _JOINT[ids] = cumulative
     return cumulative
-
-
-def measure_interned(sid: int, basis: str, u: float) -> tuple[int, int]:
-    """Born-rule bit of an interned state in Z or X, and the collapsed state's id."""
-    bit = 0 if u < zero_probability(sid, basis) else 1
-    return bit, _LABEL_IDS[basis, bit]
 
 
 def measure_product(ids: tuple[int, ...], u: float) -> Outcome:

@@ -1,6 +1,7 @@
 """Protocol drivers: honest correctness, determinism, privacy, aborts."""
 
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -303,6 +304,32 @@ class TestTranscriptContracts:
         assert calls == [0]
         assert [t["config"]["trial_index"] for t in trials] == [1, 2]
         assert calls == [0, 1, 2]
+
+    def test_parallel_iter_trials_submits_a_bounded_window(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                submitted.append(args[1])
+                future = Future()
+                future.set_result(fn(args))
+                return future
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        trials = iter_trials(self._config(trials=8), workers=2)
+        assert next(trials)["config"]["trial_index"] == 0
+        assert submitted == [0, 1, 2, 3]
+        assert [t["config"]["trial_index"] for t in trials] == list(range(1, 8))
+        assert submitted == list(range(8))
 
     def test_key_never_in_events(self):
         for attack in (HONEST, AttackConfig(kind="intercept_resend")):

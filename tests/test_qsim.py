@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qconf import qsim
+from qconf.channels import carrier, measure_flying
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
     BASIS_X,
@@ -47,9 +48,9 @@ def state_of(*labels):
 
 
 def measure_label(spec, basis, rng):
-    """Measure a label state through the intern tables: (bit, collapsed state)."""
-    bit, post = qsim.measure_interned(qsim.label_id(spec), basis, rng.random())
-    return bit, qsim.interned(post)
+    """Measure a label state's shared carrier: (bit, collapsed state)."""
+    bit, post = measure_flying(carrier(qsim.label_id(spec)), basis, rng.random())
+    return bit, post.state
 
 
 class TestMaterialize:
@@ -368,7 +369,7 @@ class TestMeasurement:
 
 
 class TestScalarSingleMeasurement:
-    """``measure_interned`` draws against a p0 equal, bit for bit, to numpy's."""
+    """``measure_flying`` draws against a p0 equal, bit for bit, to numpy's."""
 
     @staticmethod
     def numpy_p0(state, basis):
@@ -403,9 +404,9 @@ class TestScalarSingleMeasurement:
         rng_a, rng_b = make_rng(13), make_rng(13)
         for state in self.states():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = qsim.measure_interned(qsim.intern(state), basis, rng_a.random())
+                bit, post = measure_flying(carrier(qsim.intern(state)), basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
-                assert qsim.interned(post) is materialize(label_spec(basis, bit))
+                assert post.state is materialize(label_spec(basis, bit))
 
     def test_label_specs_are_shared(self):
         for spec in LABEL_SPECS:
@@ -418,7 +419,7 @@ class TestScalarSingleMeasurement:
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
-            qsim.measure_interned(qsim.label_id(LABEL_SPECS[0]), "Y", 0.5)
+            measure_flying(carrier(qsim.label_id(LABEL_SPECS[0])), "Y", 0.5)
 
 
 def pauli_closure():
@@ -456,15 +457,15 @@ class TestInternTables:
             state = qsim.interned(sid)
             for basis in (BASIS_Z, BASIS_X):
                 want = TestScalarSingleMeasurement.numpy_p0(state, basis)
-                assert qsim.zero_probability(sid, basis) == want
+                assert qsim.P0[sid][basis] == want
 
     def test_collapse_to_label_states(self):
         rng_a, rng_b = make_rng(14), make_rng(14)
         for sid in pauli_closure():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = qsim.measure_interned(sid, basis, rng_a.random())
-                assert bit == (0 if rng_b.random() < qsim.zero_probability(sid, basis) else 1)
-                assert qsim.interned(post) is materialize(label_spec(basis, bit))
+                bit, post = measure_flying(carrier(sid), basis, rng_a.random())
+                assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
+                assert post.state is materialize(label_spec(basis, bit))
 
     @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
     def test_joint_table_draws_like_sample_index(self, n):
@@ -503,7 +504,7 @@ class TestInternTables:
         with pytest.raises(ContractError):
             qsim.intern(state_of("Z0", "Z1"))
         with pytest.raises(ContractError):
-            qsim.zero_probability(0, "Y")
+            measure_flying(carrier(0), "Y", 0.5)
 
 
 class TestUnitaries:

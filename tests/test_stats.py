@@ -2,14 +2,14 @@
 
 import math
 import multiprocessing
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qconf import stats
 from qconf.adversary import AttackConfig
 from qconf.errors import ContractError
-from qconf.protocols import RunConfig, execute_trial
+from qconf.protocols import RunConfig
 from qconf.stats import (
     DISHONEST_MIDDLE_TRUE_PASS,
     AnalyticFormula,
@@ -114,16 +114,13 @@ class TestRunExperiment:
         parallel = run_experiment(self._experiment(), workers=2)
         assert serial == parallel
 
-    def test_pool_shut_down_when_a_trial_raises(self, monkeypatch):
-        # Forked workers inherit the patched ``execute_trial``.
-        def failing(config, trial=0):
-            if trial == 1:
-                raise RuntimeError("trial 1 failed")
-            return execute_trial(config, trial)
-
-        monkeypatch.setattr(stats, "execute_trial", failing)
-        with pytest.raises(RuntimeError, match="trial 1 failed"):
-            run_experiment(self._experiment(trials=4), workers=2)
+    def test_pool_shut_down_when_a_trial_raises(self):
+        # The pool path validates in the worker, so the job itself fails there
+        # under any start method: fork, forkserver or spawn.
+        config = replace(self._experiment(trials=4).config, message_length=0)
+        experiment = Experiment("raises", config, ("honest_correct",))
+        with pytest.raises(ContractError, match="message_length"):
+            run_experiment(experiment, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_se_formula(self):
