@@ -1,9 +1,10 @@
 """Adversary strategies: channel taps, a dishonest middle party, a cheating P1.
 
-Channel taps operate on in-flight qubits only; they never see keys,
-permutations, or decoy layouts, which is exactly the information boundary the
-protocols rely on.  Everything an attack learns or fabricates is kept in an
-:class:`AdversaryRecord` so experiments can score recovery rates afterwards.
+Channel taps operate on in-flight qubits only, each carried by its intern id
+(see ``channels``); they never see keys, permutations, or decoy layouts,
+which is exactly the information boundary the protocols rely on.  Everything
+an attack learns or fabricates is kept in an :class:`AdversaryRecord` so
+experiments can score recovery rates afterwards.
 """
 
 from __future__ import annotations
@@ -14,23 +15,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import LABEL_CARRIERS, FlyingQubit, carrier, measure_flying
+from .channels import measure_flying
 from .codec import consistent_outcome_codes
 from .errors import ContractError
-from .qsim import (
-    BASIS_X,
-    BASIS_Z,
-    LABEL_SPECS,
-    PAULIS,
-    Outcome,
-    QubitSpec,
-    apply_1q_unitary,
-    apply_cnot,
-    label_spec,
-    materialize,
-    pauli_image,
-    tensor,
-)
+from .qsim import BASIS_X, BASIS_Z, LABEL_SPECS, PAULIS, Outcome, QubitSpec, dephase, pauli_image
 from .rng import random_bits
 
 ATTACK_KINDS = (
@@ -118,7 +106,11 @@ class AttackConfig:
 
 @dataclass
 class AdversaryRecord:
-    """What the adversary saw or fabricated during one run, as transcripts report it."""
+    """What the adversary saw or fabricated during one run, as transcripts report it.
+
+    ``to_dict`` returns fresh native containers, so a transcript takes it as
+    is.
+    """
 
     kind: str = "none"
     guesses: dict = field(default_factory=dict)         # channel -> [(basis, bit)]
@@ -134,7 +126,7 @@ class AdversaryRecord:
                 ch: [[basis, int(bit)] for basis, bit in entries]
                 for ch, entries in self.guesses.items()
             },
-            "substituted": dict(self.substituted),
+            "substituted": {ch: list(labels) for ch, labels in self.substituted.items()},
             "ancilla_counts": dict(self.ancilla_counts),
             "announced": list(self.announced),
             "pauli_counts": list(self.pauli_counts),
@@ -151,27 +143,10 @@ def guess_basis(coin: float) -> str:
     return BASIS_Z if coin < 0.5 else BASIS_X
 
 
-def intercept_resend(
-    qubit: FlyingQubit, basis: str, u: float
-) -> tuple[FlyingQubit, tuple[str, int]]:
+def intercept_resend(qubit: int, basis: str, u: float) -> tuple[int, tuple[str, int]]:
     """Measure in the guessed basis with the uniform ``u``; forward the collapse."""
     bit, forwarded = measure_flying(qubit, basis, u)
     return forwarded, (basis, bit)
-
-
-def entangle_measure(
-    qubit: FlyingQubit, rng: np.random.Generator
-) -> tuple[FlyingQubit, object]:
-    """Entangle a fresh |0> ancilla via CNOT and forward the wire qubit.
-
-    The forwarded carrier keeps the whole joint state so later measurements
-    of the wire qubit stay physically correct; that joint state is also
-    returned on its own.
-    """
-    joint = tensor([qubit.state, materialize(label_spec(BASIS_Z, 0))])
-    ancilla_index = qubit.state.num_qubits
-    joint = apply_cnot(joint, qubit.channel_qubit, ancilla_index)
-    return FlyingQubit(joint, qubit.channel_qubit), joint
 
 
 def dos_cumulative(weights: tuple[float, ...]) -> list[float]:
@@ -186,30 +161,27 @@ def dos_cumulative(weights: tuple[float, ...]) -> list[float]:
     return cumulative
 
 
-def dos_attack(
-    qubit: FlyingQubit, cumulative: list[float], u: float
-) -> tuple[FlyingQubit, int]:
+def dos_attack(qubit: int, cumulative: list[float], u: float) -> tuple[int, int]:
     """Apply the Pauli that the uniform ``u`` picks from ``dos_cumulative``.
 
-    A single-qubit carrier takes its image from the intern table.
+    The carrier takes its image from the intern table.
     """
     choice = min(bisect_left(cumulative, u), 3)
     if choice == 0:
         return qubit, choice
-    if qubit.sid is not None:
-        return carrier(pauli_image(qubit.sid, choice)), choice
-    state = apply_1q_unitary(qubit.state, PAULIS[choice], qubit.channel_qubit)
-    return FlyingQubit(state, qubit.channel_qubit), choice
+    return pauli_image(qubit, choice), choice
 
 
 def mitm_attack(
-    sequence: list[FlyingQubit], rng: np.random.Generator
-) -> tuple[list[FlyingQubit], list[FlyingQubit], list[QubitSpec]]:
-    """Keep the genuine sequence; substitute fresh uniformly random qubits."""
+    sequence: list[int], rng: np.random.Generator
+) -> tuple[list[int], list[int], list[QubitSpec]]:
+    """Keep the genuine sequence; substitute fresh uniformly random qubits.
+
+    A label state's carrier is its index in ``LABEL_SPECS``.
+    """
     picks = rng.integers(0, 4, size=len(sequence)).tolist()
     specs = [LABEL_SPECS[p] for p in picks]
-    substituted = [LABEL_CARRIERS[p] for p in picks]
-    return list(sequence), substituted, specs
+    return list(sequence), picks, specs
 
 
 def dishonest_middle_announce(
@@ -269,7 +241,11 @@ class InterceptResendTap:
 
 
 class EntangleMeasureTap:
-    """Per-qubit CNOT onto a retained |0> ancilla."""
+    """Per-qubit CNOT onto a retained |0> ancilla that nothing reads.
+
+    The wire keeps its state with the ancilla traced out (``qsim.dephase``),
+    so ``apply`` draws nothing.
+    """
 
     kind = "entangle_measure"
 
@@ -279,7 +255,7 @@ class EntangleMeasureTap:
     def apply(self, qubits, rng, channel_id):
         counts = self.record.ancilla_counts
         counts[channel_id] = counts.get(channel_id, 0) + len(qubits)
-        return [entangle_measure(qubit, rng)[0] for qubit in qubits]
+        return [dephase(qubit) for qubit in qubits]
 
 
 class DosTap:

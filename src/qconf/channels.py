@@ -1,12 +1,10 @@
 """Quantum/classical channel machinery: permutations, decoys, estimations.
 
-A transmitted qubit is carried by a :class:`FlyingQubit`.  Normally its state
-is a single qubit, but an entangling adversary may extend it with ancilla
-qubits; ``channel_qubit`` marks which qubit of the state is actually on the
-wire, and every later measurement of that wire qubit goes through the full
-joint state.  The shared single-qubit carriers made by ``carrier`` hold
-their state's intern id (``sid``), and the ceremonies here measure them by
-table lookup.
+A transmitted qubit is carried by the intern id of its single-qubit state
+(see ``qsim``): a label state's id is its index in ``LABEL_SPECS``, which is
+also its ``codec.label_indices`` value, and the entangling attack's dephased
+qubit is ``qsim.MIXED``.  The ceremonies here measure carriers by table
+lookup.
 
 Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
 uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
@@ -27,18 +25,17 @@ from .qsim import (
     BASIS_X,
     BASIS_Z,
     MAX_TABLE_QUBITS,
+    MIXED,
     P0,
     JointBasis,
     LABEL_SPECS,
     Outcome,
-    PureState,
     QubitSpec,
     interned,
     label_id,
-    measure_embedded,
+    label_spec,
     measure_joint,
     measure_product,
-    measure_qubit,
     tensor,
 )
 
@@ -47,82 +44,59 @@ PHASE_SECOND = "second_estimation"
 PHASE_DECOY = "decoy_verification"
 PHASE_GUESS = "guess_comparison"
 
+# The label carrier a measurement in each basis collapses onto, by bit.
+_COLLAPSED = {
+    basis: (label_id(label_spec(basis, 0)), label_id(label_spec(basis, 1)))
+    for basis in (BASIS_Z, BASIS_X)
+}
 
-@dataclass(frozen=True)
-class FlyingQubit:
-    """One in-flight qubit, possibly entangled with adversary ancillas.
 
-    ``sid`` is the intern id of the state of a shared carrier made by
-    ``carrier``; every other carrier has None and is measured densely.
+def measure_flying(qubit: int, basis: str, u: float) -> tuple[int, int]:
+    """Measure a carrier in Z or X; returns (bit, collapsed carrier).
+
+    Reads ``p0`` from the intern table ``qsim.P0`` and collapses onto the
+    label carrier of (basis, bit).
     """
-
-    state: PureState
-    channel_qubit: int = 0
-    sid: int | None = field(default=None, init=False)
-
-
-_CARRIERS: dict[int, FlyingQubit] = {}
+    try:
+        bit = 0 if u < P0[qubit][basis] else 1
+    except KeyError:
+        raise ContractError(f"basis must be Z or X, got {basis!r}") from None
+    return bit, _COLLAPSED[basis][bit]
 
 
-def carrier(sid: int) -> FlyingQubit:
-    """The shared, immutable in-flight qubit of an interned state."""
-    qubit = _CARRIERS.get(sid)
-    if qubit is None:
-        qubit = _CARRIERS[sid] = FlyingQubit(interned(sid))
-        object.__setattr__(qubit, "sid", sid)
-    return qubit
+def measure_payload(
+    qubits: Sequence[int], bases: Sequence[str], rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """Measure each carrier in its basis; returns (bits, collapsed carriers).
 
-
-def flying(spec: QubitSpec) -> FlyingQubit:
-    """The shared, immutable in-flight qubit for a preparation."""
-    return carrier(label_id(spec))
-
-
-# The carriers of the four label states, in ``LABEL_SPECS`` order, so
-# ``codec.label_indices`` indexes them too.
-LABEL_CARRIERS = tuple(flying(spec) for spec in LABEL_SPECS)
-_COLLAPSED = {BASIS_Z: LABEL_CARRIERS[:2], BASIS_X: LABEL_CARRIERS[2:]}
-
-
-def measure_flying(qubit: FlyingQubit, basis: str, u: float) -> tuple[int, FlyingQubit]:
-    """Measure the wire qubit in Z or X; returns (bit, collapsed carrier).
-
-    A shared carrier reads its ``p0`` from the intern table ``qsim.P0`` and
-    collapses onto the label carrier of (basis, bit); any other carrier is
-    measured densely by ``measure_qubit``.
+    Draws ``len(bases)`` uniforms, as one block.
     """
-    sid = qubit.sid
-    if sid is not None:
-        try:
-            bit = 0 if u < P0[sid][basis] else 1
-        except KeyError:
-            raise ContractError(f"basis must be Z or X, got {basis!r}") from None
-        return bit, _COLLAPSED[basis][bit]
-    bit, post = measure_qubit(qubit.state, qubit.channel_qubit, basis, u)
-    return bit, FlyingQubit(post, qubit.channel_qubit)
+    if len(qubits) != len(bases):
+        raise ContractError("one basis per carrier")
+    bits = []
+    collapsed = []
+    for qubit, basis, u in zip(qubits, bases, rng.random(len(bases)).tolist()):
+        bit, post = measure_flying(qubit, basis, u)
+        bits.append(bit)
+        collapsed.append(post)
+    return bits, collapsed
 
 
-def measure_channel_tuple(
-    qubits: Sequence[FlyingQubit], basis: JointBasis, u: float
-) -> Outcome:
-    """Joint-basis measurement of one wire qubit per party, in party order.
+def measure_channel_tuple(qubits: Sequence[int], basis: JointBasis, u: float) -> Outcome:
+    """Joint-basis measurement of one carrier per party, in party order.
 
-    Up to ``MAX_TABLE_QUBITS`` single-qubit carriers are measured from the
-    joint table; wider tuples and entangled carriers build the joint state.
+    Up to ``MAX_TABLE_QUBITS`` carriers, or any tuple holding ``MIXED``, go
+    through ``qsim.measure_product``; wider pure tuples build their product
+    state.
     """
-    if len(qubits) <= MAX_TABLE_QUBITS and len(qubits) == basis.num_qubits:
-        ids = tuple(q.sid for q in qubits)
-        if None not in ids:
-            return measure_product(ids, u)
-    joint = tensor([q.state for q in qubits])
-    if joint.num_qubits == basis.num_qubits:
-        return measure_joint(joint, basis, u)
-    targets = []
-    offset = 0
-    for q in qubits:
-        targets.append(offset + q.channel_qubit)
-        offset += q.state.num_qubits
-    return measure_embedded(joint, targets, basis, u)
+    if len(qubits) != basis.num_qubits:
+        raise ContractError(
+            f"{len(qubits)} carriers for a {basis.num_qubits}-qubit joint basis"
+        )
+    ids = tuple(qubits)
+    if len(ids) <= MAX_TABLE_QUBITS or MIXED in ids:
+        return measure_product(ids, u)
+    return measure_joint(tensor([interned(sid) for sid in ids]), basis, u)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +175,21 @@ def make_decoy_set(
     return DecoySet(tuple(int(p) for p in positions), specs)
 
 
-def insert_decoys(payload: Sequence[FlyingQubit], decoys: DecoySet) -> list[FlyingQubit]:
+def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
     """Interleave decoys into the payload; removing them restores the order."""
     total = len(payload) + decoys.count
     if any(not 0 <= p < total for p in decoys.positions):
         raise ContractError("decoy positions out of range")
-    out: list[FlyingQubit] = []
+    out: list[int] = []
     decoy_at = dict(zip(decoys.positions, decoys.specs))
     payload_iter = iter(payload)
     for slot in range(total):
         spec = decoy_at.get(slot)
-        out.append(flying(spec) if spec is not None else next(payload_iter))
+        out.append(label_id(spec) if spec is not None else next(payload_iter))
     return out
 
 
-def extract_payload(seq: Sequence[FlyingQubit], decoys: DecoySet) -> list[FlyingQubit]:
+def extract_payload(seq: Sequence[int], decoys: DecoySet) -> list[int]:
     """Drop the decoy positions, recovering the payload in order."""
     positions = set(decoys.positions)
     if len(seq) < len(positions):
@@ -266,7 +240,7 @@ class ErrorEstimate:
 
 
 def verify_decoys(
-    received: list[FlyingQubit],
+    received: list[int],
     decoys: DecoySet,
     threshold: float,
     rng: np.random.Generator,
@@ -291,7 +265,7 @@ def verify_decoys(
 
 def first_error_estimation(
     prepared: Mapping[str, Sequence[QubitSpec]],
-    held: Mapping[str, list[FlyingQubit]],
+    held: Mapping[str, list[int]],
     perms: Mapping[str, Permutation],
     sample_positions: Sequence[int],
     threshold: float,
@@ -369,11 +343,11 @@ class QuantumChannel:
 
     def transmit(
         self,
-        qubits: list[FlyingQubit],
+        qubits: list[int],
         rng: np.random.Generator,
         record_event: Callable[..., None],
         **event_fields,
-    ) -> list[FlyingQubit]:
+    ) -> list[int]:
         """Carry the qubits through the tap; ``record_event`` logs the traffic.
 
         ``record_event(type_, **fields)`` is the transcript's ``add_event``.

@@ -45,8 +45,9 @@ def encode_message_qubit(msg_bit: int, key_bit: int) -> QubitSpec:
 def label_indices(bits: Sequence[int], x_flags: Sequence[int]) -> list[int]:
     """Each preparation as its index into ``LABEL_SPECS``: ``2 * x + bit``.
 
-    ``x`` is 1 (or True) where the basis is X.  The protocols pick carriers
-    (``channels.LABEL_CARRIERS``) and specs by this index, so
+    ``x`` is 1 (or True) where the basis is X.  The index is also the label
+    state's carrier (its ``qsim`` intern id), and the protocols pick specs by
+    it, so
     ``encode_message_qubit(b, k)`` is ``LABEL_SPECS[label_indices([b], [k])[0]]``.
     """
     return [2 * x + b for b, x in zip(bits, x_flags)]

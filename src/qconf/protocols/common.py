@@ -10,7 +10,6 @@ import numpy as np
 
 from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
 from ..channels import (
-    LABEL_CARRIERS,
     ErrorEstimate,
     QuantumChannel,
     first_error_estimation,
@@ -163,9 +162,9 @@ class Transcript:
 
         Each event, estimate and key stage is copied one level deep: their
         values were made JSON-safe on entry and are never changed after.
-        The fields set by plain assignment (config, outputs, secrets) and
-        the adversary record, rendered here, are small and go through
-        ``_plain``.
+        The fields set by plain assignment (config, outputs, secrets) are
+        small and go through ``_plain``; the adversary record renders itself
+        as fresh native containers.
         """
         return {
             "config": _plain(self.config),
@@ -174,7 +173,7 @@ class Transcript:
             "estimates": [dict(estimate) for estimate in self.estimates],
             "outputs": _plain(self.outputs),
             "abort": dict(self.abort),
-            "adversary": None if self.adversary is None else _plain(self.adversary.to_dict()),
+            "adversary": None if self.adversary is None else self.adversary.to_dict(),
             "secrets": _plain(self.secrets),
         }
 
@@ -223,9 +222,10 @@ def relay_round(
     """Permute, send to the middle party, spot-check, reveal, measure jointly.
 
     ``labels`` holds each party's preparations in party order, as indices
-    into ``LABEL_SPECS`` (``codec.label_indices``).  With
-    ``cheating_middle`` the middle party measures every qubit of a round in
-    one random basis and announces an outcome consistent with what it saw.
+    into ``LABEL_SPECS`` (``codec.label_indices``), which are also their
+    carriers.  With ``cheating_middle`` the middle party measures every
+    qubit of a round in one random basis and announces an outcome
+    consistent with what it saw.
     Returns the positions kept after the spot check and one announced
     outcome per kept position, or None when the spot check aborts.
     """
@@ -235,9 +235,7 @@ def relay_round(
     held = {}
     for p in parties:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
-        held[p] = channel.transmit(
-            permute([LABEL_CARRIERS[c] for c in labels[p]], perms[p]), rng, transcript.add_event
-        )
+        held[p] = channel.transmit(permute(labels[p], perms[p]), rng, transcript.add_event)
 
     sample = sorted_sample(rng, length, sample_size(params.delta, length))
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)

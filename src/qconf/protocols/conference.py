@@ -19,13 +19,12 @@ import numpy as np
 
 from ..adversary import AttackConfig, make_tap
 from ..channels import (
-    LABEL_CARRIERS,
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
     insert_decoys,
     make_decoy_set,
-    measure_flying,
+    measure_payload,
     verify_decoys,
 )
 from ..codec import decode_x_round, decode_z_round, exchange_basis, label_indices
@@ -129,10 +128,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     read_bases = [exchange_basis(i + 1) for i in x_rounds]
     read_x = [basis == BASIS_X for basis in read_bases]
     exchange_sets = {
-        p: [
-            LABEL_CARRIERS[c]
-            for c in label_indices([msg3[a][i] for i in x_rounds], read_x)
-        ]
+        p: label_indices([msg3[a][i] for i in x_rounds], read_x)
         for a, p in enumerate(parties)
     }
     learned = {p: {} for p in parties}
@@ -175,13 +171,7 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
             prev = parties[(a - 1) % n_parties]
             payload = extract_payload(received[p], decoys[prev])
             source = parties[(a - hop) % n_parties]
-            bits = []
-            uniforms = rng.random(len(x_rounds)).tolist()
-            for j, (basis, u) in enumerate(zip(read_bases, uniforms)):
-                bit, payload[j] = measure_flying(payload[j], basis, u)
-                bits.append(bit)
-            learned[p][source] = bits
-            current[p] = payload
+            learned[p][source], current[p] = measure_payload(payload, read_bases, rng)
 
     # The one party never heard from directly is pinned down by the XOR view.
     recovered = {p: {} for p in parties}

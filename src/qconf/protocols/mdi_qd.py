@@ -15,7 +15,6 @@ import numpy as np
 
 from ..adversary import AttackConfig, guess_basis, make_tap
 from ..channels import (
-    LABEL_CARRIERS,
     PHASE_GUESS,
     ErrorEstimate,
     QuantumChannel,
@@ -136,7 +135,7 @@ def run_mdi_qd_original(
     shared_bases = _shared_guess_bases(attack, n, rng)
     held = {}
     for p in PAIR_PARTIES:
-        sent = [LABEL_CARRIERS[c] for c in label_indices(msgs[p], key)]
+        sent = label_indices(msgs[p], key)
         channel = QuantumChannel(
             p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}", shared_bases)
         )

@@ -94,8 +94,10 @@ class RunConfig:
                 raise ContractError("n_parties: dialogue protocols take exactly 2")
         elif self.n_parties < 3:
             raise ContractError("n_parties: conference/xor need at least 3")
-        # The relay measures one carrier per party jointly; entangle_measure
-        # ties an ancilla to each carrier, doubling the joint state's qubits.
+        # The relay measures one carrier per party jointly.  Under
+        # entangle_measure each carrier may be ``qsim.MIXED``, and averaging
+        # over k mixed carriers costs 2^(n+k), as a joint state of n + k
+        # qubits would.
         qubits = self.n_parties * (2 if self.attack.kind == "entangle_measure" else 1)
         if qubits > MAX_QUBITS:
             # 16-byte amplitudes; the size is capped so that it stays printable.

@@ -21,13 +21,12 @@ import numpy as np
 
 from ..adversary import AttackConfig, draw_substitute_blind, make_tap
 from ..channels import (
-    LABEL_CARRIERS,
     PHASE_DECOY,
     QuantumChannel,
     extract_payload,
     insert_decoys,
     make_decoy_set,
-    measure_flying,
+    measure_payload,
     verify_decoys,
 )
 from ..codec import derive_select_bit, embed_payload, label_indices, payload_positions
@@ -73,7 +72,7 @@ def run_xor(
     mask = random_bits(rng, m)
     transcript.secrets["mask"] = bits_to_str(mask)
     mask_received = {parties[0]: mask}
-    mask_sent = [LABEL_CARRIERS[c] for c in label_indices(mask.tolist(), key_bits)]
+    mask_sent = label_indices(mask.tolist(), key_bits)
     mask_bases = [BASIS_X if k else BASIS_Z for k in key_bits[:m]]
     for a in range(1, n_parties):
         p = parties[a]
@@ -99,11 +98,7 @@ def run_xor(
         if estimate.verdict == "abort":
             transcript.record_abort(PHASE_DECOY)
             return transcript
-        payload = extract_payload(received, decoys)
-        bits = []
-        for i, (basis, u) in enumerate(zip(mask_bases, rng.random(m).tolist())):
-            bit, payload[i] = measure_flying(payload[i], basis, u)
-            bits.append(bit)
+        bits, _ = measure_payload(extract_payload(received, decoys), mask_bases, rng)
         mask_received[p] = np.array(bits, dtype=np.uint8)
 
     blind = mask

@@ -10,10 +10,12 @@ computational index ``i`` with its bitwise complement::
 and outcomes are wire-encoded as ``code = 2 * index + sign_bit`` so that the
 code order matches the natural listing order of the basis.
 
-Single-qubit states are interned (see ``intern``): each distinct state gets
-a small integer id, and its Born probabilities, Pauli images and small joint
-distributions are computed once and looked up by id after.  Dense vectors
-carry entangled states and joint measurements of more than three qubits.
+Every qubit on the wire is a single-qubit state held by its intern id (see
+``intern``): each distinct state gets a small integer id, and its Born
+probabilities, Pauli images and small joint distributions are computed once
+and looked up by id after.  One id, ``MIXED``, is the maximally mixed state
+I/2 that the entangling attack leaves on the wire (see ``dephase``).  Dense
+vectors appear only inside the joint-distribution code.
 
 Nothing here draws random numbers: each measurement takes one uniform
 ``u`` in [0, 1), drawn by its caller, so a ceremony can draw the uniforms of
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +47,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_IY = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i * sigma_y
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array(
-    [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=complex
-)
 # The Paulis in the order the stochastic-Pauli attack's weights index them.
 PAULIS = (PAULI_I, PAULI_X, PAULI_IY, PAULI_Z)
 
@@ -231,19 +230,19 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 # Interned single-qubit states
 # ---------------------------------------------------------------------------
 #
-# Outside the entangling attack every carrier is one qubit in a state reached
-# from the four label states by Paulis and collapses: a small, closed set.
-# Each such state is interned once, keyed on its exact amplitude bytes, and
-# gets a small integer id.  Three tables keyed by id hold what the protocols
-# compute from it: ``P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for
-# products of at most ``MAX_TABLE_QUBITS``, ``_JOINT[ids]``.  Each entry is
+# Every carrier is one qubit in a state reached from the four label states by
+# Paulis, collapses and the entangling attack: a small, closed set.  Each pure
+# state is interned once, keyed on its exact amplitude bytes, and gets a small
+# integer id.  Three tables keyed by id hold what the protocols compute from
+# it: ``P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for products of at most
+# ``MAX_TABLE_QUBITS``, ``_JOINT[ids]``.  Each entry of a pure state is
 # computed once by the dense code from those same bytes, so a lookup returns
-# exactly the float that code would return on every call.  States whose bytes
-# differ by one ULP keep separate ids, and more than ``MAX_INTERNED`` states
-# raise rather than grow the tables.
+# exactly the float that code would return on every call.  States whose
+# bytes differ by one ULP keep separate ids, and more than ``MAX_INTERNED``
+# states raise rather than grow the tables.
 
 _INTERN_IDS: dict[bytes, int] = {}
-_INTERNED: list[PureState] = []
+_INTERNED: list[PureState | None] = []
 # Read by ``channels.measure_flying``, the one single-qubit measurement of
 # an interned state.
 P0: list[dict[str, float]] = []
@@ -271,23 +270,22 @@ def intern(state: PureState) -> int:
     if state.num_qubits != 1:
         raise ContractError("only single-qubit states are interned")
     key = state.amplitudes.tobytes()
-    sid = _INTERN_IDS.get(key)
-    if sid is None:
-        if len(_INTERNED) >= MAX_INTERNED:
-            raise ResourceLimitError(
-                f"more than {MAX_INTERNED} distinct single-qubit states; "
-                "amplitudes are drifting under renormalization"
-            )
-        sid = len(_INTERNED)
-        P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
-        _IMAGE.append([None] * len(PAULIS))
-        _INTERNED.append(state)
-        _INTERN_IDS[key] = sid
+    if key in _INTERN_IDS:
+        return _INTERN_IDS[key]
+    if len(_INTERNED) >= MAX_INTERNED:
+        raise ResourceLimitError(
+            f"more than {MAX_INTERNED} distinct single-qubit states; "
+            "amplitudes are drifting under renormalization"
+        )
+    sid = _INTERN_IDS[key] = len(_INTERNED)
+    P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
+    _IMAGE.append([None] * len(PAULIS))
+    _INTERNED.append(state)
     return sid
 
 
-def interned(sid: int) -> PureState:
-    """The state behind an intern id."""
+def interned(sid: int) -> PureState | None:
+    """The pure state behind an intern id; None for ``MIXED``."""
     return _INTERNED[sid]
 
 
@@ -305,29 +303,46 @@ def pauli_image(sid: int, pauli: int) -> int:
     return image
 
 
+def dephase(sid: int) -> int:
+    """Id of the wire qubit after a CNOT onto a fresh |0> ancilla.
+
+    Nothing reads the ancilla afterwards, so the wire carries what is left
+    once the ancilla is traced out: Z labels pass unchanged, and X labels
+    become ``MIXED``, which stays ``MIXED``.  Only the label states and
+    ``MIXED`` are defined.
+    """
+    try:
+        return _DEPHASED[sid]
+    except KeyError:
+        raise ContractError(f"only label states and MIXED are dephased, got id {sid}") from None
+
+
 def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
     """Cumulative outcome probabilities of a product of interned states.
 
-    Built once per id tuple from ``tensor``, ``outcome_distribution`` and a
-    running sum, exactly as ``measure_joint`` and ``sample_index`` compute
-    them.  Only products of at most ``MAX_TABLE_QUBITS`` are tabled: wider
-    ones have too many tuples to keep.
+    ``MIXED`` is the even mixture of Z0 and Z1, so a product holding k of
+    them averages its 2^k Z0/Z1 substitutions, each measured by ``tensor``
+    and ``outcome_distribution``.  Without ``MIXED`` this is exactly the
+    running sum ``measure_joint`` and ``sample_index`` compute.  Products of
+    at most ``MAX_TABLE_QUBITS`` are tabled, once per id tuple; wider ones
+    have too many tuples to keep.
     """
     cumulative = _JOINT.get(ids)
     if cumulative is None:
-        if len(ids) > MAX_TABLE_QUBITS:
-            raise ResourceLimitError(
-                f"joint table holds products of at most {MAX_TABLE_QUBITS} qubits"
-            )
-        state = tensor([_INTERNED[sid] for sid in ids])
-        probs = outcome_distribution(state, build_joint_basis(len(ids)))
-        cumulative = list(accumulate(probs.tolist()))
-        _JOINT[ids] = cumulative
+        basis = build_joint_basis(len(ids))
+        choices = [_Z_LABELS if sid == MIXED else (sid,) for sid in ids]
+        total = sum(
+            outcome_distribution(tensor([_INTERNED[sid] for sid in pure]), basis)
+            for pure in product(*choices)
+        )
+        cumulative = list(accumulate((total / 2 ** ids.count(MIXED)).tolist()))
+        if len(ids) <= MAX_TABLE_QUBITS:
+            _JOINT[ids] = cumulative
     return cumulative
 
 
 def measure_product(ids: tuple[int, ...], u: float) -> Outcome:
-    """Joint-basis outcome of a product of interned states, from the joint table."""
+    """Joint-basis outcome of a product of interned states."""
     return Outcome.from_code(_draw(joint_cumulative(ids), u))
 
 
@@ -335,6 +350,21 @@ def measure_product(ids: tuple[int, ...], u: float) -> Outcome:
 _LABEL_IDS = {
     label: intern(PureState(1, np.array(amps, dtype=complex)))
     for label, amps in _LABEL_AMPLITUDES.items()
+}
+_Z_LABELS = (_LABEL_IDS[BASIS_Z, 0], _LABEL_IDS[BASIS_Z, 1])
+
+# The maximally mixed state I/2 takes the next id.  It has no amplitudes:
+# both bases read it as a fair coin, and every Pauli leaves it unchanged.
+MIXED = len(_INTERNED)
+_INTERNED.append(None)
+P0.append({BASIS_Z: 0.5, BASIS_X: 0.5})
+_IMAGE.append([MIXED] * len(PAULIS))
+
+_DEPHASED = {
+    **{sid: sid for sid in _Z_LABELS},
+    _LABEL_IDS[BASIS_X, 0]: MIXED,
+    _LABEL_IDS[BASIS_X, 1]: MIXED,
+    MIXED: MIXED,
 }
 
 
@@ -393,59 +423,6 @@ def measure_joint(state: PureState, basis: JointBasis, u: float) -> Outcome:
     return Outcome.from_code(sample_index(probs, u))
 
 
-def measure_embedded(
-    state: PureState, targets: Sequence[int], basis: JointBasis, u: float
-) -> Outcome:
-    """Joint-basis measurement of a subset of qubits of a larger state.
-
-    Used when transmitted qubits carry entangled ancillas: the outcome
-    probability marginalizes over every non-target qubit.
-    """
-    k = basis.num_qubits
-    n = state.num_qubits
-    targets = list(targets)
-    if len(targets) != k:
-        raise ContractError("number of targets must match the basis size")
-    if len(set(targets)) != len(targets) or any(not 0 <= t < n for t in targets):
-        raise ContractError(f"bad target qubits {targets} for {n}-qubit state")
-    if n == k:
-        # targets must then be a permutation of all qubits; the common case
-        # is identity order, for which the plain path is faster.
-        if targets == list(range(n)):
-            return measure_joint(state, basis, u)
-    rest = [q for q in range(n) if q not in set(targets)]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.transpose(psi, axes=targets + rest).reshape(2**k, -1)
-    probs = sum(_pair_probabilities(column) for column in psi.T)
-    return Outcome.from_code(sample_index(probs, u))
-
-
-def measure_qubit(
-    state: PureState, target: int, basis: str, u: float
-) -> tuple[int, PureState]:
-    """Measure one qubit of a multi-qubit state in Z or X; collapses in place."""
-    n = state.num_qubits
-    if not 0 <= target < n:
-        raise ContractError(f"target {target} out of range for {n} qubits")
-    if basis == BASIS_X:
-        state = apply_1q_unitary(state, HADAMARD, target)
-    elif basis != BASIS_Z:
-        raise ContractError(f"basis must be Z or X, got {basis!r}")
-    shift = n - 1 - target
-    amps = state.amplitudes
-    ones = ((np.arange(state.dim) >> shift) & 1).astype(bool)
-    p0 = float(np.sum(np.abs(amps[~ones]) ** 2))
-    bit = 0 if u < p0 else 1
-    keep = ones if bit == 1 else ~ones
-    collapsed = np.where(keep, amps, 0.0)
-    prob = p0 if bit == 0 else 1.0 - p0
-    collapsed = collapsed / math.sqrt(prob)
-    post = PureState(n, collapsed)
-    if basis == BASIS_X:
-        post = apply_1q_unitary(post, HADAMARD, target)
-    return bit, post
-
-
 # ---------------------------------------------------------------------------
 # Unitaries
 # ---------------------------------------------------------------------------
@@ -468,20 +445,6 @@ def apply_1q_unitary(state: PureState, u: np.ndarray, target: int) -> PureState:
     out = np.moveaxis(out, 0, target).reshape(-1)
     out = out / math.sqrt(float(np.sum(np.abs(out) ** 2)))
     return PureState(n, out)
-
-
-def apply_cnot(state: PureState, control: int, target: int) -> PureState:
-    """CNOT in the product-order convention (qubit 0 most significant)."""
-    n = state.num_qubits
-    if control == target:
-        raise ContractError("control and target must differ")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise ContractError(f"qubit index {q} out of range for {n} qubits")
-    idx = np.arange(state.dim)
-    control_bit = (idx >> (n - 1 - control)) & 1
-    source = idx ^ (control_bit << (n - 1 - target))
-    return PureState(n, state.amplitudes[source])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class AnalyticFormula:
     """Closed-form probability, evaluable at arbitrary valid parameters."""
 
     name: str
-    params: tuple[str, ...]
     fn: Callable[..., float]
 
     def evaluate(self, **kwargs) -> float:
@@ -348,49 +347,43 @@ def analytic_catalog() -> dict[str, AnalyticFormula]:
     formulas and the simulation agree on the same integers.
     """
     entries = [
-        AnalyticFormula("mdi_original_attacker_pair_recovery", (), lambda: 5 / 8),
-        AnalyticFormula("mdi_original_per_bit_detection", (), lambda: 1 / 4),
-        AnalyticFormula("mdi_modified_position_pass", (), lambda: 9 / 16),
-        AnalyticFormula("mdi_modified_attacker_pair_recovery", (), lambda: 1 / 4),
-        AnalyticFormula("intercept_qubit_pass", (), lambda: 3 / 4),
-        AnalyticFormula("entangle_qubit_pass", (), lambda: 3 / 4),
-        AnalyticFormula("mitm_qubit_pass", (), lambda: 1 / 2),
-        AnalyticFormula("dos_qubit_pass", ("weights",), _dos_pass),
+        AnalyticFormula("mdi_original_attacker_pair_recovery", lambda: 5 / 8),
+        AnalyticFormula("mdi_original_per_bit_detection", lambda: 1 / 4),
+        AnalyticFormula("mdi_modified_position_pass", lambda: 9 / 16),
+        AnalyticFormula("mdi_modified_attacker_pair_recovery", lambda: 1 / 4),
+        AnalyticFormula("intercept_qubit_pass", lambda: 3 / 4),
+        AnalyticFormula("entangle_qubit_pass", lambda: 3 / 4),
+        AnalyticFormula("mitm_qubit_pass", lambda: 1 / 2),
+        AnalyticFormula("dos_qubit_pass", _dos_pass),
         AnalyticFormula(
             "conference_intercept_position_pass",
-            ("n_parties",),
             lambda n_parties: (3 / 4) ** n_parties,
         ),
-        AnalyticFormula("dishonest_middle_check_pass", (), lambda: 7 / 8),
+        AnalyticFormula("dishonest_middle_check_pass", lambda: 7 / 8),
         AnalyticFormula(
             "mdi_modified_detection",
-            ("delta", "length"),
             lambda delta, length: 1 - (9 / 16) ** sample_size(delta, length),
         ),
         AnalyticFormula(
             "conference_intercept_detection",
-            ("delta", "length", "n_parties"),
             lambda delta, length, n_parties: 1
             - (3 / 4) ** _first_checks(delta, length, n_parties),
         ),
         AnalyticFormula(
             "conference_mitm_detection",
-            ("delta", "length", "n_parties"),
             lambda delta, length, n_parties: 1
             - (1 / 2) ** _first_checks(delta, length, n_parties),
         ),
         AnalyticFormula(
             "decoy_intercept_detection",
-            ("decoy_count",),
             lambda decoy_count: 1 - (3 / 4) ** decoy_count,
         ),
         AnalyticFormula(
             "dishonest_middle_detection",
-            ("delta", "gamma", "length"),
             lambda delta, gamma, length: 1
             - (7 / 8) ** sample_size(gamma, length - sample_size(delta, length)),
         ),
-        AnalyticFormula("xor_blind_guess_chance", (), lambda: 1 / 2),
+        AnalyticFormula("xor_blind_guess_chance", lambda: 1 / 2),
     ]
     return {f.name: f for f in entries}
 

@@ -25,7 +25,6 @@ import pytest
 from qconf.adversary import AttackConfig
 from qconf.channels import (
     extract_payload,
-    flying,
     insert_decoys,
     make_decoy_set,
     permute,
@@ -44,6 +43,7 @@ from qconf.qsim import (
     Outcome,
     build_joint_basis,
     dense_joint_basis,
+    label_id,
     materialize,
     outcome_distribution,
     tensor,
@@ -344,7 +344,7 @@ def test_criterion_9d_permutation_decoy_round_trips():
         perm = random_permutation(length, rng)
         seq = list(rng.integers(0, 10_000, size=length))
         assert unpermute(permute(seq, perm), perm) == seq
-        payload = [flying(QubitSpec("Z", int(v))) for v in random_bits(rng, length)]
+        payload = [label_id(QubitSpec("Z", int(v))) for v in random_bits(rng, length)]
         decoys = make_decoy_set(length, int(rng.integers(0, 24)), rng)
         assert extract_payload(insert_decoys(payload, decoys), decoys) == payload
     report(9, "permutation/decoy round-trips (1000 randomized cases)", True)

@@ -7,21 +7,23 @@ from itertools import product
 import numpy as np
 import pytest
 
+from purification import carrier_density, purify, wire_density
 from qconf.adversary import (
+    AdversaryRecord,
     AttackConfig,
+    EntangleMeasureTap,
     dishonest_middle_announce,
     dos_attack,
     dos_cumulative,
     draw_substitute_blind,
-    entangle_measure,
     guess_basis,
     intercept_resend,
     mitm_attack,
 )
-from qconf.channels import flying, measure_flying
+from qconf.channels import measure_flying
 from qconf.codec import consistent_outcome_codes
 from qconf.errors import ContractError
-from qconf.qsim import QubitSpec
+from qconf.qsim import MIXED, QubitSpec, interned, label_id
 from qconf.rng import make_rng, random_bits
 
 R = 1.0 / math.sqrt(2.0)
@@ -53,9 +55,9 @@ class TestAttackConfig:
 class TestInterceptResend:
     def test_matching_basis_undetectable(self):
         rng = make_rng(40)
-        forwarded, (basis, bit) = intercept_resend(flying(QubitSpec("Z", 0)), "Z", rng.random())
+        forwarded, (basis, bit) = intercept_resend(label_id(QubitSpec("Z", 0)), "Z", rng.random())
         assert (basis, bit) == ("Z", 0)
-        np.testing.assert_allclose(forwarded.state.amplitudes, [1, 0], atol=1e-12)
+        np.testing.assert_allclose(interned(forwarded).amplitudes, [1, 0], atol=1e-12)
 
     def test_wrong_basis_half_detected(self):
         # |0> read in X forwards |+> or |->; a later Z check passes half the
@@ -64,7 +66,7 @@ class TestInterceptResend:
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            forwarded, _ = intercept_resend(flying(QubitSpec("Z", 0)), "X", rng.random())
+            forwarded, _ = intercept_resend(label_id(QubitSpec("Z", 0)), "X", rng.random())
             bit, _ = measure_flying(forwarded, "Z", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
@@ -75,48 +77,67 @@ class TestInterceptResend:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            forwarded, _ = intercept_resend(flying(spec), guess_basis(rng.random()), rng.random())
+            basis = guess_basis(rng.random())
+            forwarded, _ = intercept_resend(label_id(spec), basis, rng.random())
             bit, _ = measure_flying(forwarded, spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.75) < 0.01
 
 
+def entangle(label: str) -> int:
+    """The carrier the entangling tap forwards for one label state."""
+    tap = EntangleMeasureTap(AdversaryRecord(kind="entangle_measure"))
+    (forwarded,) = tap.apply([label_id(QubitSpec.from_label(label))], None, "P1->middle")
+    return forwarded
+
+
 class TestEntangleMeasure:
+    """The tap forwards what the CNOT's purification leaves on the wire."""
+
     def test_z_state_copies(self):
         rng = make_rng(43)
-        forwarded, joint = entangle_measure(flying(QubitSpec("Z", 1)), rng)
-        expected = np.zeros(4)
-        expected[3] = 1.0
-        np.testing.assert_allclose(joint.amplitudes, expected, atol=1e-12)
+        joint = purify(["Z1"], [0])
+        np.testing.assert_allclose(joint, [0, 0, 0, 1], atol=1e-12)
+        forwarded = entangle("Z1")
+        assert forwarded == label_id(QubitSpec("Z", 1))
+        np.testing.assert_allclose(carrier_density(forwarded), wire_density(joint, 0), atol=1e-15)
         bit, _ = measure_flying(forwarded, "Z", rng.random())
         assert bit == 1  # Z checks never fail
 
     def test_plus_becomes_phi_plus(self):
-        rng = make_rng(44)
-        _, joint = entangle_measure(flying(QubitSpec("X", 0)), rng)
-        np.testing.assert_allclose(joint.amplitudes, [R, 0, 0, R], atol=1e-12)
+        joint = purify(["X0"], [0])
+        np.testing.assert_allclose(joint, [R, 0, 0, R], atol=1e-12)
+        assert entangle("X0") == MIXED
+        np.testing.assert_allclose(carrier_density(MIXED), wire_density(joint, 0), atol=1e-15)
 
     def test_minus_becomes_phi_minus(self):
-        rng = make_rng(45)
-        _, joint = entangle_measure(flying(QubitSpec("X", 1)), rng)
-        np.testing.assert_allclose(joint.amplitudes, [R, 0, 0, -R], atol=1e-12)
+        joint = purify(["X1"], [0])
+        np.testing.assert_allclose(joint, [R, 0, 0, -R], atol=1e-12)
+        assert entangle("X1") == MIXED
+        np.testing.assert_allclose(carrier_density(MIXED), wire_density(joint, 0), atol=1e-15)
 
     def test_x_check_fails_half(self):
         rng = make_rng(46)
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            forwarded, _ = entangle_measure(flying(QubitSpec("X", 0)), rng)
-            bit, _ = measure_flying(forwarded, "X", rng.random())
+            bit, _ = measure_flying(entangle("X0"), "X", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
+
+    def test_counts_ancillas_per_channel(self):
+        record = AdversaryRecord(kind="entangle_measure")
+        tap = EntangleMeasureTap(record)
+        tap.apply([0, 2, 3], None, "P1->middle")
+        tap.apply([MIXED], None, "P1->middle")
+        assert record.ancilla_counts == {"P1->middle": 4}
 
 
 class TestDos:
     def test_identity_weights_pass_always(self):
         rng = make_rng(47)
         weights = dos_cumulative((1.0, 0.0, 0.0, 0.0))
-        out, choice = dos_attack(flying(QubitSpec("X", 1)), weights, rng.random())
+        out, choice = dos_attack(label_id(QubitSpec("X", 1)), weights, rng.random())
         assert choice == 0
         bit, _ = measure_flying(out, "X", rng.random())
         assert bit == 1
@@ -126,7 +147,7 @@ class TestDos:
         trials = 5000
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(flying(spec), dos_cumulative((0.0, 0.0, 1.0, 0.0)), rng.random())
+            out, _ = dos_attack(label_id(spec), dos_cumulative((0.0, 0.0, 1.0, 0.0)), rng.random())
             bit, _ = measure_flying(out, spec.basis, rng.random())
             assert bit != spec.bit
 
@@ -136,7 +157,7 @@ class TestDos:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(flying(spec), dos_cumulative((0.0, 1.0, 0.0, 0.0)), rng.random())
+            out, _ = dos_attack(label_id(spec), dos_cumulative((0.0, 1.0, 0.0, 0.0)), rng.random())
             bit, _ = measure_flying(out, spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.5) < 0.01
@@ -149,7 +170,7 @@ class TestDos:
 class TestMitm:
     def test_keeps_originals(self):
         rng = make_rng(50)
-        originals = [flying(QubitSpec("Z", 1)), flying(QubitSpec("X", 0))]
+        originals = [label_id(QubitSpec("Z", 1)), label_id(QubitSpec("X", 0))]
         kept, substituted, specs = mitm_attack(originals, rng)
         assert kept == originals
         assert len(substituted) == len(specs) == 2
@@ -160,7 +181,7 @@ class TestMitm:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            _, substituted, _ = mitm_attack([flying(spec)], rng)
+            _, substituted, _ = mitm_attack([label_id(spec)], rng)
             bit, _ = measure_flying(substituted[0], spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.5) < 0.01

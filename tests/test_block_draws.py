@@ -10,12 +10,12 @@ gives.  These tests pin that identity and the count each ceremony draws.
 import numpy as np
 import pytest
 
-from qconf.adversary import AdversaryRecord, DosTap, InterceptResendTap, entangle_measure
+from qconf.adversary import AdversaryRecord, DosTap, EntangleMeasureTap, InterceptResendTap
 from qconf.channels import (
-    LABEL_CARRIERS,
     first_error_estimation,
     insert_decoys,
     make_decoy_set,
+    measure_payload,
     permute,
     random_permutation,
     verify_decoys,
@@ -39,12 +39,14 @@ def assert_advanced_by(rng, before, count):
     assert rng.bit_generator.state == before.bit_generator.state
 
 
+def entangle(qubits):
+    """The carriers after the entangling tap, which draws nothing."""
+    return EntangleMeasureTap(AdversaryRecord(kind="entangle_measure")).apply(qubits, None, "")
+
+
 def carriers(labels, entangled):
-    """Label carriers, or each one entangled with a |0> ancilla."""
-    sent = [LABEL_CARRIERS[c] for c in labels]
-    if entangled:
-        sent = [entangle_measure(q, None)[0] for q in sent]
-    return sent
+    """Label carriers (a label's index is its carrier), or each one tapped."""
+    return entangle(list(labels)) if entangled else list(labels)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
@@ -75,10 +77,8 @@ def test_first_estimation_draws_one_per_check(entangled):
 def test_verify_decoys_draws_one_per_decoy(entangled):
     rng = make_rng(61)
     decoys = make_decoy_set(12, 9, rng)
-    payload = [LABEL_CARRIERS[c] for c in rng.integers(0, 4, size=12).tolist()]
-    received = insert_decoys(payload, decoys)
-    if entangled:
-        received = [entangle_measure(q, None)[0] for q in received]
+    payload = rng.integers(0, 4, size=12).tolist()
+    received = carriers(insert_decoys(payload, decoys), entangled)
     before = twin(rng)
     estimate = verify_decoys(received, decoys, 0.0, rng)
     assert_advanced_by(rng, before, decoys.count)
@@ -109,3 +109,14 @@ def test_dos_tap_draws_one_per_qubit(entangled):
     DosTap(record, (0.5, 0.5, 0.5, 0.5)).apply(qubits, rng, "P1->middle")
     assert_advanced_by(rng, before, len(qubits))
     assert sum(record.pauli_counts) == len(qubits)
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_measure_payload_draws_one_per_basis(entangled):
+    rng = make_rng(64)
+    qubits = carriers(rng.integers(0, 4, size=20).tolist(), entangled)
+    bases = [BASIS_Z, BASIS_X] * 10
+    before = twin(rng)
+    bits, collapsed = measure_payload(qubits, bases, rng)
+    assert_advanced_by(rng, before, len(bases))
+    assert len(bits) == len(collapsed) == len(qubits)

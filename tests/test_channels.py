@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from qconf import qsim
-from qconf.adversary import entangle_measure
+from qconf.adversary import AdversaryRecord, EntangleMeasureTap
 from qconf.channels import (
     DecoySet,
-    FlyingQubit,
     Permutation,
     QuantumChannel,
-    carrier,
     extract_payload,
     first_error_estimation,
-    flying,
     insert_decoys,
     make_decoy_set,
     measure_channel_tuple,
     measure_flying,
+    measure_payload,
     permute,
     random_permutation,
     second_error_estimation,
@@ -29,9 +27,12 @@ from qconf.errors import ContractError
 from qconf.protocols import RunConfig, Transcript, execute_trial
 from qconf.qsim import (
     LABEL_SPECS,
+    MIXED,
     Outcome,
     QubitSpec,
     build_joint_basis,
+    interned,
+    label_id,
     materialize,
     measure_joint,
     tensor,
@@ -68,12 +69,12 @@ class TestPermutation:
 
 class TestDecoys:
     def test_zero_decoys(self):
-        payload = [flying(QubitSpec("Z", 0))]
+        payload = [label_id(QubitSpec("Z", 0))]
         decoys = DecoySet((), ())
         assert insert_decoys(payload, decoys) == payload
 
     def test_positional_bookkeeping(self):
-        payload = [flying(QubitSpec("Z", b)) for b in (0, 1, 0)]
+        payload = [label_id(QubitSpec("Z", b)) for b in (0, 1, 0)]
         decoys = DecoySet((0, 4), (QubitSpec("X", 0), QubitSpec("X", 1)))
         out = insert_decoys(payload, decoys)
         assert len(out) == 5
@@ -85,7 +86,7 @@ class TestDecoys:
         for _ in range(1000):
             length = int(rng.integers(1, 40))
             count = int(rng.integers(0, 20))
-            payload = [flying(QubitSpec("Z", int(b))) for b in random_bits(rng, length)]
+            payload = [label_id(QubitSpec("Z", int(b))) for b in random_bits(rng, length)]
             decoys = make_decoy_set(length, count, rng)
             assert extract_payload(insert_decoys(payload, decoys), decoys) == payload
 
@@ -97,7 +98,7 @@ class TestDecoys:
         rng = make_rng(22)
         for _ in range(200):
             decoys = make_decoy_set(10, 8, rng)
-            payload = [flying(QubitSpec("Z", int(b))) for b in random_bits(rng, 10)]
+            payload = [label_id(QubitSpec("Z", int(b))) for b in random_bits(rng, 10)]
             received = insert_decoys(payload, decoys)
             estimate = verify_decoys(received, decoys, 0.0, rng)
             assert estimate.mismatches == 0
@@ -105,13 +106,13 @@ class TestDecoys:
 
     def test_verification_is_non_demolition_for_payload(self):
         rng = make_rng(23)
-        payload = [flying(QubitSpec("X", 1)) for _ in range(4)]
+        payload = [label_id(QubitSpec("X", 1)) for _ in range(4)]
         decoys = make_decoy_set(4, 4, rng)
         received = insert_decoys(payload, decoys)
         verify_decoys(received, decoys, 0.0, rng)
         for qubit in extract_payload(received, decoys):
             np.testing.assert_allclose(
-                qubit.state.amplitudes,
+                interned(qubit).amplitudes,
                 materialize(QubitSpec("X", 1)).amplitudes,
                 atol=1e-12,
             )
@@ -126,7 +127,7 @@ class TestFirstEstimation:
             for p in messages
         }
         perms = {p: random_permutation(n, rng) for p in messages}
-        held = {p: permute([flying(s) for s in prepared[p]], perms[p]) for p in messages}
+        held = {p: permute([label_id(s) for s in prepared[p]], perms[p]) for p in messages}
         return prepared, held, perms
 
     def test_honest_run_no_mismatch(self):
@@ -150,7 +151,7 @@ class TestFirstEstimation:
         # corrupt P1's qubit for original position 4 with an orthogonal state
         slot = int(perms["P1"].mapping[4])
         spec = prepared["P1"][4]
-        held["P1"][slot] = flying(QubitSpec(spec.basis, 1 - spec.bit))
+        held["P1"][slot] = label_id(QubitSpec(spec.basis, 1 - spec.bit))
         estimate = first_error_estimation(prepared, held, perms, [4], 0.0, rng)
         assert estimate.mismatches == 1
         assert estimate.verdict == "abort"
@@ -191,41 +192,28 @@ class TestSecondEstimation:
 
 class TestFlying:
     def test_shared_per_preparation(self):
-        assert flying(QubitSpec("X", 1)) is flying(encode_message_qubit(1, 1))
-        assert flying(QubitSpec("X", 1)).state is materialize(QubitSpec("X", 1))
+        assert label_id(QubitSpec("X", 1)) == label_id(encode_message_qubit(1, 1))
+        assert interned(label_id(QubitSpec("X", 1))) is materialize(QubitSpec("X", 1))
 
     def test_single_qubit_collapse_is_shared(self):
-        bit, post = measure_flying(flying(QubitSpec("X", 0)), "X", make_rng(28).random())
+        bit, post = measure_flying(label_id(QubitSpec("X", 0)), "X", make_rng(28).random())
         assert bit == 0
-        assert post is flying(QubitSpec("X", 0))
+        assert post == label_id(QubitSpec("X", 0))
 
 
 class TestInternedCarriers:
     def test_one_shared_carrier_per_state(self):
-        for spec in LABEL_SPECS:
-            sid = qsim.intern(materialize(spec))
-            assert flying(spec) is carrier(sid)
-            assert carrier(sid).sid == sid
-            assert FlyingQubit(materialize(spec)).sid is None
+        # A label state's carrier is its intern id and its LABEL_SPECS index.
+        for index, spec in enumerate(LABEL_SPECS):
+            assert qsim.intern(materialize(spec)) == label_id(spec) == index
 
-    def test_direct_carrier_is_measured_densely(self):
-        # A carrier built outside ``carrier`` is not interned: any state goes,
-        # the intern table does not grow, and measurement takes measure_qubit.
-        states, rng_a, rng_b = make_rng(34), make_rng(35), make_rng(35)
-        interned = len(qsim._INTERNED)
-        for _ in range(2 * qsim.MAX_INTERNED):
-            amps = states.normal(size=2) + 1j * states.normal(size=2)
-            state = qsim.PureState(1, amps / np.linalg.norm(amps))
-            for basis in ("Z", "X"):
-                bit, post = measure_flying(FlyingQubit(state), basis, rng_a.random())
-                want, collapsed = qsim.measure_qubit(state, 0, basis, rng_b.random())
-                assert bit == want and post.sid is None
-                assert post.state.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
-        assert len(qsim._INTERNED) == interned
-
-    def test_entangled_carrier_has_no_id(self):
-        forwarded, _ = entangle_measure(flying(QubitSpec("X", 0)), make_rng(32))
-        assert forwarded.sid is None
+    def test_entangled_carrier_is_the_mixed_id(self):
+        # The entangling tap hands on intern ids: Z labels as they are, X
+        # labels as MIXED, which has no pure state.
+        tap = EntangleMeasureTap(AdversaryRecord(kind="entangle_measure"))
+        out = tap.apply(list(range(len(LABEL_SPECS))), None, "P1->middle")
+        assert out == [0, 1, MIXED, MIXED]
+        assert interned(MIXED) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tuple_measurement_matches_dense(self, n):
@@ -233,9 +221,15 @@ class TestInternedCarriers:
         rng_a, rng_b = make_rng(40 + n), make_rng(40 + n)
         basis = build_joint_basis(n)
         for row in picks:
-            qubits = [flying(LABEL_SPECS[int(k)]) for k in row]
-            dense = measure_joint(tensor([q.state for q in qubits]), basis, rng_b.random())
+            qubits = [label_id(LABEL_SPECS[int(k)]) for k in row]
+            dense = measure_joint(tensor([interned(q) for q in qubits]), basis, rng_b.random())
             assert measure_channel_tuple(qubits, basis, rng_a.random()) == dense
+
+    def test_sizes_must_match(self):
+        with pytest.raises(ContractError):
+            measure_channel_tuple([0, 1, 2], build_joint_basis(2), 0.5)
+        with pytest.raises(ContractError):
+            measure_payload([0, 1], ["Z"], make_rng(36))
 
     def test_wide_honest_trial_keeps_joint_table_small(self):
         config = RunConfig(protocol="conferenceN", n_parties=10, message_length=100, seed=3)
@@ -248,7 +242,7 @@ class TestQuantumChannel:
     def test_transmit_records_event(self):
         transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle")
-        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(29), transcript.add_event)
+        out = channel.transmit([label_id(QubitSpec("Z", 0))], make_rng(29), transcript.add_event)
         assert len(out) == 1
         assert transcript.events == [{"type": "transmit", "channel": "P1->middle", "count": 1}]
 
@@ -257,11 +251,11 @@ class TestQuantumChannel:
             kind = "flip"
 
             def apply(self, qubits, rng, channel_id):
-                return [flying(QubitSpec("Z", 1)) for _ in qubits]
+                return [label_id(QubitSpec("Z", 1)) for _ in qubits]
 
         transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle", tap=FlipTap())
-        out = channel.transmit([flying(QubitSpec("Z", 0))], make_rng(30), transcript.add_event)
+        out = channel.transmit([label_id(QubitSpec("Z", 0))], make_rng(30), transcript.add_event)
         bit, _ = measure_flying(out[0], "Z", make_rng(31).random())
         assert bit == 1
         assert [e["type"] for e in transcript.events] == ["transmit", "attack"]

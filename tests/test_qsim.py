@@ -1,4 +1,8 @@
-"""Simulator core: state construction, joint basis, Born rule, sampling."""
+"""Simulator core: state construction, joint basis, Born rule, sampling.
+
+The entangling attack's tables are pinned against the numpy purification
+reference in ``purification.py``.
+"""
 
 import math
 import tracemalloc
@@ -7,14 +11,21 @@ from itertools import product
 import numpy as np
 import pytest
 
+from purification import (
+    LABELS,
+    carrier_density,
+    purify,
+    wire_density,
+    wire_distribution,
+)
 from qconf import qsim
-from qconf.channels import carrier, measure_flying
+from qconf.channels import measure_channel_tuple, measure_flying
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
     BASIS_X,
     BASIS_Z,
-    HADAMARD,
     LABEL_SPECS,
+    MIXED,
     MAX_TABLE_QUBITS,
     PAULI_IY,
     PAULIS,
@@ -24,16 +35,14 @@ from qconf.qsim import (
     PureState,
     QubitSpec,
     apply_1q_unitary,
-    apply_cnot,
     bits_to_index,
     build_joint_basis,
     dense_joint_basis,
+    dephase,
     index_to_bits,
     label_spec,
     materialize,
-    measure_embedded,
     measure_joint,
-    measure_qubit,
     outcome_distribution,
     sample_index,
     tensor,
@@ -41,16 +50,27 @@ from qconf.qsim import (
 from qconf.rng import make_rng
 
 R = 1.0 / math.sqrt(2.0)
+HADAMARD = np.array([[R, R], [R, -R]], dtype=complex)
 
 
 def state_of(*labels):
     return tensor([materialize(QubitSpec.from_label(lab)) for lab in labels])
 
 
+def label_carrier(label):
+    """The carrier (intern id) of a label such as "X1"."""
+    return qsim.label_id(QubitSpec.from_label(label))
+
+
+def tapped(label):
+    """The carrier of a label after one pass of the entangling tap."""
+    return dephase(label_carrier(label))
+
+
 def measure_label(spec, basis, rng):
-    """Measure a label state's shared carrier: (bit, collapsed state)."""
-    bit, post = measure_flying(carrier(qsim.label_id(spec)), basis, rng.random())
-    return bit, post.state
+    """Measure a label state's carrier: (bit, collapsed state)."""
+    bit, post = measure_flying(qsim.label_id(spec), basis, rng.random())
+    return bit, qsim.interned(post)
 
 
 class TestMaterialize:
@@ -232,26 +252,22 @@ class TestPairFold:
             (8, [0, 2, 4, 6]),
         ],
     )
-    def test_embedded_matches_dense_marginal(self, n, targets, monkeypatch):
+    def test_embedded_matches_dense_marginal(self, n, targets):
+        # The k = len(targets) wires sit in an n-qubit purification whose
+        # other n - k qubits are ancillas CNOT-ed from the wires in turn.  The
+        # joint table of the dephased carriers equals the dense marginal over
+        # the ancillas, up to summation order in the last bits.
         rng = np.random.default_rng(n)
-        state = random_state(n, rng)
         k = len(targets)
-        seen = []
-        real_sample = qsim.sample_index
-
-        def recording_sample(probs, u):
-            seen.append(probs)
-            return real_sample(probs, u)
-
-        monkeypatch.setattr(qsim, "sample_index", recording_sample)
-        measure_embedded(state, targets, build_joint_basis(k), rng.random())
-        # The dense marginal sums over non-target columns in a matrix product,
-        # so it may differ from the elementwise fold in the last bit.
-        rest = [q for q in range(n) if q not in targets]
-        psi = np.transpose(state.amplitudes.reshape((2,) * n), targets + rest)
-        coeffs = dense_joint_basis(k).conj() @ psi.reshape(2**k, -1)
-        dense = np.sum(np.abs(coeffs) ** 2, axis=1)
-        np.testing.assert_allclose(seen[0], dense, rtol=0, atol=1e-15)
+        taps = [j % k for j in range(n - k)]
+        for _ in range(20):
+            labels = [LABELS[i] for i in rng.integers(0, 4, size=k)]
+            ids = [label_carrier(label) for label in labels]
+            for wire in taps:
+                ids[wire] = dephase(ids[wire])
+            dense = np.cumsum(wire_distribution(purify(labels, taps), k))
+            table = qsim.joint_cumulative(tuple(ids))
+            np.testing.assert_allclose(table, dense, rtol=0, atol=1e-15)
 
     def test_sample_index_matches_numpy_search(self):
         rng = np.random.default_rng(11)
@@ -337,35 +353,42 @@ class TestMeasurement:
             np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_measure_qubit_matches_single(self):
+        # A tapped wire reads 0 with the purification's p0, in either basis.
         rng_a, rng_b = make_rng(7), make_rng(7)
-        state = materialize(QubitSpec("Z", 0))
-        for basis in (BASIS_Z, BASIS_X):
-            bit_a, _ = measure_label(QubitSpec("Z", 0), basis, rng_a)
-            bit_b, _ = measure_qubit(state, 0, basis, rng_b.random())
-            assert bit_a == bit_b
+        for label in LABELS:
+            rho = wire_density(purify([label], [0]), 0)
+            p0 = {BASIS_Z: rho[0, 0].real, BASIS_X: (rho.sum() / 2).real}
+            for basis in (BASIS_Z, BASIS_X):
+                for _ in range(200):
+                    bit, _ = measure_flying(tapped(label), basis, rng_a.random())
+                    assert bit == (0 if rng_b.random() < p0[basis] else 1)
 
     def test_measure_qubit_collapses_partner(self):
-        # Bell pair: measuring one qubit in Z pins the other.
+        # In the purification of a tapped |+>, a Z read of the wire pins the
+        # ancilla to the same bit; the carrier collapses to that Z label, and
+        # reading it again repeats the bit.
         rng = make_rng(8)
-        bell = PureState(2, dense_joint_basis(2)[0])
+        psi = purify(["X0"], [0]).reshape(2, 2)
         for _ in range(20):
-            bit, post = measure_qubit(bell, 0, BASIS_Z, rng.random())
-            expected = np.zeros(4)
-            expected[3 if bit else 0] = 1.0
-            np.testing.assert_allclose(post.amplitudes, expected, atol=1e-12)
+            bit, post = measure_flying(tapped("X0"), BASIS_Z, rng.random())
+            ancilla = psi[bit] / np.linalg.norm(psi[bit])
+            np.testing.assert_allclose(ancilla, np.eye(2)[bit], atol=1e-12)
+            assert post == label_carrier(f"Z{bit}")
+            assert measure_flying(post, BASIS_Z, rng.random())[0] == bit
 
     def test_measure_embedded_marginalizes_ancilla(self):
-        # Wire qubits 0 and 2 of |0>|anc>|0> measured jointly behave as |00>.
+        # A tapped |+> and a |0> measured jointly follow the purification's
+        # marginal over the ancilla: a quarter on each code.
         rng = make_rng(9)
-        state = state_of("Z0", "X0", "Z0")
+        want = wire_distribution(purify(["X0", "Z0"], [0]), 2)
         basis = build_joint_basis(2)
         counts = np.zeros(4)
         trials = 20_000
         for _ in range(trials):
-            counts[measure_embedded(state, [0, 2], basis, rng.random()).code] += 1
-        freq = counts / trials
-        assert abs(freq[0] - 0.5) < 0.02 and abs(freq[1] - 0.5) < 0.02
-        assert freq[2] == 0 and freq[3] == 0
+            qubits = [tapped("X0"), label_carrier("Z0")]
+            counts[measure_channel_tuple(qubits, basis, rng.random()).code] += 1
+        np.testing.assert_allclose(want, [0.25] * 4, atol=1e-15)
+        np.testing.assert_allclose(counts / trials, want, atol=0.02)
 
 
 class TestScalarSingleMeasurement:
@@ -404,9 +427,9 @@ class TestScalarSingleMeasurement:
         rng_a, rng_b = make_rng(13), make_rng(13)
         for state in self.states():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = measure_flying(carrier(qsim.intern(state)), basis, rng_a.random())
+                bit, post = measure_flying(qsim.intern(state), basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
-                assert post.state is materialize(label_spec(basis, bit))
+                assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
     def test_label_specs_are_shared(self):
         for spec in LABEL_SPECS:
@@ -419,7 +442,7 @@ class TestScalarSingleMeasurement:
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
-            measure_flying(carrier(qsim.label_id(LABEL_SPECS[0])), "Y", 0.5)
+            measure_flying(qsim.label_id(LABEL_SPECS[0]), "Y", 0.5)
 
 
 def pauli_closure():
@@ -463,9 +486,9 @@ class TestInternTables:
         rng_a, rng_b = make_rng(14), make_rng(14)
         for sid in pauli_closure():
             for basis in (BASIS_Z, BASIS_X):
-                bit, post = measure_flying(carrier(sid), basis, rng_a.random())
+                bit, post = measure_flying(sid, basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
-                assert post.state is materialize(label_spec(basis, bit))
+                assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
     @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
     def test_joint_table_draws_like_sample_index(self, n):
@@ -481,8 +504,11 @@ class TestInternTables:
                 assert qsim.measure_product(combo, u).code == want
 
     def test_joint_table_refuses_wide_products(self):
-        with pytest.raises(ResourceLimitError):
-            qsim.joint_cumulative((0,) * (MAX_TABLE_QUBITS + 1))
+        wide = (0,) * (MAX_TABLE_QUBITS + 1)
+        state = tensor([qsim.interned(0)] * len(wide))
+        probs = outcome_distribution(state, build_joint_basis(len(wide)))
+        assert qsim.joint_cumulative(wide) == np.cumsum(probs).tolist()
+        assert wide not in qsim._JOINT
 
     def test_keys_on_exact_bytes(self):
         state = materialize(QubitSpec("X", 0))
@@ -504,7 +530,7 @@ class TestInternTables:
         with pytest.raises(ContractError):
             qsim.intern(state_of("Z0", "Z1"))
         with pytest.raises(ContractError):
-            measure_flying(carrier(0), "Y", 0.5)
+            measure_flying(0, "Y", 0.5)
 
 
 class TestUnitaries:
@@ -535,23 +561,65 @@ class TestUnitaries:
 
 
 class TestCnot:
+    """The entangling tap's CNOT onto |0>, as ``dephase`` leaves the wire."""
+
     def test_00_unchanged(self):
-        out = apply_cnot(state_of("Z0", "Z0"), 0, 1)
-        np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(purify(["Z0"], [0]), [1, 0, 0, 0], atol=1e-15)
+        assert tapped("Z0") == label_carrier("Z0")
+        assert tapped("Z1") == label_carrier("Z1")
 
     def test_plus_control_makes_phi_plus(self):
-        out = apply_cnot(state_of("X0", "Z0"), 0, 1)
-        np.testing.assert_allclose(out.amplitudes, [R, 0, 0, R], atol=1e-15)
+        np.testing.assert_allclose(purify(["X0"], [0]), [R, 0, 0, R], atol=1e-15)
+        assert tapped("X0") == MIXED
+        assert qsim.interned(MIXED) is None
 
     def test_minus_control_makes_phi_minus(self):
-        out = apply_cnot(state_of("X1", "Z0"), 0, 1)
-        np.testing.assert_allclose(out.amplitudes, [R, 0, 0, -R], atol=1e-15)
+        np.testing.assert_allclose(purify(["X1"], [0]), [R, 0, 0, -R], atol=1e-15)
+        assert tapped("X1") == MIXED
+        assert dephase(MIXED) == MIXED
 
     def test_index_contracts(self):
-        with pytest.raises(ContractError):
-            apply_cnot(state_of("Z0", "Z0"), 0, 0)
-        with pytest.raises(ContractError):
-            apply_cnot(state_of("Z0", "Z0"), 0, 2)
+        # Only the label states and MIXED reach the tap.
+        flipped = qsim.pauli_image(label_carrier("Z0"), 2)  # i*sigma_y|0> = -|1>
+        for sid in (flipped, len(qsim._INTERNED), -1):
+            with pytest.raises(ContractError):
+                dephase(sid)
+
+
+class TestDephasedTables:
+    """``MIXED``, ``dephase`` and the joint table against the purification."""
+
+    def test_mixed_p0_equals_purification(self):
+        for label in ("X0", "X1"):
+            # Tapped once, and tapped again on a second ancilla.
+            for taps in ([0], [0, 0]):
+                rho = wire_density(purify([label], taps), 0)
+                assert abs(qsim.P0[MIXED][BASIS_Z] - rho[0, 0].real) <= 1e-15
+                assert abs(qsim.P0[MIXED][BASIS_X] - (rho.sum() / 2).real) <= 1e-15
+        assert [qsim.pauli_image(MIXED, pauli) for pauli in range(4)] == [MIXED] * 4
+
+    def test_dephasing_map_equals_purification(self):
+        for label in LABELS:
+            for taps in ([0], [0, 0]):
+                sid = label_carrier(label)
+                for _ in taps:
+                    sid = dephase(sid)
+                rho = wire_density(purify([label], taps), 0)
+                np.testing.assert_allclose(carrier_density(sid), rho, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_joint_cumulative_equals_purification(self, n):
+        # Every tuple of labels, each wire tapped or not.
+        for labels in product(LABELS, repeat=n):
+            for mask in product((False, True), repeat=n):
+                taps = [wire for wire in range(n) if mask[wire]]
+                ids = tuple(
+                    tapped(label) if hit else label_carrier(label)
+                    for label, hit in zip(labels, mask)
+                )
+                dense = np.cumsum(wire_distribution(purify(labels, taps), n))
+                table = qsim.joint_cumulative(ids)
+                np.testing.assert_allclose(table, dense, rtol=0, atol=1e-15)
 
 
 def test_index_bit_helpers_round_trip():

@@ -76,7 +76,7 @@ class TestCatalog:
 
     def test_values_in_unit_interval(self):
         with pytest.raises(ContractError):
-            AnalyticFormula("bad", (), lambda: 1.5).evaluate()
+            AnalyticFormula("bad", lambda: 1.5).evaluate()
 
     def test_every_formula_has_a_suite_row(self):
         catalog = analytic_catalog()
