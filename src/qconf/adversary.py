@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import measure_flying
+from .channels import measure_carriers
 from .codec import consistent_outcome_codes
 from .errors import ContractError
 from .qsim import BASIS_X, BASIS_Z, LABEL_SPECS, PAULIS, Outcome, QubitSpec, dephase, pauli_image
@@ -122,10 +122,7 @@ class AdversaryRecord:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "guesses": {
-                ch: [[basis, int(bit)] for basis, bit in entries]
-                for ch, entries in self.guesses.items()
-            },
+            "guesses": {ch: list(map(list, entries)) for ch, entries in self.guesses.items()},
             "substituted": {ch: list(labels) for ch, labels in self.substituted.items()},
             "ancilla_counts": dict(self.ancilla_counts),
             "announced": list(self.announced),
@@ -138,15 +135,9 @@ class AdversaryRecord:
 # ---------------------------------------------------------------------------
 
 
-def guess_basis(coin: float) -> str:
-    """The interceptor's fair Z/X basis guess, read from one uniform."""
-    return BASIS_Z if coin < 0.5 else BASIS_X
-
-
-def intercept_resend(qubit: int, basis: str, u: float) -> tuple[int, tuple[str, int]]:
-    """Measure in the guessed basis with the uniform ``u``; forward the collapse."""
-    bit, forwarded = measure_flying(qubit, basis, u)
-    return forwarded, (basis, bit)
+def guess_bases(coins: list[float]) -> list[str]:
+    """The interceptor's fair Z/X basis guesses, one read from each uniform."""
+    return [BASIS_Z if coin < 0.5 else BASIS_X for coin in coins]
 
 
 def dos_cumulative(weights: tuple[float, ...]) -> list[float]:
@@ -208,7 +199,8 @@ def draw_substitute_blind(
 
 
 class InterceptResendTap:
-    """Per-qubit intercept-and-resend.
+    """Per-qubit intercept-and-resend: each qubit is measured in a guessed
+    basis (``channels.measure_carriers``) and its collapse forwarded.
 
     ``forced_bases`` coordinates the basis guess across channels by slot,
     which models a key-guessing eavesdropper on the unpermuted protocol;
@@ -230,14 +222,11 @@ class InterceptResendTap:
             uniforms = rng.random(len(qubits)).tolist()
         else:
             draws = rng.random(2 * len(qubits)).tolist()
-            bases = [guess_basis(coin) for coin in draws[::2]]
+            bases = guess_bases(draws[::2])
             uniforms = draws[1::2]
-        out = []
-        for qubit, basis, u in zip(qubits, bases, uniforms):
-            forwarded, guess = intercept_resend(qubit, basis, u)
-            guesses.append(guess)
-            out.append(forwarded)
-        return out
+        bits, forwarded = measure_carriers(qubits, bases, uniforms)
+        guesses.extend(zip(bases, bits))
+        return forwarded
 
 
 class EntangleMeasureTap:

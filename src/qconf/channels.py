@@ -4,7 +4,10 @@ A transmitted qubit is carried by the intern id of its single-qubit state
 (see ``qsim``): a label state's id is its index in ``LABEL_SPECS``, which is
 also its ``codec.label_indices`` value, and the entangling attack's dephased
 qubit is ``qsim.MIXED``.  The ceremonies here measure carriers by table
-lookup.
+lookup, in batches: ``measure_carriers`` holds the single-qubit rule once
+and takes a whole ceremony's carriers, bases and uniforms, and
+``measure_rounds`` measures a relay round's rows jointly, checking their
+width once.
 
 Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
 uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
@@ -27,10 +30,10 @@ from .qsim import (
     MAX_TABLE_QUBITS,
     MIXED,
     P0,
-    JointBasis,
     LABEL_SPECS,
     Outcome,
     QubitSpec,
+    build_joint_basis,
     interned,
     label_id,
     label_spec,
@@ -51,17 +54,32 @@ _COLLAPSED = {
 }
 
 
-def measure_flying(qubit: int, basis: str, u: float) -> tuple[int, int]:
-    """Measure a carrier in Z or X; returns (bit, collapsed carrier).
+def measure_carriers(
+    carriers: Sequence[int], bases: Sequence[str], uniforms: Sequence[float]
+) -> tuple[list[int], list[int]]:
+    """Measure each carrier in its basis with its uniform; returns (bits, collapsed).
 
-    Reads ``p0`` from the intern table ``qsim.P0`` and collapses onto the
-    label carrier of (basis, bit).
+    The one single-qubit measurement rule: bit 0 iff ``u < qsim.P0[carrier][basis]``,
+    and the carrier collapses onto the label carrier of (basis, bit).
     """
+    if not len(carriers) == len(bases) == len(uniforms):
+        raise ContractError("one basis and one uniform per carrier")
+    bits = []
+    collapsed = []
     try:
-        bit = 0 if u < P0[qubit][basis] else 1
+        for carrier, basis, u in zip(carriers, bases, uniforms):
+            bit = 0 if u < P0[carrier][basis] else 1
+            bits.append(bit)
+            collapsed.append(_COLLAPSED[basis][bit])
     except KeyError:
-        raise ContractError(f"basis must be Z or X, got {basis!r}") from None
-    return bit, _COLLAPSED[basis][bit]
+        raise ContractError(f"bases must be Z or X, got {sorted(set(bases))}") from None
+    return bits, collapsed
+
+
+def measure_flying(qubit: int, basis: str, u: float) -> tuple[int, int]:
+    """Measure one carrier in Z or X; returns (bit, collapsed carrier)."""
+    (bit,), (collapsed,) = measure_carriers((qubit,), (basis,), (u,))
+    return bit, collapsed
 
 
 def measure_payload(
@@ -71,32 +89,29 @@ def measure_payload(
 
     Draws ``len(bases)`` uniforms, as one block.
     """
-    if len(qubits) != len(bases):
-        raise ContractError("one basis per carrier")
-    bits = []
-    collapsed = []
-    for qubit, basis, u in zip(qubits, bases, rng.random(len(bases)).tolist()):
-        bit, post = measure_flying(qubit, basis, u)
-        bits.append(bit)
-        collapsed.append(post)
-    return bits, collapsed
+    return measure_carriers(qubits, bases, rng.random(len(bases)).tolist())
 
 
-def measure_channel_tuple(qubits: Sequence[int], basis: JointBasis, u: float) -> Outcome:
-    """Joint-basis measurement of one carrier per party, in party order.
+def measure_rounds(rows: Sequence[tuple[int, ...]], uniforms: Sequence[float]) -> list[Outcome]:
+    """Joint-basis outcome of each row of carriers, one uniform per row.
 
-    Up to ``MAX_TABLE_QUBITS`` carriers, or any tuple holding ``MIXED``, go
-    through ``qsim.measure_product``; wider pure tuples build their product
-    state.
+    A row holds one carrier per party, in party order; every row has the same
+    width, which is checked once.  Rows up to ``MAX_TABLE_QUBITS`` carriers,
+    or holding ``MIXED``, read the joint table through
+    ``qsim.measure_product``; wider pure rows build their product state.
     """
-    if len(qubits) != basis.num_qubits:
-        raise ContractError(
-            f"{len(qubits)} carriers for a {basis.num_qubits}-qubit joint basis"
-        )
-    ids = tuple(qubits)
-    if len(ids) <= MAX_TABLE_QUBITS or MIXED in ids:
-        return measure_product(ids, u)
-    return measure_joint(tensor([interned(sid) for sid in ids]), basis, u)
+    if len(rows) != len(uniforms):
+        raise ContractError("one uniform per round")
+    if not rows:
+        return []
+    basis = build_joint_basis(len(rows[0]))
+    tabled = basis.num_qubits <= MAX_TABLE_QUBITS
+    return [
+        measure_product(row, u)
+        if tabled or MIXED in row
+        else measure_joint(tensor([interned(sid) for sid in row]), basis, u)
+        for row, u in zip(rows, uniforms)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +185,22 @@ def make_decoy_set(
     if count < 0:
         raise ContractError("decoy count must be >= 0")
     positions = np.sort(rng.choice(payload_len + count, size=count, replace=False))
-    picks = rng.integers(0, 4, size=count)
-    specs = tuple(LABEL_SPECS[int(p)] for p in picks)
-    return DecoySet(tuple(int(p) for p in positions), specs)
+    picks = rng.integers(0, 4, size=count).tolist()
+    return DecoySet(tuple(positions.tolist()), tuple(LABEL_SPECS[p] for p in picks))
 
 
 def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
-    """Interleave decoys into the payload; removing them restores the order."""
+    """Interleave decoys into the payload; removing them restores the order.
+
+    Positions rise strictly, so inserting each decoy in turn puts every one
+    at its final slot.
+    """
     total = len(payload) + decoys.count
     if any(not 0 <= p < total for p in decoys.positions):
         raise ContractError("decoy positions out of range")
-    out: list[int] = []
-    decoy_at = dict(zip(decoys.positions, decoys.specs))
-    payload_iter = iter(payload)
-    for slot in range(total):
-        spec = decoy_at.get(slot)
-        out.append(label_id(spec) if spec is not None else next(payload_iter))
+    out = list(payload)
+    for pos, spec in zip(decoys.positions, decoys.specs):
+        out.insert(pos, label_id(spec))
     return out
 
 
@@ -226,6 +241,12 @@ class ErrorEstimate:
     def verdict(self) -> str:
         return "abort" if self.rate > self.threshold else "continue"
 
+    @classmethod
+    def from_detail(cls, phase: str, detail: list, threshold: float) -> "ErrorEstimate":
+        """The estimate of one ceremony from its (label, position, ok) rows."""
+        mismatches = sum(not ok for _, _, ok in detail)
+        return cls(phase, len(detail), mismatches, threshold, tuple(detail))
+
     def to_dict(self) -> dict:
         """The estimate as a dict; each detail row is a native [str, int, bool]."""
         return {
@@ -251,20 +272,21 @@ def verify_decoys(
     Draws ``decoys.count`` uniforms.  Collapses the decoy slots of
     ``received`` in place; payload slots are untouched.
     """
+    positions, specs = decoys.positions, decoys.specs
+    bits, collapsed = measure_carriers(
+        [received[pos] for pos in positions],
+        [spec.basis for spec in specs],
+        rng.random(decoys.count).tolist(),
+    )
     detail = []
-    mismatches = 0
-    uniforms = rng.random(decoys.count).tolist()
-    for pos, spec, u in zip(decoys.positions, decoys.specs, uniforms):
-        bit, collapsed = measure_flying(received[pos], spec.basis, u)
-        received[pos] = collapsed
-        ok = bit == spec.bit
-        mismatches += not ok
-        detail.append(("decoy", pos, ok))
-    return ErrorEstimate(phase, decoys.count, mismatches, threshold, tuple(detail))
+    for pos, spec, bit, post in zip(positions, specs, bits, collapsed):
+        received[pos] = post
+        detail.append(("decoy", pos, bit == spec.bit))
+    return ErrorEstimate.from_detail(phase, detail, threshold)
 
 
 def first_error_estimation(
-    prepared: Mapping[str, Sequence[QubitSpec]],
+    labels: Mapping[str, Sequence[int]],
     held: Mapping[str, list[int]],
     perms: Mapping[str, Permutation],
     sample_positions: Sequence[int],
@@ -273,28 +295,29 @@ def first_error_estimation(
 ) -> ErrorEstimate:
     """Single-qubit spot checks before the joint measurement.
 
-    For each sampled original position every sender tells the middle party
-    the physical slot and preparation basis; the middle party measures and
-    announces, and the sender compares against the prepared bit.  Draws one
-    uniform per check, position-major.  Collapses the checked slots of
-    ``held`` in place.
+    ``labels`` holds each sender's preparations in original order, as indices
+    into ``LABEL_SPECS``.  For each sampled original position every sender
+    tells the middle party the physical slot and preparation basis; the
+    middle party measures and announces, and the sender compares against the
+    prepared bit.  Draws one uniform per check, position-major.  Collapses
+    the checked slots of ``held`` in place.
     """
-    slots = {party: perms[party].mapping.tolist() for party in prepared}
-    uniforms = iter(rng.random(len(sample_positions) * len(prepared)).tolist())
-    detail = []
-    mismatches = 0
-    for position in sample_positions:
-        for party, specs in prepared.items():
-            slot = slots[party][position]
-            spec = specs[position]
-            bit, collapsed = measure_flying(held[party][slot], spec.basis, next(uniforms))
-            held[party][slot] = collapsed
-            ok = bit == spec.bit
-            mismatches += not ok
-            detail.append((party, int(position), ok))
-    return ErrorEstimate(
-        PHASE_FIRST, len(detail), mismatches, threshold, tuple(detail)
+    slots = {party: perms[party].mapping.tolist() for party in labels}
+    checks = [
+        (party, int(pos), slots[party][pos], LABEL_SPECS[labels[party][pos]])
+        for pos in sample_positions
+        for party in labels
+    ]
+    bits, collapsed = measure_carriers(
+        [held[party][slot] for party, _, slot, _ in checks],
+        [spec.basis for *_, spec in checks],
+        rng.random(len(checks)).tolist(),
     )
+    detail = []
+    for (party, pos, slot, spec), bit, post in zip(checks, bits, collapsed):
+        held[party][slot] = post
+        detail.append((party, pos, bit == spec.bit))
+    return ErrorEstimate.from_detail(PHASE_FIRST, detail, threshold)
 
 
 def second_error_estimation(
@@ -312,16 +335,11 @@ def second_error_estimation(
     """
     parties = list(revealed_bits)
     detail = []
-    mismatches = 0
     for round_idx in sample_rounds:
         bits = [int(revealed_bits[p][round_idx]) for p in parties]
         allowed = consistent_outcome_codes(bits, bool(x_round_flags[round_idx]), len(parties))
-        ok = outcomes[round_idx].code in allowed
-        mismatches += not ok
-        detail.append(("round", int(round_idx), ok))
-    return ErrorEstimate(
-        PHASE_SECOND, len(detail), mismatches, threshold, tuple(detail)
-    )
+        detail.append(("round", int(round_idx), outcomes[round_idx].code in allowed))
+    return ErrorEstimate.from_detail(PHASE_SECOND, detail, threshold)
 
 
 # ---------------------------------------------------------------------------

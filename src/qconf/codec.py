@@ -12,10 +12,16 @@ Encoding conventions shared by every protocol:
 Decoding uses only two facts about the joint basis: a Z-product collapses
 onto the index of its bit string (or the complement), and an X-product
 collapses onto a sign equal to the XOR of the encoded bits.
+
+The consistent-outcome sets and the Z-round candidate bit strings are
+tabled on first use, keyed by the party count and one small integer
+(parity, folded index or outcome index), never by a bit tuple: at 16
+parties one X-round entry already holds 32768 codes.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -76,18 +82,23 @@ def decode_z_round(
     """All parties' bits for a round where everyone used the Z basis.
 
     The candidates are the outcome index read as a bit string and its
-    complement; the caller's own bit picks the right one.
+    complement (tabled by (n, index)); the caller's own bit picks the right
+    one.
     """
-    bits = index_to_bits(outcome.index, n_parties)
-    if bits[own_position] == own_bit:
-        return bits
-    complement = tuple(1 - b for b in bits)
-    if complement[own_position] == own_bit:
-        return complement
+    for bits in _z_candidates(n_parties, outcome.index):
+        if bits[own_position] == own_bit:
+            return bits
     raise ProtocolCorruptionError(
         f"outcome {outcome.label} is inconsistent with own bit {own_bit} "
         f"at position {own_position}"
     )
+
+
+@cache
+def _z_candidates(n_parties: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bit string of a Z-round outcome index, then its complement."""
+    bits = index_to_bits(index, n_parties)
+    return bits, tuple(1 - b for b in bits)
 
 
 def decode_x_round(outcome: Outcome) -> int:
@@ -163,9 +174,17 @@ def consistent_outcome_codes(
     Z rounds allow both signs of the single reachable index; X rounds allow
     every index at the parity-determined sign.
     """
+    if len(bits) != n_parties:
+        raise ContractError(f"{len(bits)} bits for {n_parties} parties")
     if x_round:
-        sign = sum(bits) & 1
-        return tuple(2 * i + sign for i in range(2 ** (n_parties - 1)))
+        return _round_codes(n_parties, True, sum(bits) & 1)
     j = bits_to_index(bits)
-    j_hat = min(j, 2**n_parties - 1 - j)
-    return (2 * j_hat, 2 * j_hat + 1)
+    return _round_codes(n_parties, False, min(j, 2**n_parties - 1 - j))
+
+
+@cache
+def _round_codes(n_parties: int, x_round: bool, key: int) -> tuple[int, ...]:
+    """X rounds: every index at sign ``key``; Z rounds: index ``key``, both signs."""
+    if x_round:
+        return tuple(2 * i + key for i in range(2 ** (n_parties - 1)))
+    return (2 * key, 2 * key + 1)

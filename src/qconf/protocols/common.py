@@ -13,8 +13,8 @@ from ..channels import (
     ErrorEstimate,
     QuantumChannel,
     first_error_estimation,
-    measure_channel_tuple,
-    measure_flying,
+    measure_carriers,
+    measure_rounds,
     permute,
     random_permutation,
     second_error_estimation,
@@ -22,7 +22,7 @@ from ..channels import (
 )
 from ..errors import ContractError
 from ..keysource import establish_key
-from ..qsim import BASIS_X, BASIS_Z, LABEL_SPECS, build_joint_basis
+from ..qsim import BASIS_X, BASIS_Z
 
 MIDDLE = "middle"
 
@@ -67,15 +67,30 @@ def sorted_sample(rng: np.random.Generator, total: int, count: int) -> list[int]
     return sorted(int(i) for i in rng.choice(total, size=count, replace=False))
 
 
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def bits_to_str(bits) -> str:
-    """'0'/'1' text of a bit sequence: a numpy row or a list of ints."""
-    if isinstance(bits, np.ndarray):
-        bits = bits.tolist()
-    return "".join(map(str, bits))
+    """'0'/'1' text of a bit sequence: a numpy row or a list of ints.
+
+    ``bytes`` takes the bits as ints, rejecting values outside 0-255 rather
+    than wrapping them, and one ``translate`` maps bytes 0 and 1 to text.
+    """
+    try:
+        raw = bytes(bits.tolist() if isinstance(bits, np.ndarray) else list(bits))
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.translate(None, b"\x00\x01"):
+        raise ContractError(f"bits must be 0 or 1, got {bits!r}")
+    return raw.translate(_BIT_TEXT).decode("ascii")
 
 
 def str_to_bits(text: str) -> np.ndarray:
-    return np.array([int(c) for c in text], dtype=np.uint8)
+    """uint8 bits of a '0'/'1' string, read as bytes."""
+    raw = text.encode()
+    if raw.translate(None, b"01"):
+        raise ContractError(f"bit text must hold only 0 and 1, got {text!r}")
+    return np.frombuffer(raw, np.uint8) - 48
 
 
 _NATIVE = frozenset({str, int, float, bool, type(None)})
@@ -239,8 +254,7 @@ def relay_round(
 
     sample = sorted_sample(rng, length, sample_size(params.delta, length))
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)
-    prepared = {p: [LABEL_SPECS[c] for c in labels[p]] for p in parties}
-    estimate = first_error_estimation(prepared, held, perms, sample, params.threshold, rng)
+    estimate = first_error_estimation(labels, held, perms, sample, params.threshold, rng)
     transcript.add_estimate(estimate)
     if estimate.verdict == "abort":
         transcript.record_abort(estimate.phase)
@@ -248,7 +262,7 @@ def relay_round(
 
     for p in parties:
         transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
-    ordered = {p: unpermute(held[p], perms[p]) for p in parties}
+    rows = list(zip(*(unpermute(held[p], perms[p]) for p in parties)))
     discard = set(sample)
     keep = [i for i in range(length) if i not in discard]
     transcript.add_key_stage("after_first_estimation", len(keep))
@@ -256,23 +270,18 @@ def relay_round(
     if cheating_middle:
         # Each round's announcement draws an integer after the round's basis
         # coin and measurements, so these uniforms are drawn round by round.
+        n = len(parties)
+        round_bases = {False: [BASIS_Z] * n, True: [BASIS_X] * n}
         outcomes = []
         for i in keep:
-            coin, *uniforms = rng.random(1 + len(parties)).tolist()
+            coin, *uniforms = rng.random(1 + n).tolist()
             x_basis = coin < 0.5
-            basis = BASIS_X if x_basis else BASIS_Z
-            bits = [
-                measure_flying(ordered[p][i], basis, u)[0] for p, u in zip(parties, uniforms)
-            ]
-            outcome = dishonest_middle_announce(bits, x_basis, len(parties), rng)
+            bits, _ = measure_carriers(rows[i], round_bases[x_basis], uniforms)
+            outcome = dishonest_middle_announce(bits, x_basis, n, rng)
             record.announced.append(outcome.code)
             outcomes.append(outcome)
     else:
-        basis = build_joint_basis(len(parties))
-        outcomes = [
-            measure_channel_tuple([ordered[p][i] for p in parties], basis, u)
-            for i, u in zip(keep, rng.random(len(keep)).tolist())
-        ]
+        outcomes = measure_rounds([rows[i] for i in keep], rng.random(len(keep)).tolist())
     transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
     return keep, outcomes
 

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import AttackConfig, guess_basis, make_tap
+from ..adversary import AttackConfig, guess_bases, make_tap
 from ..channels import (
     PHASE_GUESS,
     ErrorEstimate,
     QuantumChannel,
-    measure_channel_tuple,
+    measure_rounds,
 )
 from ..codec import decode_partner_bit, label_indices, sift_outcome
 from ..errors import ContractError
-from ..qsim import build_joint_basis
 from .common import (
     MIDDLE,
     ProtocolParams,
@@ -56,7 +55,7 @@ def _shared_guess_bases(attack: AttackConfig, length: int, rng) -> list[str] | N
     """
     if attack.kind != "intercept_resend":
         return None
-    return [guess_basis(coin) for coin in rng.random(length).tolist()]
+    return guess_bases(rng.random(length).tolist())
 
 
 def _sift_and_decode(
@@ -85,18 +84,15 @@ def _sift_and_decode(
     )
     transcript.add_event("estimation_positions", phase=PHASE_GUESS, positions=picked)
     detail = []
-    mismatches = 0
     guesses = {p: [] for p in PAIR_PARTIES}
     for i in picked:
         guess_b = decode_partner_bit(a[i], key[i], outcomes[i])
         guess_a = decode_partner_bit(b[i], key[i], outcomes[i])
         guesses[PAIR_PARTIES[0]].append(guess_b)
         guesses[PAIR_PARTIES[1]].append(guess_a)
-        ok = guess_b == b[i] and guess_a == a[i]
-        mismatches += not ok
-        detail.append(("pair", int(i), ok))
+        detail.append(("pair", int(i), guess_b == b[i] and guess_a == a[i]))
     transcript.add_event("guess_reveal", phase=PHASE_GUESS, guesses=guesses)
-    estimate = ErrorEstimate(PHASE_GUESS, len(picked), mismatches, params.threshold, tuple(detail))
+    estimate = ErrorEstimate.from_detail(PHASE_GUESS, detail, params.threshold)
     transcript.add_estimate(estimate)
     if estimate.verdict == "abort":
         transcript.record_abort(PHASE_GUESS)
@@ -141,11 +137,9 @@ def run_mdi_qd_original(
         )
         held[p] = channel.transmit(sent, rng, transcript.add_event)
 
-    basis2 = build_joint_basis(2)
-    outcomes = [
-        measure_channel_tuple([a, b], basis2, u)
-        for a, b, u in zip(held[PAIR_PARTIES[0]], held[PAIR_PARTIES[1]], rng.random(n).tolist())
-    ]
+    outcomes = measure_rounds(
+        list(zip(held[PAIR_PARTIES[0]], held[PAIR_PARTIES[1]])), rng.random(n).tolist()
+    )
     transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
     _sift_and_decode(msgs, key, outcomes, list(range(n)), params, rng, transcript)
     return transcript

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, product
 from typing import Sequence
 
@@ -101,7 +102,7 @@ class QubitSpec:
         if self.bit not in (0, 1):
             raise ContractError(f"bit must be 0 or 1, got {self.bit!r}")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.basis}{self.bit}"
 
@@ -144,11 +145,18 @@ class Outcome:
 
     @classmethod
     def from_code(cls, code: int) -> "Outcome":
-        return cls(code >> 1, code & 1)
+        """The one shared ``Outcome`` of a code (of at most 2^MAX_QUBITS), built on first use."""
+        outcome = _OUTCOMES.get(code)
+        if outcome is None:
+            outcome = _OUTCOMES[code] = cls(code >> 1, code & 1)
+        return outcome
 
     @property
     def label(self) -> str:
         return f"Phi{self.index}{'+' if self.sign == 0 else '-'}"
+
+
+_OUTCOMES: dict[int, Outcome] = {}
 
 
 @dataclass(frozen=True)
@@ -243,8 +251,8 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 
 _INTERN_IDS: dict[bytes, int] = {}
 _INTERNED: list[PureState | None] = []
-# Read by ``channels.measure_flying``, the one single-qubit measurement of
-# an interned state.
+# Read by ``channels.measure_carriers``, the one single-qubit measurement of
+# interned states.
 P0: list[dict[str, float]] = []
 _IMAGE: list[list[int | None]] = []
 _JOINT: dict[tuple[int, ...], list[float]] = {}

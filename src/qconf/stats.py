@@ -133,14 +133,14 @@ def _stat_guess_mismatch(tr: dict) -> tuple[int, int]:
 
 def _stat_attacker_pair_recovery(tr: dict) -> tuple[int, int]:
     """Adversary's per-position exact recovery of the true message bit pair."""
-    truth = [str_to_bits(s) for s in tr["secrets"]["messages"]]
+    truth = [str_to_bits(s).tolist() for s in tr["secrets"]["messages"]]
     guesses = tr["adversary"]["guesses"]
     first = guesses.get("P1->middle", [])
     second = guesses.get("P2->middle", [])
     samples = min(len(first), len(second), len(truth[0]))
     successes = sum(
-        int(first[i][1]) == truth[0][i] and int(second[i][1]) == truth[1][i]
-        for i in range(samples)
+        g1 == t1 and g2 == t2
+        for (_, g1), (_, g2), t1, t2 in zip(first, second, truth[0], truth[1])
     )
     return successes, samples
 

@@ -12,12 +12,12 @@ from qconf.adversary import (
     AdversaryRecord,
     AttackConfig,
     EntangleMeasureTap,
+    InterceptResendTap,
     dishonest_middle_announce,
     dos_attack,
     dos_cumulative,
     draw_substitute_blind,
-    guess_basis,
-    intercept_resend,
+    guess_bases,
     mitm_attack,
 )
 from qconf.channels import measure_flying
@@ -52,10 +52,18 @@ class TestAttackConfig:
         assert AttackConfig.from_dict(config.to_dict()) == config
 
 
+def intercept_resend(qubit: int, basis: str, rng) -> tuple[int, tuple[str, int]]:
+    """One qubit through the intercept tap with its basis guess fixed."""
+    record = AdversaryRecord(kind="intercept_resend")
+    (forwarded,) = InterceptResendTap(record, [basis]).apply([qubit], rng, "P1->middle")
+    (guess,) = record.guesses["P1->middle"]
+    return forwarded, guess
+
+
 class TestInterceptResend:
     def test_matching_basis_undetectable(self):
         rng = make_rng(40)
-        forwarded, (basis, bit) = intercept_resend(label_id(QubitSpec("Z", 0)), "Z", rng.random())
+        forwarded, (basis, bit) = intercept_resend(label_id(QubitSpec("Z", 0)), "Z", rng)
         assert (basis, bit) == ("Z", 0)
         np.testing.assert_allclose(interned(forwarded).amplitudes, [1, 0], atol=1e-12)
 
@@ -66,7 +74,7 @@ class TestInterceptResend:
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            forwarded, _ = intercept_resend(label_id(QubitSpec("Z", 0)), "X", rng.random())
+            forwarded, _ = intercept_resend(label_id(QubitSpec("Z", 0)), "X", rng)
             bit, _ = measure_flying(forwarded, "Z", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
@@ -77,8 +85,8 @@ class TestInterceptResend:
         passes = 0
         for _ in range(trials):
             spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            basis = guess_basis(rng.random())
-            forwarded, _ = intercept_resend(label_id(spec), basis, rng.random())
+            (basis,) = guess_bases([rng.random()])
+            forwarded, _ = intercept_resend(label_id(spec), basis, rng)
             bit, _ = measure_flying(forwarded, spec.basis, rng.random())
             passes += bit == spec.bit
         assert abs(passes / trials - 0.75) < 0.01

@@ -10,7 +10,13 @@ gives.  These tests pin that identity and the count each ceremony draws.
 import numpy as np
 import pytest
 
-from qconf.adversary import AdversaryRecord, DosTap, EntangleMeasureTap, InterceptResendTap
+from qconf.adversary import (
+    AdversaryRecord,
+    AttackConfig,
+    DosTap,
+    EntangleMeasureTap,
+    InterceptResendTap,
+)
 from qconf.channels import (
     first_error_estimation,
     insert_decoys,
@@ -20,7 +26,9 @@ from qconf.channels import (
     random_permutation,
     verify_decoys,
 )
-from qconf.qsim import BASIS_X, BASIS_Z, LABEL_SPECS
+from qconf.protocols import ProtocolParams, Transcript, party_names
+from qconf.protocols.common import relay_round
+from qconf.qsim import BASIS_X, BASIS_Z
 from qconf.rng import make_rng
 
 PARTIES = ("P1", "P2", "P3")
@@ -64,11 +72,10 @@ def test_first_estimation_draws_one_per_check(entangled):
     rng = make_rng(60)
     length, sample = 30, [1, 4, 9, 16, 25]
     labels = {p: rng.integers(0, 4, size=length).tolist() for p in PARTIES}
-    prepared = {p: [LABEL_SPECS[c] for c in labels[p]] for p in PARTIES}
     perms = {p: random_permutation(length, rng) for p in PARTIES}
     held = {p: permute(carriers(labels[p], entangled), perms[p]) for p in PARTIES}
     before = twin(rng)
-    estimate = first_error_estimation(prepared, held, perms, sample, 0.0, rng)
+    estimate = first_error_estimation(labels, held, perms, sample, 0.0, rng)
     assert_advanced_by(rng, before, len(sample) * len(PARTIES))
     assert estimate.positions_checked == len(sample) * len(PARTIES)
 
@@ -120,3 +127,30 @@ def test_measure_payload_draws_one_per_basis(entangled):
     bits, collapsed = measure_payload(qubits, bases, rng)
     assert_advanced_by(rng, before, len(bases))
     assert len(bits) == len(collapsed) == len(qubits)
+
+
+@pytest.mark.parametrize("kind", ["none", "entangle_measure"])
+@pytest.mark.parametrize("n_parties", [2, 3, 5])
+def test_honest_joint_loop_draws_one_per_kept_round(kind, n_parties):
+    # Nothing draws between the key stage recorded after the first
+    # estimation and the end of the relay round except the joint loop.  The
+    # threshold lets the entangled rounds, which hold MIXED, reach it.
+    rng = make_rng(65)
+    length = 40
+    labels = {p: rng.integers(0, 4, size=length).tolist() for p in party_names(n_parties)}
+    attack = AttackConfig(kind=kind)
+    transcript = Transcript(config={})
+    snapshots = []
+
+    def add_key_stage(stage, count):
+        snapshots.append(twin(rng))
+        Transcript.add_key_stage(transcript, stage, count)
+
+    transcript.add_key_stage = add_key_stage
+    keep, outcomes = relay_round(
+        labels, attack, AdversaryRecord(kind=kind), ProtocolParams(threshold=0.9), rng, transcript,
+        cheating_middle=False,
+    )
+    assert len(snapshots) == 1
+    assert_advanced_by(rng, snapshots[0], len(keep))
+    assert len(outcomes) == len(keep) == length - 4

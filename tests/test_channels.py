@@ -13,9 +13,10 @@ from qconf.channels import (
     first_error_estimation,
     insert_decoys,
     make_decoy_set,
-    measure_channel_tuple,
+    measure_carriers,
     measure_flying,
     measure_payload,
+    measure_rounds,
     permute,
     random_permutation,
     second_error_estimation,
@@ -26,15 +27,21 @@ from qconf.codec import consistent_outcome_codes, encode_message_qubit
 from qconf.errors import ContractError
 from qconf.protocols import RunConfig, Transcript, execute_trial
 from qconf.qsim import (
+    BASIS_X,
+    BASIS_Z,
     LABEL_SPECS,
     MIXED,
+    P0,
+    PAULIS,
     Outcome,
     QubitSpec,
     build_joint_basis,
     interned,
     label_id,
+    label_spec,
     materialize,
     measure_joint,
+    pauli_image,
     tensor,
 )
 from qconf.rng import make_rng, random_bits
@@ -122,37 +129,37 @@ class TestFirstEstimation:
     def _setup(self, n, rng):
         key = random_bits(rng, n)
         messages = {p: random_bits(rng, n) for p in ("P1", "P2")}
-        prepared = {
-            p: [encode_message_qubit(int(messages[p][i]), int(key[i])) for i in range(n)]
+        labels = {
+            p: [label_id(encode_message_qubit(int(messages[p][i]), int(key[i]))) for i in range(n)]
             for p in messages
         }
         perms = {p: random_permutation(n, rng) for p in messages}
-        held = {p: permute([label_id(s) for s in prepared[p]], perms[p]) for p in messages}
-        return prepared, held, perms
+        held = {p: permute(labels[p], perms[p]) for p in messages}
+        return labels, held, perms
 
     def test_honest_run_no_mismatch(self):
         rng = make_rng(24)
-        prepared, held, perms = self._setup(40, rng)
-        estimate = first_error_estimation(prepared, held, perms, [3, 7, 20], 0.0, rng)
+        labels, held, perms = self._setup(40, rng)
+        estimate = first_error_estimation(labels, held, perms, [3, 7, 20], 0.0, rng)
         assert estimate.mismatches == 0
         assert estimate.positions_checked == 6  # 2 parties x 3 positions
         assert estimate.verdict == "continue"
 
     def test_detail_labels_parties_and_positions(self):
         rng = make_rng(25)
-        prepared, held, perms = self._setup(10, rng)
-        estimate = first_error_estimation(prepared, held, perms, [2, 5], 0.0, rng)
+        labels, held, perms = self._setup(10, rng)
+        estimate = first_error_estimation(labels, held, perms, [2, 5], 0.0, rng)
         assert {entry[0] for entry in estimate.detail} == {"P1", "P2"}
         assert {entry[1] for entry in estimate.detail} == {2, 5}
 
     def test_flipped_qubit_detected(self):
         rng = make_rng(26)
-        prepared, held, perms = self._setup(10, rng)
+        labels, held, perms = self._setup(10, rng)
         # corrupt P1's qubit for original position 4 with an orthogonal state
         slot = int(perms["P1"].mapping[4])
-        spec = prepared["P1"][4]
+        spec = LABEL_SPECS[labels["P1"][4]]
         held["P1"][slot] = label_id(QubitSpec(spec.basis, 1 - spec.bit))
-        estimate = first_error_estimation(prepared, held, perms, [4], 0.0, rng)
+        estimate = first_error_estimation(labels, held, perms, [4], 0.0, rng)
         assert estimate.mismatches == 1
         assert estimate.verdict == "abort"
 
@@ -200,6 +207,35 @@ class TestFlying:
         assert bit == 0
         assert post == label_id(QubitSpec("X", 0))
 
+    def test_batch_equals_scalar_for_every_id(self):
+        # Every interned id: the labels, their Pauli images and MIXED, each
+        # in both bases at u = 0, at p0 and its neighbours, and just below 1.
+        for sid in range(len(LABEL_SPECS)):
+            for pauli in range(len(PAULIS)):
+                pauli_image(sid, pauli)
+        carriers, bases, uniforms = [], [], []
+        for sid in range(len(P0)):
+            for basis in (BASIS_Z, BASIS_X):
+                p0 = P0[sid][basis]
+                for u in (0.0, np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0), 1.0 - 2.0**-53):
+                    carriers.append(sid)
+                    bases.append(basis)
+                    uniforms.append(float(u))
+        assert MIXED in carriers
+        bits, collapsed = measure_carriers(carriers, bases, uniforms)
+        assert list(zip(bits, collapsed)) == [
+            measure_flying(*args) for args in zip(carriers, bases, uniforms)
+        ]
+        for sid, basis, u, bit, post in zip(carriers, bases, uniforms, bits, collapsed):
+            assert bit == int(u >= P0[sid][basis])
+            assert post == label_id(label_spec(basis, bit))
+
+    def test_batch_contract(self):
+        with pytest.raises(ContractError):
+            measure_carriers([0, 1], ["Z"], [0.5, 0.5])
+        with pytest.raises(ContractError):
+            measure_carriers([0], ["Y"], [0.5])
+
 
 class TestInternedCarriers:
     def test_one_shared_carrier_per_state(self):
@@ -220,14 +256,17 @@ class TestInternedCarriers:
         picks = make_rng(33 + n).integers(0, 4, size=(200, n))
         rng_a, rng_b = make_rng(40 + n), make_rng(40 + n)
         basis = build_joint_basis(n)
-        for row in picks:
-            qubits = [label_id(LABEL_SPECS[int(k)]) for k in row]
+        rows = [tuple(label_id(LABEL_SPECS[int(k)]) for k in row) for row in picks]
+        outcomes = measure_rounds(rows, rng_a.random(len(rows)).tolist())
+        for qubits, outcome in zip(rows, outcomes):
             dense = measure_joint(tensor([interned(q) for q in qubits]), basis, rng_b.random())
-            assert measure_channel_tuple(qubits, basis, rng_a.random()) == dense
+            assert outcome == dense
 
     def test_sizes_must_match(self):
         with pytest.raises(ContractError):
-            measure_channel_tuple([0, 1, 2], build_joint_basis(2), 0.5)
+            measure_rounds([(0, 1, 2)], [0.5, 0.5])
+        with pytest.raises(ContractError):
+            measure_rounds([(0,)], [0.5])
         with pytest.raises(ContractError):
             measure_payload([0, 1], ["Z"], make_rng(36))
 

@@ -27,6 +27,7 @@ from qconf.qsim import (
     Outcome,
     QubitSpec,
     build_joint_basis,
+    index_to_bits,
     materialize,
     outcome_distribution,
     tensor,
@@ -271,3 +272,30 @@ class TestConsistentOutcomes:
                 probs = outcome_distribution(state, basis)
                 support = {c for c in range(2**n) if probs[c] > 1e-12}
                 assert support == set(consistent_outcome_codes(bits, x_round, n))
+
+    def test_width_must_match_party_count(self):
+        for x_round in (False, True):
+            with pytest.raises(ContractError):
+                consistent_outcome_codes([1, 0], x_round, 3)
+
+
+class TestTabledDecoding:
+    """The (n, parity), (n, j_hat) and (n, index) tables equal the formulas."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exhaustive(self, n):
+        for bits in product((0, 1), repeat=n):
+            j = int("".join(map(str, bits)), 2)
+            j_hat = min(j, 2**n - 1 - j)
+            x_codes = tuple(2 * i + sum(bits) % 2 for i in range(2 ** (n - 1)))
+            assert consistent_outcome_codes(bits, True, n) == x_codes
+            assert consistent_outcome_codes(list(bits), False, n) == (2 * j_hat, 2 * j_hat + 1)
+            candidates = (
+                index_to_bits(j_hat, n),
+                tuple(1 - b for b in index_to_bits(j_hat, n)),
+            )
+            for sign in (0, 1):
+                for position in range(n):
+                    got = decode_z_round(bits[position], position, Outcome(j_hat, sign), n)
+                    assert got == bits
+                    assert got in candidates

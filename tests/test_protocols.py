@@ -25,7 +25,7 @@ from qconf.protocols import (
     trial_messages,
 )
 from qconf.protocols import runner
-from qconf.protocols.common import str_to_bits
+from qconf.protocols.common import bits_to_str, str_to_bits
 from qconf.rng import make_rng, random_bits
 
 HONEST = AttackConfig()
@@ -400,6 +400,35 @@ class TestTranscriptContracts:
         messages = [random_bits(rng, 40) for _ in range(5)]
         transcript = run_conference(messages, HONEST, rng, PARAMS)
         assert conference_outputs_exact(transcript, messages)
+
+
+class TestBitText:
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint64]
+    )
+    def test_every_integer_dtype_gives_the_same_text(self, dtype):
+        bits = np.array([0, 1, 1, 0, 1], dtype=dtype)
+        assert bits_to_str(bits) == bits_to_str(bits.tolist()) == "01101"
+        assert bits_to_str(bits[::2]) == "011"
+        assert np.array_equal(str_to_bits(bits_to_str(bits)), bits)
+
+    def test_empty(self):
+        assert bits_to_str([]) == bits_to_str(np.zeros(0, dtype=np.uint8)) == ""
+        assert str_to_bits("").dtype == np.uint8 and len(str_to_bits("")) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 2, 1], [0, -1], [0, 256], np.array([0, 2, 1]), np.array([0, 256]),
+         np.array([3], dtype=np.uint8), [0.0, 1.0], "01", 3],
+    )
+    def test_non_bits_rejected(self, bad):
+        with pytest.raises(ContractError):
+            bits_to_str(bad)
+
+    @pytest.mark.parametrize("bad", ["021", "0 1", "01\n", "1é", "0/"])
+    def test_non_bit_text_rejected(self, bad):
+        with pytest.raises(ContractError):
+            str_to_bits(bad)
 
 
 class TestRunConfigValidation:

@@ -19,7 +19,7 @@ from purification import (
     wire_distribution,
 )
 from qconf import qsim
-from qconf.channels import measure_channel_tuple, measure_flying
+from qconf.channels import measure_flying, measure_rounds
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
     BASIS_X,
@@ -169,6 +169,14 @@ class TestJointBasis:
         assert sorted(codes) == list(range(8))
         for code in range(8):
             assert Outcome.from_code(code).code == code
+
+    def test_from_code_is_shared(self):
+        for code in range(2**6):
+            outcome = Outcome.from_code(code)
+            assert outcome is Outcome.from_code(code)
+            assert outcome == Outcome(code >> 1, code & 1)
+        with pytest.raises(ContractError):
+            Outcome.from_code(-1)
 
 
 class TestOutcomeDistribution:
@@ -381,12 +389,11 @@ class TestMeasurement:
         # marginal over the ancilla: a quarter on each code.
         rng = make_rng(9)
         want = wire_distribution(purify(["X0", "Z0"], [0]), 2)
-        basis = build_joint_basis(2)
         counts = np.zeros(4)
         trials = 20_000
-        for _ in range(trials):
-            qubits = [tapped("X0"), label_carrier("Z0")]
-            counts[measure_channel_tuple(qubits, basis, rng.random()).code] += 1
+        rows = [(tapped("X0"), label_carrier("Z0"))] * trials
+        for outcome in measure_rounds(rows, rng.random(trials).tolist()):
+            counts[outcome.code] += 1
         np.testing.assert_allclose(want, [0.25] * 4, atol=1e-15)
         np.testing.assert_allclose(counts / trials, want, atol=0.02)
 
