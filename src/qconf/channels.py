@@ -97,8 +97,9 @@ def measure_rounds(rows: Sequence[tuple[int, ...]], uniforms: Sequence[float]) -
 
     A row holds one carrier per party, in party order; every row has the same
     width, which is checked once.  Rows up to ``MAX_TABLE_QUBITS`` carriers,
-    or holding ``MIXED``, read the joint table through
-    ``qsim.measure_product``; wider pure rows build their product state.
+    or holding ``MIXED``, are measured by ``qsim.measure_product``, from the
+    joint table or the closed form for ``MIXED``; wider pure rows build
+    their product state for ``measure_joint``.
     """
     if len(rows) != len(uniforms):
         raise ContractError("one uniform per round")

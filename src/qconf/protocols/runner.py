@@ -94,11 +94,8 @@ class RunConfig:
                 raise ContractError("n_parties: dialogue protocols take exactly 2")
         elif self.n_parties < 3:
             raise ContractError("n_parties: conference/xor need at least 3")
-        # The relay measures one carrier per party jointly.  Under
-        # entangle_measure each carrier may be ``qsim.MIXED``, and averaging
-        # over k mixed carriers costs 2^(n+k), as a joint state of n + k
-        # qubits would.
-        qubits = self.n_parties * (2 if self.attack.kind == "entangle_measure" else 1)
+        # The relay measures one carrier per party jointly.
+        qubits = self.n_parties
         if qubits > MAX_QUBITS:
             # 16-byte amplitudes; the size is capped so that it stays printable.
             mib = 2 ** (min(qubits, 64) - 16)

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, product
+from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -202,11 +202,8 @@ def tensor(states: Sequence[PureState]) -> PureState:
     """Kronecker product; the first state supplies the most significant bits."""
     if not states:
         raise ContractError("tensor of an empty sequence")
-    amps = states[0].amplitudes
-    for state in states[1:]:
-        amps = np.multiply.outer(amps, state.amplitudes).reshape(-1)
     n = sum(s.num_qubits for s in states)
-    return PureState(n, amps)
+    return PureState(n, reduce(np.multiply.outer, [s.amplitudes for s in states]).reshape(-1))
 
 
 def build_joint_basis(num_qubits: int) -> JointBasis:
@@ -328,22 +325,29 @@ def dephase(sid: int) -> int:
 def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
     """Cumulative outcome probabilities of a product of interned states.
 
-    ``MIXED`` is the even mixture of Z0 and Z1, so a product holding k of
-    them averages its 2^k Z0/Z1 substitutions, each measured by ``tensor``
-    and ``outcome_distribution``.  Without ``MIXED`` this is exactly the
+    Each ``MIXED`` carrier, the even mixture of Z0 and Z1, reads as
+    amplitude 1 at both bits, giving amplitudes A.  With k >= 1 of them an
+    index and its complement differ on a ``MIXED`` bit, so the overlaps do
+    not interfere: both signs of index i have probability
+    (|A(i)|^2 + |A(2^n-1-i)|^2) / 2^(k+1).  A pure product is exactly the
     running sum ``measure_joint`` and ``sample_index`` compute.  Products of
     at most ``MAX_TABLE_QUBITS`` are tabled, once per id tuple; wider ones
     have too many tuples to keep.
     """
     cumulative = _JOINT.get(ids)
     if cumulative is None:
-        basis = build_joint_basis(len(ids))
-        choices = [_Z_LABELS if sid == MIXED else (sid,) for sid in ids]
-        total = sum(
-            outcome_distribution(tensor([_INTERNED[sid] for sid in pure]), basis)
-            for pure in product(*choices)
-        )
-        cumulative = list(accumulate((total / 2 ** ids.count(MIXED)).tolist()))
+        build_joint_basis(len(ids))
+        mixed = ids.count(MIXED)
+        factors = [_BOTH_BITS if sid == MIXED else _INTERNED[sid].amplitudes for sid in ids]
+        amps = reduce(np.multiply.outer, factors).reshape(-1)
+        if mixed:
+            weights = np.abs(amps) ** 2
+            half = len(weights) // 2
+            pairs = (weights[:half] + weights[::-1][:half]) / 2 ** (mixed + 1)
+            probs = np.repeat(pairs, 2)
+        else:
+            probs = _pair_probabilities(amps)
+        cumulative = list(accumulate(probs.tolist()))
         if len(ids) <= MAX_TABLE_QUBITS:
             _JOINT[ids] = cumulative
     return cumulative
@@ -364,6 +368,7 @@ _Z_LABELS = (_LABEL_IDS[BASIS_Z, 0], _LABEL_IDS[BASIS_Z, 1])
 # The maximally mixed state I/2 takes the next id.  It has no amplitudes:
 # both bases read it as a fair coin, and every Pauli leaves it unchanged.
 MIXED = len(_INTERNED)
+_BOTH_BITS = np.ones(2, dtype=complex)
 _INTERNED.append(None)
 P0.append({BASIS_Z: 0.5, BASIS_X: 0.5})
 _IMAGE.append([MIXED] * len(PAULIS))

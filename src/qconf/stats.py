@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .adversary import DOS_PASS_WEIGHTS, AttackConfig
 from .errors import ContractError
 from .protocols.common import sample_size, str_to_bits
-from .protocols.runner import RunConfig, execute_trial
+from .protocols.runner import RunConfig, execute_trial, iter_trials
 
 DEFAULT_Z = 4.0
 
@@ -280,12 +281,6 @@ def _extract_counts(transcript: dict, statistics: tuple[str, ...]) -> dict:
     return {name: STATISTICS[name](transcript) for name in statistics}
 
 
-def _count_trials(config: RunConfig, trials, statistics: tuple[str, ...]):
-    """Counts of each statistic, one dict per trial, in trial order."""
-    for trial in trials:
-        yield _extract_counts(execute_trial(config, trial).to_dict(), statistics)
-
-
 def _experiment_worker(args: tuple) -> dict:
     config_dict, trial, statistics = args
     config = RunConfig.from_dict(config_dict)
@@ -304,9 +299,10 @@ def run_experiment(experiment: Experiment, workers: int = 1) -> dict[str, Estima
                 totals[name][1] += samples
 
     if workers <= 1:
-        config = experiment.config
-        config.validate()
-        add(_count_trials(config, range(config.trials), tuple(experiment.statistics)))
+        # ``map`` drops each transcript once its counts are taken, before
+        # the next trial runs.
+        statistics = repeat(tuple(experiment.statistics))
+        add(map(_extract_counts, iter_trials(experiment.config), statistics))
     else:
         jobs = [
             (experiment.config.to_dict(), t, tuple(experiment.statistics))

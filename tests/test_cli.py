@@ -84,7 +84,7 @@ def test_config_error_names_field(tmp_path, capsys):
     "overrides",
     [
         {"protocol": "conferenceN", "n_parties": 17},
-        {"protocol": "xor", "n_parties": 9, "attack": {"kind": "entangle_measure"}},
+        {"protocol": "xor", "n_parties": 17, "attack": {"kind": "entangle_measure"}},
         {"protocol": "conferenceN", "n_parties": 1100},
     ],
 )

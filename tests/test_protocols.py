@@ -124,6 +124,23 @@ class TestConference:
         assert not transcript.aborted
         assert conference_outputs_exact(transcript, messages)
 
+    def test_entangle_runs_ten_parties(self):
+        # Every carrier the tap dephased is MIXED; the relay measures the
+        # 10-wide rows in closed form.  Threshold 0.9 lets the run reach them.
+        config = RunConfig(
+            protocol="conferenceN",
+            message_length=100,
+            n_parties=10,
+            threshold=0.9,
+            attack=AttackConfig(kind="entangle_measure"),
+            seed=3,
+        )
+        transcript = execute_trial(config).to_dict()
+        (announcement,) = [e for e in transcript["events"] if e["type"] == "joint_announcement"]
+        assert announcement["codes"] and max(announcement["codes"]) < 2**10
+        assert len(transcript["adversary"]["ancilla_counts"]) == 20
+        assert execute_trial(config).to_dict() == transcript
+
     def test_conference3_is_conferenceN_instance(self):
         fields = {"message_length": 64, "n_parties": 3, "delta": 0.2, "seed": 70}
         t_a = execute_trial(RunConfig.from_dict({"protocol": "conference3", **fields}))
@@ -450,18 +467,18 @@ class TestRunConfigValidation:
             RunConfig(protocol="xor", message_length=100, n_parties=2).validate()
 
     def test_joint_state_size_bound(self):
-        # The relay's joint state holds one qubit per party, two under
-        # entangle_measure; more than MAX_QUBITS (16) is rejected up front.
+        # The relay's joint state holds one qubit per party, under every
+        # attack; more than MAX_QUBITS (16) is rejected up front.
         entangle = AttackConfig(kind="entangle_measure")
         RunConfig(protocol="conferenceN", message_length=100, n_parties=16).validate()
         RunConfig(
-            protocol="xor", message_length=100, n_parties=8, attack=entangle
+            protocol="conferenceN", message_length=100, n_parties=16, attack=entangle
         ).validate()
         with pytest.raises(ResourceLimitError, match="17 qubits"):
             RunConfig(protocol="conferenceN", message_length=100, n_parties=17).validate()
-        with pytest.raises(ResourceLimitError, match="18 qubits"):
+        with pytest.raises(ResourceLimitError, match="17 qubits"):
             RunConfig(
-                protocol="conferenceN", message_length=100, n_parties=9, attack=entangle
+                protocol="conferenceN", message_length=100, n_parties=17, attack=entangle
             ).validate()
 
     def test_unknown_field_rejected(self):

@@ -25,6 +25,7 @@ from qconf.qsim import (
     BASIS_X,
     BASIS_Z,
     LABEL_SPECS,
+    MAX_QUBITS,
     MIXED,
     MAX_TABLE_QUBITS,
     PAULI_IY,
@@ -614,19 +615,32 @@ class TestDephasedTables:
                 rho = wire_density(purify([label], taps), 0)
                 np.testing.assert_allclose(carrier_density(sid), rho, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_joint_cumulative_equals_purification(self, n):
-        # Every tuple of labels, each wire tapped or not.
-        for labels in product(LABELS, repeat=n):
-            for mask in product((False, True), repeat=n):
-                taps = [wire for wire in range(n) if mask[wire]]
-                ids = tuple(
-                    tapped(label) if hit else label_carrier(label)
-                    for label, hit in zip(labels, mask)
-                )
-                dense = np.cumsum(wire_distribution(purify(labels, taps), n))
-                table = qsim.joint_cumulative(ids)
-                np.testing.assert_allclose(table, dense, rtol=0, atol=1e-15)
+        # Every tuple of labels, each wire tapped or not, up to n = 4; 200
+        # seeded random ones beyond.
+        if n <= 4:
+            cases = product(product(LABELS, repeat=n), product((False, True), repeat=n))
+        else:
+            rng = make_rng(n)
+            cases = (
+                ([LABELS[k] for k in rng.integers(len(LABELS), size=n)], rng.integers(2, size=n))
+                for _ in range(200)
+            )
+        for labels, mask in cases:
+            taps = [wire for wire in range(n) if mask[wire]]
+            ids = tuple(
+                tapped(label) if hit else label_carrier(label)
+                for label, hit in zip(labels, mask)
+            )
+            dense = np.cumsum(wire_distribution(purify(labels, taps), n))
+            table = qsim.joint_cumulative(ids)
+            np.testing.assert_allclose(table, dense, rtol=0, atol=1e-15)
+
+    def test_all_mixed_is_uniform_exactly(self):
+        # The closed form sums powers of two, so the uniform is exact.
+        for n in range(2, MAX_QUBITS + 1):
+            assert qsim.joint_cumulative((MIXED,) * n) == [(c + 1) / 2**n for c in range(2**n)]
 
 
 def test_index_bit_helpers_round_trip():
