@@ -154,6 +154,47 @@ TRANSCRIPT_HASHES = {
 SUITE_HASH = "44118037e424196062c6c04b0375e156a3ced6a708ec09febd538fb8dd1c89d0"
 
 
+# Decoy-hop order.  In each case one link is tapped (intercept and resend),
+# the first hop or mask link passes and a later one aborts, so the bytes pin
+# the order of every hop's draws and events past the first.  Receivers check
+# in party order: on the ring P1, fed by P4, checks first, so the tapped
+# P1->P2 link is the second check of hop 2.
+# name -> (protocol, n_parties, message_length, tapped link, seed,
+#          decoy_reveal events, decoy verdicts, hash)
+HOP_CASES = {
+    "conferenceN-hop2-abort": (
+        "conferenceN", 4, 100, "P1->P2", 30, 8,
+        ["continue"] * 5 + ["abort", "continue", "continue"],
+        "02e1a0ccf8a7e4fb5ae4baf7ab011d9a3c6afd33189988b7a7c6b69b79ef54c5",
+    ),
+    "xor-second-mask-link-abort": (
+        "xor", 3, 50, "P1->P3", 11, 2,
+        ["continue", "abort"],
+        "d6cf011a6fe428776bc230083eb90d90b0d3d8358770b11d5072d17ff9283700",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOP_CASES)
+def test_decoy_hop_order(name):
+    protocol, n_parties, length, link, seed, reveals, verdicts, digest = HOP_CASES[name]
+    config = RunConfig(
+        protocol=protocol,
+        message_length=length,
+        n_parties=n_parties,
+        attack=AttackConfig("intercept_resend", target_links=frozenset({link})),
+        seed=seed,
+    )
+    config.validate()
+    transcript = execute_trial(config, 0)
+    data = transcript.to_dict()
+    assert sum(event["type"] == "decoy_reveal" for event in data["events"]) == reveals
+    assert data["abort"] == {"aborted": True, "stage": "decoy_verification"}
+    decoy_checks = [e for e in data["estimates"] if e["phase"] == "decoy_verification"]
+    assert [estimate["verdict"] for estimate in decoy_checks] == verdicts
+    assert _sha256(transcript.to_json()) == digest
+
+
 @pytest.mark.parametrize("protocol,kind,seed", CASES, ids=[f"{p}-{k}-{s}" for p, k, s in CASES])
 def test_transcript_bytes(protocol, kind, seed):
     assert transcript_hash(protocol, kind, seed) == TRANSCRIPT_HASHES[f"{protocol}/{kind}/{seed}"]
