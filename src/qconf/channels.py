@@ -138,7 +138,12 @@ class Permutation:
 
 
 def random_permutation(length: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(rng.permutation(length))
+    """A drawn permutation; ``rng.permutation`` gives a fresh bijection, so no copy or check."""
+    mapping = rng.permutation(length)
+    mapping.setflags(write=False)
+    drawn = object.__new__(Permutation)
+    object.__setattr__(drawn, "mapping", mapping)
+    return drawn
 
 
 def permute(seq: Sequence, p: Permutation) -> list:
@@ -266,7 +271,6 @@ def verify_decoys(
     decoys: DecoySet,
     threshold: float,
     rng: np.random.Generator,
-    phase: str = PHASE_DECOY,
 ) -> ErrorEstimate:
     """Measure each decoy in its preparation basis and count mismatches.
 
@@ -283,7 +287,7 @@ def verify_decoys(
     for pos, spec, bit, post in zip(positions, specs, bits, collapsed):
         received[pos] = post
         detail.append(("decoy", pos, bit == spec.bit))
-    return ErrorEstimate.from_detail(phase, detail, threshold)
+    return ErrorEstimate.from_detail(PHASE_DECOY, detail, threshold)
 
 
 def first_error_estimation(

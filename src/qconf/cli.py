@@ -88,6 +88,8 @@ def _verify_attacks(out_dir: Path, seed: int, trials: int, workers: int) -> bool
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
         raise ContractError(f"suite: unknown value {args.suite!r}")
+    if args.trials < 1:
+        raise ContractError(f"--trials: must be at least 1, got {args.trials}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True

@@ -1,4 +1,4 @@
-"""Shared protocol machinery: parties, parameters, transcripts, the relay stage."""
+"""Shared protocol machinery: parties, parameters, transcripts, the relay and decoy-hop stages."""
 
 from __future__ import annotations
 
@@ -10,15 +10,21 @@ import numpy as np
 
 from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
 from ..channels import (
+    PHASE_DECOY,
     ErrorEstimate,
     QuantumChannel,
+    extract_payload,
     first_error_estimation,
+    insert_decoys,
+    make_decoy_set,
     measure_carriers,
+    measure_payload,
     measure_rounds,
     permute,
     random_permutation,
     second_error_estimation,
     unpermute,
+    verify_decoys,
 )
 from ..errors import ContractError
 from ..keysource import establish_key
@@ -220,7 +226,9 @@ def open_run(
 
 
 # ---------------------------------------------------------------------------
-# The relay stage shared by the hardened dialogue, the conference and XOR
+# Stages shared by the drivers: the relay round and its consistency check
+# (hardened dialogue, conference, XOR) and the decoy-protected hop
+# (conference exchange, XOR mask distribution)
 # ---------------------------------------------------------------------------
 
 
@@ -323,3 +331,51 @@ def consistency_check(
     survivors = [i for i in range(len(keep)) if i not in discard]
     transcript.add_key_stage("after_second_estimation", len(survivors))
     return survivors
+
+
+def decoy_hop(
+    parties: tuple[str, ...], payloads: dict[tuple[str, str], list[int]], read_bases: list[str],
+    attack: AttackConfig, record: AdversaryRecord, params: ProtocolParams,
+    rng: np.random.Generator, transcript: Transcript, *, fields: dict, transmit_fields: dict,
+) -> dict[str, tuple[list[int], list[int]]] | None:
+    """Send payloads under fresh decoys; each receiver checks them, then reads.
+
+    ``payloads`` maps each link ``(sender, receiver)``, senders in party
+    order, to the sender's carriers; a party receives on at most one link.
+    Senders draw decoys, then transmit; each link gets a ``receipt_ack``,
+    then a ``decoy_reveal``.  Receivers check, then read in ``read_bases``,
+    in the order of ``parties``.  Returns each receiver's ``measure_payload``
+    pair, or None after recording an abort.  ``fields`` go on every event,
+    ``transmit_fields`` on the transmit and attack events only.
+    """
+    decoys = {
+        link: make_decoy_set(len(payload), params.decoy_count, rng)
+        for link, payload in payloads.items()
+    }
+    received = {}
+    for link, payload in payloads.items():
+        channel = QuantumChannel(*link, tap=make_tap(attack, record, "->".join(link)))
+        received[link] = channel.transmit(
+            insert_decoys(payload, decoys[link]), rng, transcript.add_event,
+            **fields, **transmit_fields,
+        )
+    for link in payloads:
+        transcript.add_event("receipt_ack", channel="->".join(link), **fields)
+    for link, decoy_set in decoys.items():
+        transcript.add_event(
+            "decoy_reveal", channel="->".join(link), positions=list(decoy_set.positions),
+            states=[spec.label for spec in decoy_set.specs], **fields,
+        )
+    inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
+    estimates = [
+        verify_decoys(received[link], decoys[link], params.threshold, rng) for link in inbound
+    ]
+    for estimate in estimates:
+        transcript.add_estimate(estimate)
+    if any(estimate.verdict == "abort" for estimate in estimates):
+        transcript.record_abort(PHASE_DECOY)
+        return None
+    return {
+        link[1]: measure_payload(extract_payload(received[link], decoys[link]), read_bases, rng)
+        for link in inbound
+    }

@@ -17,16 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import AttackConfig, make_tap
-from ..channels import (
-    PHASE_DECOY,
-    QuantumChannel,
-    extract_payload,
-    insert_decoys,
-    make_decoy_set,
-    measure_payload,
-    verify_decoys,
-)
+from ..adversary import AttackConfig
 from ..codec import decode_x_round, decode_z_round, exchange_basis, label_indices
 from ..errors import ContractError
 from ..qsim import BASIS_X
@@ -35,6 +26,7 @@ from .common import (
     Transcript,
     bits_to_str,
     consistency_check,
+    decoy_hop,
     open_run,
     party_names,
     relay_round,
@@ -127,51 +119,22 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     # every party can derive from the shared key.
     read_bases = [exchange_basis(i + 1) for i in x_rounds]
     read_x = [basis == BASIS_X for basis in read_bases]
-    exchange_sets = {
+    current = {
         p: label_indices([msg3[a][i] for i in x_rounds], read_x)
         for a, p in enumerate(parties)
     }
     learned = {p: {} for p in parties}
-    current = dict(exchange_sets)
     for hop in range(1, n_parties - 1):
-        decoys = {}
-        outgoing = {}
-        for p in parties:
-            decoys[p] = make_decoy_set(len(x_rounds), params.decoy_count, rng)
-            outgoing[p] = insert_decoys(current[p], decoys[p])
-        received = {}
-        for a, p in enumerate(parties):
-            nxt = parties[(a + 1) % n_parties]
-            channel = QuantumChannel(p, nxt, tap=make_tap(attack, record, f"{p}->{nxt}"))
-            received[nxt] = channel.transmit(
-                outgoing[p], rng, transcript.add_event, round=hop
-            )
-        for a, p in enumerate(parties):
-            nxt = parties[(a + 1) % n_parties]
-            transcript.add_event("receipt_ack", round=hop, channel=f"{p}->{nxt}")
-        for a, p in enumerate(parties):
-            nxt = parties[(a + 1) % n_parties]
-            transcript.add_event(
-                "decoy_reveal",
-                round=hop,
-                channel=f"{p}->{nxt}",
-                positions=list(decoys[p].positions),
-                states=[s.label for s in decoys[p].specs],
-            )
-        aborted = False
-        for a, p in enumerate(parties):
-            prev = parties[(a - 1) % n_parties]
-            estimate = verify_decoys(received[p], decoys[prev], params.threshold, rng)
-            transcript.add_estimate(estimate)
-            aborted = aborted or estimate.verdict == "abort"
-        if aborted:
-            transcript.record_abort(PHASE_DECOY)
+        ring = {(p, parties[(a + 1) % n_parties]): current[p] for a, p in enumerate(parties)}
+        reads = decoy_hop(
+            parties, ring, read_bases, attack, record, params, rng, transcript,
+            fields={"round": hop}, transmit_fields={},
+        )
+        if reads is None:
             return None, None, False
         for a, p in enumerate(parties):
-            prev = parties[(a - 1) % n_parties]
-            payload = extract_payload(received[p], decoys[prev])
             source = parties[(a - hop) % n_parties]
-            learned[p][source], current[p] = measure_payload(payload, read_bases, rng)
+            learned[p][source], current[p] = reads[p]
 
     # The one party never heard from directly is pinned down by the XOR view.
     recovered = {p: {} for p in parties}

@@ -19,16 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import AttackConfig, draw_substitute_blind, make_tap
-from ..channels import (
-    PHASE_DECOY,
-    QuantumChannel,
-    extract_payload,
-    insert_decoys,
-    make_decoy_set,
-    measure_payload,
-    verify_decoys,
-)
+from ..adversary import AttackConfig, draw_substitute_blind
 from ..codec import derive_select_bit, embed_payload, label_indices, payload_positions
 from ..errors import ContractError
 from ..qsim import BASIS_X, BASIS_Z
@@ -38,6 +29,7 @@ from .common import (
     Transcript,
     bits_to_str,
     consistency_check,
+    decoy_hop,
     open_run,
     party_names,
     relay_round,
@@ -71,40 +63,24 @@ def run_xor(
     # --- mask distribution (P1 -> everyone else, decoy protected) ----------
     mask = random_bits(rng, m)
     transcript.secrets["mask"] = bits_to_str(mask)
-    mask_received = {parties[0]: mask}
+    unmask = {}  # what each party takes off the blinded XOR
     mask_sent = label_indices(mask.tolist(), key_bits)
     mask_bases = [BASIS_X if k else BASIS_Z for k in key_bits[:m]]
-    for a in range(1, n_parties):
-        p = parties[a]
-        decoys = make_decoy_set(m, params.decoy_count, rng)
-        channel = QuantumChannel(
-            parties[0], p, tap=make_tap(attack, record, f"{parties[0]}->{p}")
+    for p in parties[1:]:
+        reads = decoy_hop(
+            parties, {(parties[0], p): mask_sent}, mask_bases,
+            attack, record, params, rng, transcript,
+            fields={}, transmit_fields={"purpose": "mask_distribution"},
         )
-        received = channel.transmit(
-            insert_decoys(mask_sent, decoys),
-            rng,
-            transcript.add_event,
-            purpose="mask_distribution",
-        )
-        transcript.add_event("receipt_ack", channel=f"{parties[0]}->{p}")
-        transcript.add_event(
-            "decoy_reveal",
-            channel=f"{parties[0]}->{p}",
-            positions=list(decoys.positions),
-            states=[s.label for s in decoys.specs],
-        )
-        estimate = verify_decoys(received, decoys, params.threshold, rng)
-        transcript.add_estimate(estimate)
-        if estimate.verdict == "abort":
-            transcript.record_abort(PHASE_DECOY)
+        if reads is None:
             return transcript
-        bits, _ = measure_payload(extract_payload(received, decoys), mask_bases, rng)
-        mask_received[p] = np.array(bits, dtype=np.uint8)
+        unmask[p] = np.array(reads[p][0], dtype=np.uint8)
 
     blind = mask
     if attack.kind == "dishonest_p1":
         blind = draw_substitute_blind(mask, rng)
         transcript.secrets["substitute_blind"] = bits_to_str(blind)
+    unmask[parties[0]] = blind
     payloads = nums.copy()
     payloads[0] = nums[0] ^ blind
 
@@ -142,12 +118,8 @@ def run_xor(
             eta[j] = int(np.bitwise_xor.reduce(carriers[:, pos]))
     transcript.secrets["blinded_xor"] = bits_to_str(eta)
 
-    outputs = {}
-    for a, p in enumerate(parties):
-        unmask = blind if (a == 0 and attack.kind == "dishonest_p1") else mask_received[p]
-        outputs[p] = bits_to_str(eta ^ unmask)
     transcript.outputs = {
         "payload_positions": [int(i) for i in pay_pos],
-        "xor_value": outputs,
+        "xor_value": {p: bits_to_str(eta ^ unmask[p]) for p in parties},
     }
     return transcript

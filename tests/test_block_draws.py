@@ -16,8 +16,10 @@ from qconf.adversary import (
     DosTap,
     EntangleMeasureTap,
     InterceptResendTap,
+    make_tap,
 )
 from qconf.channels import (
+    extract_payload,
     first_error_estimation,
     insert_decoys,
     make_decoy_set,
@@ -27,7 +29,7 @@ from qconf.channels import (
     verify_decoys,
 )
 from qconf.protocols import ProtocolParams, Transcript, party_names
-from qconf.protocols.common import relay_round
+from qconf.protocols.common import decoy_hop, relay_round
 from qconf.qsim import BASIS_X, BASIS_Z
 from qconf.rng import make_rng
 
@@ -154,3 +156,62 @@ def test_honest_joint_loop_draws_one_per_kept_round(kind, n_parties):
     assert len(snapshots) == 1
     assert_advanced_by(rng, snapshots[0], len(keep))
     assert len(outcomes) == len(keep) == length - 4
+
+
+def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
+    """The decoy hop's draws in their documented order, on the primitives.
+
+    Every sender draws its decoys, then every link passes its tap; receivers
+    check in party order, and read in the same order only if none aborts.
+    """
+    decoys = {
+        link: make_decoy_set(len(qubits), params.decoy_count, rng)
+        for link, qubits in payloads.items()
+    }
+    received = {}
+    for link, qubits in payloads.items():
+        sent = insert_decoys(qubits, decoys[link])
+        tap = make_tap(attack, AdversaryRecord(kind=attack.kind), "->".join(link))
+        received[link] = sent if tap is None else tap.apply(sent, rng, "->".join(link))
+    inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
+    verdicts = [
+        verify_decoys(received[link], decoys[link], params.threshold, rng).verdict
+        for link in inbound
+    ]
+    if "abort" in verdicts:
+        return None
+    return {
+        link[1]: measure_payload(extract_payload(received[link], decoys[link]), read_bases, rng)
+        for link in inbound
+    }
+
+
+# The ring of a conference hop and one XOR mask link.
+HOP_LINKS = {
+    "ring": [("P1", "P2"), ("P2", "P3"), ("P3", "P1")],
+    "mask": [("P1", "P3")],
+}
+
+
+@pytest.mark.parametrize("links", HOP_LINKS)
+@pytest.mark.parametrize(
+    "kind,threshold,aborts",
+    [("none", 0.0, False), ("intercept_resend", 0.9, False), ("intercept_resend", 0.0, True)],
+)
+def test_decoy_hop_draws_as_its_primitives(links, kind, threshold, aborts):
+    # Intercept and resend fails a quarter of the 16 decoys of a link on
+    # average: threshold 0.9 lets the tapped hop pass, threshold 0 aborts it.
+    rng = make_rng(66)
+    payloads = {link: rng.integers(0, 4, size=12).tolist() for link in HOP_LINKS[links]}
+    read_bases = [BASIS_Z, BASIS_X] * 6
+    attack = AttackConfig(kind=kind)
+    params = ProtocolParams(threshold=threshold)
+    before = twin(rng)
+    transcript = Transcript(config={})
+    reads = decoy_hop(
+        PARTIES, payloads, read_bases, attack, AdversaryRecord(kind=kind), params, rng,
+        transcript, fields={}, transmit_fields={},
+    )
+    assert reads == replay_decoy_hop(PARTIES, payloads, read_bases, attack, params, before)
+    assert rng.bit_generator.state == before.bit_generator.state
+    assert (reads is None) == aborts == transcript.aborted

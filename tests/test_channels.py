@@ -69,6 +69,18 @@ class TestPermutation:
         with pytest.raises(ContractError):
             Permutation(np.array([0, 0, 2]))
 
+    @pytest.mark.parametrize("length", [0, 1, 100])
+    def test_drawn_matches_built(self, length):
+        # A drawn permutation skips the copy and the check, and ends up as a
+        # built one would: the same draw, read-only int64.
+        drawn_rng, built_rng = make_rng(21), make_rng(21)
+        drawn = random_permutation(length, drawn_rng)
+        built = Permutation(built_rng.permutation(length))
+        assert drawn.mapping.tolist() == built.mapping.tolist()
+        assert drawn.mapping.dtype == built.mapping.dtype == np.int64
+        assert not drawn.mapping.flags.writeable
+        assert drawn_rng.bit_generator.state == built_rng.bit_generator.state
+
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             permute([1, 2], Permutation(np.arange(3)))

@@ -218,6 +218,15 @@ def test_verify_rejects_unknown_suite(tmp_path):
         main(["verify", "--suite", "bogus", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("suite,trials", [("tables", "0"), ("attacks", "-5")])
+def test_verify_rejects_trials_below_one(tmp_path, capsys, suite, trials):
+    out = tmp_path / "rep"
+    code = main(["verify", "--suite", suite, "--trials", trials, "--out", str(out)])
+    assert code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_deterministic_reports(tmp_path):
     for name in ("a", "b"):
         main(
