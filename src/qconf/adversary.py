@@ -60,6 +60,8 @@ class AttackConfig:
             norm = sum(w * w for w in self.dos_weights)
             if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
                 raise ContractError(f"dos weights not unit-norm (sum w^2 = {norm})")
+            # Stored as floats, like every fraction of a run config.
+            object.__setattr__(self, "dos_weights", tuple(map(float, self.dos_weights)))
         elif self.dos_weights is not None:
             raise ContractError("dos_weights only apply to kind='dos'")
         if self.target_links is not None:

@@ -254,7 +254,7 @@ class ErrorEstimate:
         return cls(phase, len(detail), mismatches, threshold, tuple(detail))
 
     def to_dict(self) -> dict:
-        """The estimate as a dict; each detail row is a native [str, int, bool]."""
+        """The estimate as a dict; each detail row is a fresh [label, position, ok] list."""
         return {
             "phase": self.phase,
             "positions_checked": self.positions_checked,
@@ -262,7 +262,7 @@ class ErrorEstimate:
             "rate": self.rate,
             "threshold": self.threshold,
             "verdict": self.verdict,
-            "detail": [[str(label), int(pos), bool(ok)] for label, pos, ok in self.detail],
+            "detail": [list(row) for row in self.detail],
         }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -131,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = os.cpu_count() or 1
     try:
+        # Both commands take --workers; it is checked before any pool exists.
+        if not 1 <= args.workers <= limit:
+            raise ContractError(f"--workers: must be between 1 and {limit}, got {args.workers}")
         return args.func(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,8 +58,8 @@ class ProtocolParams:
             raise ContractError(f"delta must be in (0, 1), got {self.delta}")
         if not 0.0 < self.gamma < 1.0:
             raise ContractError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.decoy_count < 0:
-            raise ContractError("decoy_count must be >= 0")
+        if self.decoy_count < 1:
+            raise ContractError(f"decoy_count: must be >= 1, got {self.decoy_count}")
         if not 0.0 <= self.threshold < 1.0:
             raise ContractError("threshold must be in [0, 1)")
 
@@ -99,33 +100,6 @@ def str_to_bits(text: str) -> np.ndarray:
     return np.frombuffer(raw, np.uint8) - 48
 
 
-_NATIVE = frozenset({str, int, float, bool, type(None)})
-
-
-def _plain(value):
-    """JSON-safe copy of a value: numpy scalars/arrays to native types.
-
-    Containers come back as new dicts and lists.  Native scalars, nearly
-    every value a transcript holds, are returned by the first check, and
-    container items that are native scalars skip the recursive call.
-    """
-    if type(value) in _NATIVE:
-        return value
-    if isinstance(value, dict):
-        return {str(k): v if type(v) in _NATIVE else _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [v if type(v) in _NATIVE else _plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 @dataclass
 class Transcript:
     """Complete record of one protocol run.
@@ -136,8 +110,8 @@ class Transcript:
     checks and never shown to adversary taps.  ``adversary`` is the active
     attack's record, None on honest runs; ``to_dict`` renders it.
 
-    Events and estimates are made JSON-safe once, as they are added, so
-    ``to_dict`` copies them without walking them again.
+    Values are stored as their producers built them, as JSON-native types;
+    ``RunConfig`` is where numbers from outside become native.
     """
 
     config: dict
@@ -150,19 +124,13 @@ class Transcript:
     secrets: dict = field(default_factory=dict)
 
     def add_event(self, type_: str, **fields) -> None:
-        self.events.append(_plain({"type": type_, **fields}))
+        self.events.append({"type": type_, **fields})
 
     def add_key_stage(self, stage: str, length: int) -> None:
-        self.key_stages.append({"stage": stage, "length": int(length)})
+        self.key_stages.append({"stage": stage, "length": length})
 
     def add_estimate(self, estimate: ErrorEstimate) -> None:
-        # The detail rows, most of an estimate, come native from to_dict.
-        self.estimates.append(
-            {
-                key: value if key == "detail" else _plain(value)
-                for key, value in estimate.to_dict().items()
-            }
-        )
+        self.estimates.append(estimate.to_dict())
         self.add_event(
             "estimation_verdict",
             phase=estimate.phase,
@@ -179,23 +147,22 @@ class Transcript:
         return bool(self.abort["aborted"])
 
     def to_dict(self) -> dict:
-        """JSON-safe dict of the run; changing it leaves the transcript as is.
+        """JSON-native dict of the run; changing it leaves the transcript as is.
 
         Each event, estimate and key stage is copied one level deep: their
-        values were made JSON-safe on entry and are never changed after.
-        The fields set by plain assignment (config, outputs, secrets) are
-        small and go through ``_plain``; the adversary record renders itself
-        as fresh native containers.
+        values are never changed after they are added.  The fields set by
+        plain assignment (config, outputs, secrets) are small and deep-copied;
+        the adversary record renders itself as fresh containers.
         """
         return {
-            "config": _plain(self.config),
+            "config": copy.deepcopy(self.config),
             "key_stages": [dict(stage) for stage in self.key_stages],
             "events": [dict(event) for event in self.events],
             "estimates": [dict(estimate) for estimate in self.estimates],
-            "outputs": _plain(self.outputs),
+            "outputs": copy.deepcopy(self.outputs),
             "abort": dict(self.abort),
             "adversary": None if self.adversary is None else self.adversary.to_dict(),
-            "secrets": _plain(self.secrets),
+            "secrets": copy.deepcopy(self.secrets),
         }
 
     def to_json(self) -> str:

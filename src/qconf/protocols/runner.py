@@ -43,13 +43,27 @@ _INT_FIELDS = ("message_length", "n_parties", "decoy_count", "trials", "seed")
 _FLOAT_FIELDS = ("delta", "gamma", "threshold")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A number a float can hold: not a bool, NaN or an int too large."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return not math.isnan(value)
+    except OverflowError:
+        return False
+
+
 def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise ContractError(f"{name}: must be an integer, got {value!r}")
 
 
 def _check_float(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+    if not _is_real(value):
         raise ContractError(f"{name}: must be a number, got {value!r}")
 
 
@@ -72,6 +86,15 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", _CANONICAL.get(self.protocol, self.protocol))
+        # Numbers from outside (numpy scalars, say) become native here, so
+        # the transcript's copy of the config is JSON-native as it stands.
+        # Values of the wrong type stay as given, for ``validate`` to reject.
+        for name in _INT_FIELDS:
+            if _is_int(getattr(self, name)):
+                object.__setattr__(self, name, int(getattr(self, name)))
+        for name in _FLOAT_FIELDS:
+            if _is_real(getattr(self, name)):
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def params(self) -> ProtocolParams:
@@ -224,7 +247,8 @@ def execute_trial(config: RunConfig, trial: int = 0) -> Transcript:
     messages = trial_messages(config, trial)
     rng = derive_rng(config.seed, trial, 1)
     snapshot = config.to_dict()
-    snapshot["trial_index"] = trial
+    # ``derive_rng`` has taken ``trial`` only if it is an integer; a numpy one is stored as int.
+    snapshot["trial_index"] = int(trial)
     params = config.params
     if config.protocol == "mdi_qd_original":
         return run_mdi_qd_original(*messages, config.attack, rng, params, snapshot)

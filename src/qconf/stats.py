@@ -25,7 +25,7 @@ import numpy as np
 from .adversary import DOS_PASS_WEIGHTS, AttackConfig
 from .errors import ContractError
 from .protocols.common import sample_size, str_to_bits
-from .protocols.runner import RunConfig, execute_trial, iter_trials
+from .protocols.runner import RunConfig, _trial_worker, iter_trials
 
 DEFAULT_Z = 4.0
 
@@ -283,9 +283,7 @@ def _extract_counts(transcript: dict, statistics: tuple[str, ...]) -> dict:
 
 def _experiment_worker(args: tuple) -> dict:
     config_dict, trial, statistics = args
-    config = RunConfig.from_dict(config_dict)
-    transcript = execute_trial(config, trial).to_dict()
-    return _extract_counts(transcript, tuple(statistics))
+    return _extract_counts(_trial_worker((config_dict, trial)), tuple(statistics))
 
 
 def run_experiment(experiment: Experiment, workers: int = 1) -> dict[str, Estimate]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qconf import stats
 from qconf.cli import main
 from qconf.protocols import RunConfig, runner
 
@@ -114,6 +115,8 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
             {"message_source": "hex", "messages_hex": {"0" * 16: 1, "1" * 16: 2, "2" * 16: 3}},
             "messages_hex",
         ),
+        ({"decoy_count": 0}, "decoy_count"),
+        ({"threshold": 10**400}, "threshold"),
     ],
 )
 def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
@@ -225,6 +228,28 @@ def test_verify_rejects_trials_below_one(tmp_path, capsys, suite, trials):
     assert code == 2
     assert "--trials" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1])
+def test_workers_out_of_range_exits_2(tmp_path, capsys, monkeypatch, workers):
+    # Both commands reject the value before a pool exists, so none starts.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    config = write_config(tmp_path)
+    for argv in (
+        ["run", "--config", str(config)],
+        ["verify", "--suite", "tables"],
+    ):
+        code = main([*argv, "--workers", str(workers), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --workers")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 def test_verify_deterministic_reports(tmp_path):

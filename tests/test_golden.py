@@ -21,8 +21,7 @@ import pytest
 
 from qconf import stats
 from qconf.adversary import ATTACK_KINDS, AttackConfig
-from qconf.channels import ErrorEstimate, QuantumChannel
-from qconf.protocols import RunConfig, Transcript, execute_trial
+from qconf.protocols import RunConfig, execute_trial
 
 # protocol -> (n_parties, message_length)
 SIZES = {
@@ -175,16 +174,21 @@ HOP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", HOP_CASES)
-def test_decoy_hop_order(name):
-    protocol, n_parties, length, link, seed, reveals, verdicts, digest = HOP_CASES[name]
-    config = RunConfig(
+def hop_config(name: str) -> RunConfig:
+    protocol, n_parties, length, link, seed, *_ = HOP_CASES[name]
+    return RunConfig(
         protocol=protocol,
         message_length=length,
         n_parties=n_parties,
         attack=AttackConfig("intercept_resend", target_links=frozenset({link})),
         seed=seed,
     )
+
+
+@pytest.mark.parametrize("name", HOP_CASES)
+def test_decoy_hop_order(name):
+    *_, reveals, verdicts, digest = HOP_CASES[name]
+    config = hop_config(name)
     config.validate()
     transcript = execute_trial(config, 0)
     data = transcript.to_dict()
@@ -258,15 +262,50 @@ def test_transcript_dict_is_json_native(protocol, kind, seed):
     assert transcript.to_json() == before
 
 
-def test_values_made_native_on_entry():
-    transcript = Transcript(config={"n": np.int64(3)})
-    transcript.add_event("probe", a=np.int64(1), b=(1, np.float64(0.5)), c=np.arange(2))
-    QuantumChannel("P1", "P2").transmit([], None, transcript.add_event, round=np.int32(2))
-    detail = (("P1", np.int64(4), np.bool_(True)),)
-    transcript.add_estimate(ErrorEstimate("first_estimation", 1, 0, 0.0, detail))
-    data = transcript.to_dict()
-    assert_json_native(data)
-    assert data["events"][0] == {"type": "probe", "a": 1, "b": [1, 0.5], "c": [0, 1]}
-    assert data["events"][1]["round"] == 2
-    assert data["estimates"][0]["detail"] == [["P1", 4, True]]
-    assert transcript.events == data["events"]
+# The walks below and the 70 above are what keeps transcripts JSON-native:
+# nothing converts a value on its way in, so each producer must build native
+# types, and ``RunConfig`` makes outside numbers native.
+NATIVE_CASES = {
+    **{name: hop_config(name) for name in HOP_CASES},
+    "hex-messages": RunConfig(
+        protocol="conferenceN",
+        message_length=100,
+        n_parties=3,
+        message_source="hex",
+        messages_hex=("0123456789abcdef012345678", "f" * 25, "0" * 25),
+        seed=5,
+    ),
+    "conferenceN-10-honest": RunConfig(
+        protocol="conferenceN", message_length=100, n_parties=10, seed=3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NATIVE_CASES)
+def test_more_transcripts_are_json_native(name):
+    config = NATIVE_CASES[name]
+    config.validate()
+    assert_json_native(execute_trial(config, 0).to_dict())
+
+
+def test_numpy_scalar_config_is_made_native():
+    numpy_config = RunConfig(
+        protocol="conferenceN",
+        n_parties=np.int64(3),
+        message_length=np.int64(100),
+        seed=np.int64(4),
+        threshold=np.float64(0.0),
+        attack=AttackConfig("dos", dos_weights=tuple(np.full(4, 0.5, np.float32))),
+    )
+    numpy_config.validate()
+    transcript = execute_trial(numpy_config, np.int64(0))
+    assert_json_native(transcript.to_dict())
+    plain = RunConfig(
+        protocol="conferenceN",
+        n_parties=3,
+        message_length=100,
+        seed=4,
+        threshold=0.0,
+        attack=AttackConfig("dos", dos_weights=(0.5, 0.5, 0.5, 0.5)),
+    )
+    assert transcript.to_json() == execute_trial(plain, 0).to_json()
