@@ -152,6 +152,11 @@ TRANSCRIPT_HASHES = {
 
 SUITE_HASH = "44118037e424196062c6c04b0375e156a3ced6a708ec09febd538fb8dd1c89d0"
 
+# The small suite's agreement records as ``verify attacks`` writes them.
+# SUITE_HASH sees sorted counts only; this pins row order, row names,
+# analytic values, bands and verdicts.
+RECORDS_HASH = "19c1abbf234bfa6eaaaefd4427cf69ba25b37447ebe88d08fb3abf340103d70a"
+
 
 # Decoy-hop order.  In each case one link is tapped (intercept and resend),
 # the first hop or mask link passes and a later one aborts, so the bytes pin
@@ -206,6 +211,11 @@ def test_transcript_bytes(protocol, kind, seed):
 
 def test_suite_counts():
     assert _sha256(json.dumps(suite_counts())) == SUITE_HASH
+
+
+def test_suite_records():
+    records = stats.run_attack_suite(7, per_check=300, detection_runs=30)
+    assert _sha256(json.dumps(stats.records_to_summary(records))) == RECORDS_HASH
 
 
 JSON_TYPES = (dict, list, str, int, float, bool, type(None))
