@@ -5,6 +5,10 @@ to extract from each transcript.  Statistics are Bernoulli counts (successes,
 samples), so aggregation across trials is order-insensitive and results are
 identical under any parallel schedule.
 
+The attack suite and the catalog both read one table: ``EXPERIMENTS`` holds
+the runs, and ``CHECKS`` the rows, each comparing one statistic of a run
+against its closed form.
+
 ``check_agreement`` compares an estimate against a closed-form value using a
 band of z standard errors computed *from the analytic value* (score test):
 an estimate-based SE degenerates to 0 whenever the empirical rate is exactly
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable
 
@@ -75,15 +80,17 @@ class AgreementRecord:
 def check_agreement(
     estimate: Estimate, value: float, z: float = DEFAULT_Z
 ) -> AgreementRecord:
-    """Pass iff the estimate sits within z null-hypothesis standard errors."""
+    """Pass iff the estimate sits within z null-hypothesis standard errors.
+
+    An estimate of no samples is no evidence, so it fails whatever its value.
+    """
     if z <= 0:
         raise ContractError("z must be positive")
-    band = (
-        z * math.sqrt(value * (1.0 - value) / estimate.samples)
-        if estimate.samples > 0
-        else 0.0
-    )
-    verdict = "pass" if abs(estimate.value - value) <= band else "fail"
+    if estimate.samples > 0:
+        band = z * math.sqrt(value * (1.0 - value) / estimate.samples)
+        verdict = "pass" if abs(estimate.value - value) <= band else "fail"
+    else:
+        band, verdict = 0.0, "fail"
     return AgreementRecord(
         estimate.name, estimate.value, estimate.se, estimate.samples, value, z, band, verdict
     )
@@ -106,10 +113,6 @@ def _pass_counts(transcript: dict, phase: str) -> tuple[int, int]:
     return checked - mism, checked
 
 
-def _stat_first_qubit_pass(tr: dict) -> tuple[int, int]:
-    return _pass_counts(tr, "first_estimation")
-
-
 def _stat_first_position_pass(tr: dict) -> tuple[int, int]:
     """Position passes iff every party's qubit check at it passed."""
     successes = samples = 0
@@ -120,10 +123,6 @@ def _stat_first_position_pass(tr: dict) -> tuple[int, int]:
         samples += len(by_position)
         successes += sum(by_position.values())
     return successes, samples
-
-
-def _stat_second_round_pass(tr: dict) -> tuple[int, int]:
-    return _pass_counts(tr, "second_estimation")
 
 
 def _stat_guess_mismatch(tr: dict) -> tuple[int, int]:
@@ -148,18 +147,6 @@ def _stat_attacker_pair_recovery(tr: dict) -> tuple[int, int]:
 
 def _aborted_at(tr: dict, stage: str) -> tuple[int, int]:
     return int(tr["abort"]["aborted"] and tr["abort"]["stage"] == stage), 1
-
-
-def _stat_detect_first(tr: dict) -> tuple[int, int]:
-    return _aborted_at(tr, "first_estimation")
-
-
-def _stat_detect_second(tr: dict) -> tuple[int, int]:
-    return _aborted_at(tr, "second_estimation")
-
-
-def _stat_detect_decoy(tr: dict) -> tuple[int, int]:
-    return _aborted_at(tr, "decoy_verification")
 
 
 def _stat_run_aborted(tr: dict) -> tuple[int, int]:
@@ -240,14 +227,14 @@ def _stat_xor_others_offset_exact(tr: dict) -> tuple[int, int]:
 
 
 STATISTICS: dict[str, Callable[[dict], tuple[int, int]]] = {
-    "first_qubit_pass": _stat_first_qubit_pass,
+    "first_qubit_pass": partial(_pass_counts, phase="first_estimation"),
     "first_position_pass": _stat_first_position_pass,
-    "second_round_pass": _stat_second_round_pass,
+    "second_round_pass": partial(_pass_counts, phase="second_estimation"),
     "guess_mismatch": _stat_guess_mismatch,
     "attacker_pair_recovery": _stat_attacker_pair_recovery,
-    "detect_first": _stat_detect_first,
-    "detect_second": _stat_detect_second,
-    "detect_decoy": _stat_detect_decoy,
+    "detect_first": partial(_aborted_at, stage="first_estimation"),
+    "detect_second": partial(_aborted_at, stage="second_estimation"),
+    "detect_decoy": partial(_aborted_at, stage="decoy_verification"),
     "run_aborted": _stat_run_aborted,
     "honest_correct": _stat_honest_correct,
     "xor_blind_guess": _stat_xor_blind_guess,
@@ -334,52 +321,9 @@ def _first_checks(delta: float, length: int, n_parties: int) -> int:
     return n_parties * sample_size(delta, length)
 
 
-def analytic_catalog() -> dict[str, AnalyticFormula]:
-    """Every closed-form probability the verification suite checks against.
-
-    Exponents use the implemented sample counts (floored, minimum 1) so the
-    formulas and the simulation agree on the same integers.
-    """
-    entries = [
-        AnalyticFormula("mdi_original_attacker_pair_recovery", lambda: 5 / 8),
-        AnalyticFormula("mdi_original_per_bit_detection", lambda: 1 / 4),
-        AnalyticFormula("mdi_modified_position_pass", lambda: 9 / 16),
-        AnalyticFormula("mdi_modified_attacker_pair_recovery", lambda: 1 / 4),
-        AnalyticFormula("intercept_qubit_pass", lambda: 3 / 4),
-        AnalyticFormula("entangle_qubit_pass", lambda: 3 / 4),
-        AnalyticFormula("mitm_qubit_pass", lambda: 1 / 2),
-        AnalyticFormula("dos_qubit_pass", _dos_pass),
-        AnalyticFormula(
-            "conference_intercept_position_pass",
-            lambda n_parties: (3 / 4) ** n_parties,
-        ),
-        AnalyticFormula("dishonest_middle_check_pass", lambda: 7 / 8),
-        AnalyticFormula(
-            "mdi_modified_detection",
-            lambda delta, length: 1 - (9 / 16) ** sample_size(delta, length),
-        ),
-        AnalyticFormula(
-            "conference_intercept_detection",
-            lambda delta, length, n_parties: 1
-            - (3 / 4) ** _first_checks(delta, length, n_parties),
-        ),
-        AnalyticFormula(
-            "conference_mitm_detection",
-            lambda delta, length, n_parties: 1
-            - (1 / 2) ** _first_checks(delta, length, n_parties),
-        ),
-        AnalyticFormula(
-            "decoy_intercept_detection",
-            lambda decoy_count: 1 - (3 / 4) ** decoy_count,
-        ),
-        AnalyticFormula(
-            "dishonest_middle_detection",
-            lambda delta, gamma, length: 1
-            - (7 / 8) ** sample_size(gamma, length - sample_size(delta, length)),
-        ),
-        AnalyticFormula("xor_blind_guess_chance", lambda: 1 / 2),
-    ]
-    return {f.name: f for f in entries}
+def _second_checks(delta: float, gamma: float, length: int) -> int:
+    """Second-ceremony checks: a gamma sample of the rounds the first left."""
+    return sample_size(gamma, length - sample_size(delta, length))
 
 
 # The described dishonest-middle strategy actually passes a consistency check
@@ -394,13 +338,122 @@ DISHONEST_MIDDLE_TRUE_PASS = 11 / 16
 
 
 def dishonest_middle_true_detection(delta: float, gamma: float, length: int) -> float:
-    checks = sample_size(gamma, length - sample_size(delta, length))
-    return 1 - DISHONEST_MIDDLE_TRUE_PASS**checks
+    return 1 - DISHONEST_MIDDLE_TRUE_PASS ** _second_checks(delta, gamma, length)
 
 
 # ---------------------------------------------------------------------------
-# Default verification suite
+# Suite table
 # ---------------------------------------------------------------------------
+
+_INTERCEPT = AttackConfig(kind="intercept_resend")
+_CONFERENCE3 = dict(protocol="conference3", n_parties=3)
+
+# (name, Bernoulli samples per run, RunConfig fields but seed and trials).
+# A per-check experiment runs enough trials for ``per_check`` samples; one
+# with ``None`` measures a whole-run statistic over ``detection_runs`` trials.
+# Experiment i runs with seed ``seed + i``, so a new experiment goes at the
+# end: anywhere else it moves the seeds of those after it.
+EXPERIMENTS = (
+    # Key-guessing interceptor on the unhardened dialogue: recovery 5/8,
+    # per-checked-bit detection 1/4.  delta=0.4 keeps the sample inside the
+    # sifted half; ~400 checked bits and 1000 recovery samples per run.
+    ("mdi_original_attack", 400,
+     dict(protocol="mdi_qd_original", message_length=1000, delta=0.4, attack=_INTERCEPT)),
+    # Independent-basis interceptor on the hardened dialogue: 9/16 per pair,
+    # chance-level recovery.  100 checked pairs per run.
+    ("mdi_modified_attack", 100,
+     dict(protocol="mdi_qd_modified", message_length=1000, delta=0.1, attack=_INTERCEPT)),
+    # Per-qubit pass rates at the conference's first ceremony: 300 checks per
+    # run.  The interceptor's entry also backs the per-position (3/4)^3 row,
+    # so its samples are its 100 whole positions.
+    ("conference_intercept", 100,
+     dict(_CONFERENCE3, message_length=250, delta=0.4, attack=_INTERCEPT)),
+    ("conference_entangle", 300,
+     dict(_CONFERENCE3, message_length=250, delta=0.4,
+          attack=AttackConfig(kind="entangle_measure"))),
+    ("conference_mitm", 300,
+     dict(_CONFERENCE3, message_length=250, delta=0.4, attack=AttackConfig(kind="mitm"))),
+    ("conference_dos_x", 300,
+     dict(_CONFERENCE3, message_length=250, delta=0.4,
+          attack=AttackConfig(kind="dos", dos_weights=(0.0, 1.0, 0.0, 0.0)))),
+    ("conference_dos_iy", 300,
+     dict(_CONFERENCE3, message_length=250, delta=0.4,
+          attack=AttackConfig(kind="dos", dos_weights=(0.0, 0.0, 1.0, 0.0)))),
+    # Dishonest middle party: per-round consistency-check pass rate.  A large
+    # gamma packs ~101 checked rounds into each run.
+    ("dishonest_middle_checks", 101,
+     dict(_CONFERENCE3, message_length=224, delta=0.1, gamma=0.5,
+          attack=AttackConfig(kind="dishonest_middle"))),
+    # Whole-run detection rates against the closed forms.
+    ("mdi_modified_detection", None,
+     dict(protocol="mdi_qd_modified", message_length=100, delta=0.1, attack=_INTERCEPT)),
+    ("conference_intercept_detection", None,
+     dict(_CONFERENCE3, message_length=100, delta=0.1, attack=_INTERCEPT)),
+    ("conference_mitm_detection", None,
+     dict(_CONFERENCE3, message_length=100, delta=0.1, attack=AttackConfig(kind="mitm"))),
+    ("decoy_intercept_detection", None,
+     dict(_CONFERENCE3, message_length=100, delta=0.1, gamma=0.1, decoy_count=16,
+          attack=AttackConfig(kind="intercept_resend", target_links=frozenset({"P1->P2"})))),
+    ("dishonest_middle_detection", None,
+     dict(_CONFERENCE3, message_length=100, delta=0.1, gamma=0.1,
+          attack=AttackConfig(kind="dishonest_middle"))),
+    # One-time-pad probe: the announced blinded XOR agrees with the true XOR
+    # only at chance level.
+    ("xor_blind_probe", None,
+     dict(protocol="xor", n_parties=3, message_length=32, delta=0.16, gamma=0.1)),
+)
+
+# (row name, experiment, statistic, catalog formula, closed form), in report
+# order.  A closed form's parameters are read from the experiment's config:
+# ``length`` is the message length, ``weights`` the dos weights, and any
+# other name the config field of that name.  Exponents use the implemented
+# sample counts (floored, minimum 1), so the formulas and the simulation
+# agree on the same integers.
+CHECKS = (
+    ("mdi_original_attacker_pair_recovery", "mdi_original_attack", "attacker_pair_recovery",
+     "mdi_original_attacker_pair_recovery", lambda: 5 / 8),
+    ("mdi_original_per_bit_detection", "mdi_original_attack", "guess_mismatch",
+     "mdi_original_per_bit_detection", lambda: 1 / 4),
+    ("mdi_modified_position_pass", "mdi_modified_attack", "first_position_pass",
+     "mdi_modified_position_pass", lambda: 9 / 16),
+    ("mdi_modified_attacker_pair_recovery", "mdi_modified_attack", "attacker_pair_recovery",
+     "mdi_modified_attacker_pair_recovery", lambda: 1 / 4),
+    ("conference_intercept_qubit_pass", "conference_intercept", "first_qubit_pass",
+     "intercept_qubit_pass", lambda: 3 / 4),
+    ("conference_entangle_qubit_pass", "conference_entangle", "first_qubit_pass",
+     "entangle_qubit_pass", lambda: 3 / 4),
+    ("conference_mitm_qubit_pass", "conference_mitm", "first_qubit_pass",
+     "mitm_qubit_pass", lambda: 1 / 2),
+    ("conference_dos_x_qubit_pass", "conference_dos_x", "first_qubit_pass",
+     "dos_qubit_pass", _dos_pass),
+    ("conference_dos_iy_qubit_pass", "conference_dos_iy", "first_qubit_pass",
+     "dos_qubit_pass", _dos_pass),
+    ("conference_intercept_position_pass", "conference_intercept", "first_position_pass",
+     "conference_intercept_position_pass", lambda n_parties: (3 / 4) ** n_parties),
+    ("dishonest_middle_check_pass", "dishonest_middle_checks", "second_round_pass",
+     "dishonest_middle_check_pass", lambda: 7 / 8),
+    ("mdi_modified_detection", "mdi_modified_detection", "detect_first",
+     "mdi_modified_detection",
+     lambda delta, length: 1 - (9 / 16) ** sample_size(delta, length)),
+    ("conference_intercept_detection", "conference_intercept_detection", "detect_first",
+     "conference_intercept_detection",
+     lambda delta, length, n_parties: 1 - (3 / 4) ** _first_checks(delta, length, n_parties)),
+    ("conference_mitm_detection", "conference_mitm_detection", "detect_first",
+     "conference_mitm_detection",
+     lambda delta, length, n_parties: 1 - (1 / 2) ** _first_checks(delta, length, n_parties)),
+    ("decoy_intercept_detection", "decoy_intercept_detection", "detect_decoy",
+     "decoy_intercept_detection", lambda decoy_count: 1 - (3 / 4) ** decoy_count),
+    ("dishonest_middle_detection", "dishonest_middle_detection", "detect_second",
+     "dishonest_middle_detection",
+     lambda delta, gamma, length: 1 - (7 / 8) ** _second_checks(delta, gamma, length)),
+    ("xor_blind_guess_chance", "xor_blind_probe", "xor_blind_guess",
+     "xor_blind_guess_chance", lambda: 1 / 2),
+)
+
+
+def analytic_catalog() -> dict[str, AnalyticFormula]:
+    """Every closed-form probability the verification suite checks against."""
+    return {formula: AnalyticFormula(formula, fn) for *_, formula, fn in CHECKS}
 
 
 @dataclass(frozen=True)
@@ -418,6 +471,15 @@ def _trials_for(samples_per_run: int, target: int) -> int:
     return max(1, math.ceil(target / samples_per_run))
 
 
+def _formula_args(fn: Callable[..., float], config: RunConfig) -> dict:
+    # Parameter names from the code object: ``inspect.signature`` would take
+    # as long again as building the rest of the suite.
+    code = fn.__code__
+    names = code.co_varnames[: code.co_argcount]
+    renamed = {"length": config.message_length, "weights": config.attack.dos_weights}
+    return {n: renamed[n] if n in renamed else getattr(config, n) for n in names}
+
+
 def attack_suite(
     seed: int, per_check: int = 100_000, detection_runs: int = 10_000
 ) -> tuple[dict[str, Experiment], list[SuiteRow]]:
@@ -428,244 +490,17 @@ def attack_suite(
     ``detection_runs`` trials.
     """
     experiments: dict[str, Experiment] = {}
-    rows: list[SuiteRow] = []
-
-    def add(name, config, statistics):
+    for offset, (name, per_run, fields) in enumerate(EXPERIMENTS):
+        trials = detection_runs if per_run is None else _trials_for(per_run, per_check)
+        config = RunConfig(**fields, seed=seed + offset, trials=trials)
+        # The statistics its rows read, in row order.
+        statistics = dict.fromkeys(s for _, e, s, *_ in CHECKS if e == name)
         experiments[name] = Experiment(name, config, tuple(statistics))
-
-    def row(name, experiment, statistic, formula, **formula_args):
-        rows.append(SuiteRow(name, experiment, statistic, formula, formula_args))
-
-    intercept = AttackConfig(kind="intercept_resend")
-
-    # Key-guessing interceptor on the unhardened dialogue: recovery 5/8,
-    # per-checked-bit detection 1/4.  delta=0.4 keeps the sample inside the
-    # sifted half; ~400 checked bits and 1000 recovery samples per run.
-    add(
-        "mdi_original_attack",
-        RunConfig(
-            protocol="mdi_qd_original",
-            message_length=1000,
-            delta=0.4,
-            seed=seed,
-            attack=intercept,
-            trials=_trials_for(400, per_check),
-        ),
-        ["attacker_pair_recovery", "guess_mismatch"],
-    )
-    row(
-        "mdi_original_attacker_pair_recovery",
-        "mdi_original_attack",
-        "attacker_pair_recovery",
-        "mdi_original_attacker_pair_recovery",
-    )
-    row(
-        "mdi_original_per_bit_detection",
-        "mdi_original_attack",
-        "guess_mismatch",
-        "mdi_original_per_bit_detection",
-    )
-
-    # Independent-basis interceptor on the hardened dialogue: 9/16 per pair,
-    # chance-level recovery.  100 checked pairs per run.
-    add(
-        "mdi_modified_attack",
-        RunConfig(
-            protocol="mdi_qd_modified",
-            message_length=1000,
-            delta=0.1,
-            seed=seed + 1,
-            attack=intercept,
-            trials=_trials_for(100, per_check),
-        ),
-        ["first_position_pass", "attacker_pair_recovery"],
-    )
-    row(
-        "mdi_modified_position_pass",
-        "mdi_modified_attack",
-        "first_position_pass",
-        "mdi_modified_position_pass",
-    )
-    row(
-        "mdi_modified_attacker_pair_recovery",
-        "mdi_modified_attack",
-        "attacker_pair_recovery",
-        "mdi_modified_attacker_pair_recovery",
-    )
-
-    # Per-qubit pass rates at the conference's first ceremony: 300 checks/run.
-    per_qubit = [
-        ("conference_intercept", intercept, "intercept_qubit_pass", {}),
-        (
-            "conference_entangle",
-            AttackConfig(kind="entangle_measure"),
-            "entangle_qubit_pass",
-            {},
-        ),
-        ("conference_mitm", AttackConfig(kind="mitm"), "mitm_qubit_pass", {}),
-        (
-            "conference_dos_x",
-            AttackConfig(kind="dos", dos_weights=(0.0, 1.0, 0.0, 0.0)),
-            "dos_qubit_pass",
-            {"weights": (0.0, 1.0, 0.0, 0.0)},
-        ),
-        (
-            "conference_dos_iy",
-            AttackConfig(kind="dos", dos_weights=(0.0, 0.0, 1.0, 0.0)),
-            "dos_qubit_pass",
-            {"weights": (0.0, 0.0, 1.0, 0.0)},
-        ),
+    rows = [
+        SuiteRow(name, experiment, statistic, formula,
+                 _formula_args(fn, experiments[experiment].config))
+        for name, experiment, statistic, formula, fn in CHECKS
     ]
-    for offset, (name, attack, formula, args) in enumerate(per_qubit):
-        statistics = ["first_qubit_pass"]
-        # The interceptor entry doubles as the per-position (3/4)^3 check,
-        # which needs per_check whole positions rather than single qubits.
-        per_run = 100 if name == "conference_intercept" else 300
-        if name == "conference_intercept":
-            statistics.append("first_position_pass")
-        add(
-            name,
-            RunConfig(
-                protocol="conference3",
-                n_parties=3,
-                message_length=250,
-                delta=0.4,
-                seed=seed + 2 + offset,
-                attack=attack,
-                trials=_trials_for(per_run, per_check),
-            ),
-            statistics,
-        )
-        row(f"{name}_qubit_pass", name, "first_qubit_pass", formula, **args)
-    row(
-        "conference_intercept_position_pass",
-        "conference_intercept",
-        "first_position_pass",
-        "conference_intercept_position_pass",
-        n_parties=3,
-    )
-
-    # Dishonest middle party: per-round consistency-check pass rate.  A large
-    # gamma packs ~101 checked rounds into each run.
-    add(
-        "dishonest_middle_checks",
-        RunConfig(
-            protocol="conference3",
-            n_parties=3,
-            message_length=224,
-            delta=0.1,
-            gamma=0.5,
-            seed=seed + 7,
-            attack=AttackConfig(kind="dishonest_middle"),
-            trials=_trials_for(101, per_check),
-        ),
-        ["second_round_pass"],
-    )
-    row(
-        "dishonest_middle_check_pass",
-        "dishonest_middle_checks",
-        "second_round_pass",
-        "dishonest_middle_check_pass",
-    )
-
-    # Whole-run detection rates against the closed forms.
-    detection = [
-        (
-            "mdi_modified_detection",
-            RunConfig(
-                protocol="mdi_qd_modified",
-                message_length=100,
-                delta=0.1,
-                seed=seed + 8,
-                attack=intercept,
-                trials=detection_runs,
-            ),
-            "detect_first",
-            {"delta": 0.1, "length": 100},
-        ),
-        (
-            "conference_intercept_detection",
-            RunConfig(
-                protocol="conference3",
-                n_parties=3,
-                message_length=100,
-                delta=0.1,
-                seed=seed + 9,
-                attack=intercept,
-                trials=detection_runs,
-            ),
-            "detect_first",
-            {"delta": 0.1, "length": 100, "n_parties": 3},
-        ),
-        (
-            "conference_mitm_detection",
-            RunConfig(
-                protocol="conference3",
-                n_parties=3,
-                message_length=100,
-                delta=0.1,
-                seed=seed + 10,
-                attack=AttackConfig(kind="mitm"),
-                trials=detection_runs,
-            ),
-            "detect_first",
-            {"delta": 0.1, "length": 100, "n_parties": 3},
-        ),
-        (
-            "decoy_intercept_detection",
-            RunConfig(
-                protocol="conference3",
-                n_parties=3,
-                message_length=100,
-                delta=0.1,
-                gamma=0.1,
-                decoy_count=16,
-                seed=seed + 11,
-                attack=AttackConfig(
-                    kind="intercept_resend", target_links=frozenset({"P1->P2"})
-                ),
-                trials=detection_runs,
-            ),
-            "detect_decoy",
-            {"decoy_count": 16},
-        ),
-        (
-            "dishonest_middle_detection",
-            RunConfig(
-                protocol="conference3",
-                n_parties=3,
-                message_length=100,
-                delta=0.1,
-                gamma=0.1,
-                seed=seed + 12,
-                attack=AttackConfig(kind="dishonest_middle"),
-                trials=detection_runs,
-            ),
-            "detect_second",
-            {"delta": 0.1, "gamma": 0.1, "length": 100},
-        ),
-    ]
-    for name, config, statistic, args in detection:
-        add(name, config, [statistic])
-        row(name, name, statistic, name, **args)
-
-    # One-time-pad probe: the announced blinded XOR agrees with the true XOR
-    # only at chance level.
-    add(
-        "xor_blind_probe",
-        RunConfig(
-            protocol="xor",
-            n_parties=3,
-            message_length=32,
-            delta=0.16,
-            gamma=0.1,
-            seed=seed + 13,
-            trials=detection_runs,
-        ),
-        ["xor_blind_guess"],
-    )
-    row("xor_blind_guess_chance", "xor_blind_probe", "xor_blind_guess", "xor_blind_guess_chance")
-
     return experiments, rows
 
 

@@ -68,6 +68,30 @@ SUITE_ROWS = {
     row.name: row for row in attack_suite(SUITE_SEED, PER_CHECK, DETECTION_RUNS)[1]
 }
 
+# The suite rows each gate reads.  test_gates_cover_every_suite_row holds
+# their union to the suite table, so a new row cannot slip past the gate.
+MODIFIED_PAIR_ROW = "mdi_modified_position_pass"
+ORIGINAL_ATTACK_ROWS = ["mdi_original_attacker_pair_recovery", "mdi_original_per_bit_detection"]
+DISHONEST_PASS_ROW = "dishonest_middle_check_pass"
+PER_QUBIT_ROWS = [
+    "conference_intercept_qubit_pass",
+    "conference_entangle_qubit_pass",
+    "conference_mitm_qubit_pass",
+    "conference_dos_x_qubit_pass",
+    "conference_dos_iy_qubit_pass",
+]
+DISHONEST_DETECTION_ROW = "dishonest_middle_detection"
+DETECTION_ROWS = [
+    "mdi_modified_detection",
+    "conference_intercept_detection",
+    "conference_mitm_detection",
+    "decoy_intercept_detection",
+    DISHONEST_DETECTION_ROW,
+]
+MODIFIED_RECOVERY_ROW = "mdi_modified_attacker_pair_recovery"
+XOR_BLIND_ROW = "xor_blind_guess_chance"
+CONFERENCE_POSITION_ROW = "conference_intercept_position_pass"
+
 
 def report(criterion, label, passed, detail=""):
     status = "PASS" if passed else "FAIL"
@@ -194,13 +218,25 @@ def test_criterion_2_honest_correctness(label, config):
 # --- criteria 3..7: Monte Carlo vs published probabilities ------------------
 
 
+def test_gates_cover_every_suite_row():
+    gated = {
+        MODIFIED_PAIR_ROW,
+        *ORIGINAL_ATTACK_ROWS,
+        DISHONEST_PASS_ROW,
+        *PER_QUBIT_ROWS,
+        *DETECTION_ROWS,
+        MODIFIED_RECOVERY_ROW,
+        XOR_BLIND_ROW,
+        CONFERENCE_POSITION_ROW,
+    }
+    assert gated == set(SUITE_ROWS)
+
+
 def test_criterion_3_modified_pair_pass(suite_records):
-    assert_record(3, suite_records["mdi_modified_position_pass"], PER_CHECK)
+    assert_record(3, suite_records[MODIFIED_PAIR_ROW], PER_CHECK)
 
 
-@pytest.mark.parametrize(
-    "row", ["mdi_original_attacker_pair_recovery", "mdi_original_per_bit_detection"]
-)
+@pytest.mark.parametrize("row", ORIGINAL_ATTACK_ROWS)
 def test_criterion_4_original_attack(suite_records, row):
     assert_record(4, suite_records[row], PER_CHECK)
 
@@ -209,36 +245,18 @@ def test_criterion_5_dishonest_middle_pass(suite_records):
     # The strategy passes a check with the derived 11/16, not the published
     # 7/8 (module docstring): agree with 11/16, reject 7/8.
     assert_derived(
-        5, suite_records["dishonest_middle_check_pass"], DISHONEST_MIDDLE_TRUE_PASS, PER_CHECK
+        5, suite_records[DISHONEST_PASS_ROW], DISHONEST_MIDDLE_TRUE_PASS, PER_CHECK
     )
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "conference_intercept_qubit_pass",
-        "conference_entangle_qubit_pass",
-        "conference_mitm_qubit_pass",
-        "conference_dos_x_qubit_pass",
-        "conference_dos_iy_qubit_pass",
-    ],
-)
+@pytest.mark.parametrize("row", PER_QUBIT_ROWS)
 def test_criterion_6_per_qubit_rates(suite_records, row):
     assert_record(6, suite_records[row], PER_CHECK)
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "mdi_modified_detection",
-        "conference_intercept_detection",
-        "conference_mitm_detection",
-        "decoy_intercept_detection",
-        "dishonest_middle_detection",
-    ],
-)
+@pytest.mark.parametrize("row", DETECTION_ROWS)
 def test_criterion_7_detection_closed_forms(suite_records, row):
-    if row == "dishonest_middle_detection":
+    if row == DISHONEST_DETECTION_ROW:
         # Derived 1-(11/16)^(gamma m') at the suite row's own parameters;
         # the published 1-(7/8)^(gamma m') must be rejected (module docstring).
         derived = dishonest_middle_true_detection(**SUITE_ROWS[row].formula_args)
@@ -378,7 +396,7 @@ def test_criterion_9e_determinism_serial_vs_parallel():
 def test_supplementary_modified_attacker_recovery(suite_records):
     # With permuted sequences the interceptor's records score at chance
     # level (1/4 per pair) against the true messages.
-    record = suite_records["mdi_modified_attacker_pair_recovery"]
+    record = suite_records[MODIFIED_RECOVERY_ROW]
     report(
         "S",
         "hardened-dialogue attacker recovery at chance level",
@@ -391,7 +409,7 @@ def test_supplementary_modified_attacker_recovery(suite_records):
 def test_supplementary_xor_blind_guess(suite_records):
     # One-time-pad probe: the announced blinded XOR agrees with the true XOR
     # only at chance level per bit.
-    record = suite_records["xor_blind_guess_chance"]
+    record = suite_records[XOR_BLIND_ROW]
     report(
         "S",
         "blinded XOR agrees with true XOR at chance level",
@@ -401,11 +419,17 @@ def test_supplementary_xor_blind_guess(suite_records):
     assert record.passed
 
 
+def test_supplementary_conference_position_pass(suite_records):
+    # The intercepted conference passes a whole position, one check per
+    # party, with (3/4)^n.
+    assert_record("S", suite_records[CONFERENCE_POSITION_ROW], PER_CHECK)
+
+
 # --- supplementary: simulated truth for the dishonest middle ----------------
 
 
 def test_supplementary_dishonest_middle_true_pass(suite_records):
-    record = suite_records["dishonest_middle_check_pass"]
+    record = suite_records[DISHONEST_PASS_ROW]
     estimate = Estimate(record.name, record.estimate, record.se, record.samples)
     agreed = check_agreement(estimate, DISHONEST_MIDDLE_TRUE_PASS)
     report(
@@ -418,7 +442,7 @@ def test_supplementary_dishonest_middle_true_pass(suite_records):
 
 
 def test_supplementary_dishonest_middle_true_detection(suite_records):
-    record = suite_records["dishonest_middle_detection"]
+    record = suite_records[DISHONEST_DETECTION_ROW]
     estimate = Estimate(record.name, record.estimate, record.se, record.samples)
     value = dishonest_middle_true_detection(**SUITE_ROWS[record.name].formula_args)
     agreed = check_agreement(estimate, value)

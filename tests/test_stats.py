@@ -1,5 +1,6 @@
 """Monte Carlo layer: estimates, agreement checks, catalog, suite plumbing."""
 
+import inspect
 import math
 import multiprocessing
 from dataclasses import replace
@@ -12,6 +13,7 @@ from qconf.errors import ContractError
 from qconf.protocols import RunConfig
 from qconf.stats import (
     DISHONEST_MIDDLE_TRUE_PASS,
+    STATISTICS,
     AnalyticFormula,
     Estimate,
     Experiment,
@@ -45,6 +47,12 @@ class TestCheckAgreement:
         value = 1 - 0.5**30
         estimate = Estimate("x", 1.0, 0.0, 10_000)
         assert check_agreement(estimate, value).passed
+
+    def test_zero_samples_fail(self):
+        # A row whose closed form is 0 (the I/Y dos row) must not pass on no
+        # evidence.
+        record = check_agreement(Estimate("x", 0.0, 0.0, 0), 0.0)
+        assert not record.passed and record.band == 0.0
 
     def test_z_contract(self):
         with pytest.raises(ContractError):
@@ -88,6 +96,52 @@ class TestCatalog:
         assert DISHONEST_MIDDLE_TRUE_PASS == 11 / 16
         want = 1 - (11 / 16) ** 9
         assert abs(dishonest_middle_true_detection(0.1, 0.1, 100) - want) < 1e-12
+
+
+class TestSuiteTable:
+    """Invariants of the suite table that ``attack_suite`` builds from."""
+
+    SEED = 2024
+
+    def suite(self):
+        return attack_suite(self.SEED, per_check=1000, detection_runs=150)
+
+    def test_every_experiment_feeds_a_row(self):
+        experiments, rows = self.suite()
+        assert {row.experiment for row in rows} == set(experiments)
+
+    def test_row_names_are_distinct(self):
+        _, rows = self.suite()
+        assert len({row.name for row in rows}) == len(rows)
+
+    def test_row_statistics_are_known_and_extracted(self):
+        experiments, rows = self.suite()
+        for row in rows:
+            assert row.statistic in STATISTICS
+            assert row.statistic in experiments[row.experiment].statistics
+        for name, experiment in experiments.items():
+            read = [row.statistic for row in rows if row.experiment == name]
+            assert list(experiment.statistics) == list(dict.fromkeys(read))
+
+    def test_seeds_follow_position(self):
+        experiments, _ = self.suite()
+        seeds = [experiment.config.seed for experiment in experiments.values()]
+        assert seeds == [self.SEED + i for i in range(len(experiments))]
+
+    def test_formula_args_are_config_fields(self):
+        experiments, rows = self.suite()
+        catalog = analytic_catalog()
+        for row in rows:
+            config = experiments[row.experiment].config
+            fn = catalog[row.formula].fn
+            assert list(row.formula_args) == list(inspect.signature(fn).parameters)
+            for name, value in row.formula_args.items():
+                if name == "length":
+                    assert value == config.message_length
+                elif name == "weights":
+                    assert value == config.attack.dos_weights
+                else:
+                    assert value == getattr(config, name)
 
 
 class TestRunExperiment:
