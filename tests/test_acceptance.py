@@ -72,6 +72,7 @@ SUITE_ROWS = {
 # their union to the suite table, so a new row cannot slip past the gate.
 MODIFIED_PAIR_ROW = "mdi_modified_position_pass"
 ORIGINAL_ATTACK_ROWS = ["mdi_original_attacker_pair_recovery", "mdi_original_per_bit_detection"]
+# Read by criterion 5 and the supplementary dishonest-middle tests.
 DISHONEST_PASS_ROW = "dishonest_middle_check_pass"
 PER_QUBIT_ROWS = [
     "conference_intercept_qubit_pass",
@@ -80,13 +81,12 @@ PER_QUBIT_ROWS = [
     "conference_dos_x_qubit_pass",
     "conference_dos_iy_qubit_pass",
 ]
-DISHONEST_DETECTION_ROW = "dishonest_middle_detection"
 DETECTION_ROWS = [
     "mdi_modified_detection",
     "conference_intercept_detection",
     "conference_mitm_detection",
     "decoy_intercept_detection",
-    DISHONEST_DETECTION_ROW,
+    "dishonest_middle_detection",
 ]
 MODIFIED_RECOVERY_ROW = "mdi_modified_attacker_pair_recovery"
 XOR_BLIND_ROW = "xor_blind_guess_chance"
@@ -245,7 +245,7 @@ def test_criterion_5_dishonest_middle_pass(suite_records):
     # The strategy passes a check with the derived 11/16, not the published
     # 7/8 (module docstring): agree with 11/16, reject 7/8.
     assert_derived(
-        5, suite_records[DISHONEST_PASS_ROW], DISHONEST_MIDDLE_TRUE_PASS, PER_CHECK
+        5, suite_records["dishonest_middle_check_pass"], DISHONEST_MIDDLE_TRUE_PASS, PER_CHECK
     )
 
 
@@ -256,7 +256,7 @@ def test_criterion_6_per_qubit_rates(suite_records, row):
 
 @pytest.mark.parametrize("row", DETECTION_ROWS)
 def test_criterion_7_detection_closed_forms(suite_records, row):
-    if row == DISHONEST_DETECTION_ROW:
+    if row == "dishonest_middle_detection":
         # Derived 1-(11/16)^(gamma m') at the suite row's own parameters;
         # the published 1-(7/8)^(gamma m') must be rejected (module docstring).
         derived = dishonest_middle_true_detection(**SUITE_ROWS[row].formula_args)
@@ -429,7 +429,7 @@ def test_supplementary_conference_position_pass(suite_records):
 
 
 def test_supplementary_dishonest_middle_true_pass(suite_records):
-    record = suite_records[DISHONEST_PASS_ROW]
+    record = suite_records["dishonest_middle_check_pass"]
     estimate = Estimate(record.name, record.estimate, record.se, record.samples)
     agreed = check_agreement(estimate, DISHONEST_MIDDLE_TRUE_PASS)
     report(
@@ -442,7 +442,7 @@ def test_supplementary_dishonest_middle_true_pass(suite_records):
 
 
 def test_supplementary_dishonest_middle_true_detection(suite_records):
-    record = suite_records[DISHONEST_DETECTION_ROW]
+    record = suite_records["dishonest_middle_detection"]
     estimate = Estimate(record.name, record.estimate, record.se, record.samples)
     value = dishonest_middle_true_detection(**SUITE_ROWS[record.name].formula_args)
     agreed = check_agreement(estimate, value)
