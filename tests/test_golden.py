@@ -62,9 +62,31 @@ def _sha256(text: str) -> str:
 
 
 def transcript_hash(protocol: str, kind: str, seed: int) -> str:
-    config = golden_config(protocol, kind, seed)
+    return config_hash(golden_config(protocol, kind, seed))
+
+
+def config_hash(config: RunConfig) -> str:
     config.validate()
     return _sha256(execute_trial(config, 0).to_json())
+
+
+# Wide conferences: every joint row has 10 or 16 carriers, too many for the
+# joint table, so these bytes pin the fold of untabled rows.  The dos run
+# (threshold 0.9) puts every interned pure id on the wire, the 1-ULP copies
+# of X+ and X- included.  Their hashes sit in TRANSCRIPT_HASHES by name.
+WIDE_CASES = {
+    "conferenceN-10/none/3": RunConfig(
+        protocol="conferenceN", message_length=100, n_parties=10, seed=3
+    ),
+    "conferenceN-16/dos/11": RunConfig(
+        protocol="conferenceN",
+        message_length=100,
+        n_parties=16,
+        threshold=0.9,
+        attack=AttackConfig("dos", dos_weights=DOS_WEIGHTS),
+        seed=11,
+    ),
+}
 
 
 def suite_counts() -> list:
@@ -148,6 +170,8 @@ TRANSCRIPT_HASHES = {
     "xor/dishonest_middle/12": "53fdf90bf53b1d94d86181e6d228eb7c2edfd455d22737de3637474260721c7a",
     "xor/dishonest_p1/11": "59c1c27c9072258858075341809a6162f0bfca1b78bf7459497c40f762ba3ceb",
     "xor/dishonest_p1/12": "3f6ec12daa194a546160641b7d09213061f10ba39814440bd4891f6eed57a59a",
+    "conferenceN-10/none/3": "b0be11915219ec145da42404cb25e3b11ce7cf99e57c34d780e1e8f31f4903e8",
+    "conferenceN-16/dos/11": "27398a816b762b6f58e3fbfb3665befa7688fb8ff817c129da32ef44f01cbc34",
 }
 
 SUITE_HASH = "44118037e424196062c6c04b0375e156a3ced6a708ec09febd538fb8dd1c89d0"
@@ -207,6 +231,11 @@ def test_decoy_hop_order(name):
 @pytest.mark.parametrize("protocol,kind,seed", CASES, ids=[f"{p}-{k}-{s}" for p, k, s in CASES])
 def test_transcript_bytes(protocol, kind, seed):
     assert transcript_hash(protocol, kind, seed) == TRANSCRIPT_HASHES[f"{protocol}/{kind}/{seed}"]
+
+
+@pytest.mark.parametrize("name", WIDE_CASES)
+def test_wide_transcript_bytes(name):
+    assert config_hash(WIDE_CASES[name]) == TRANSCRIPT_HASHES[name]
 
 
 def test_suite_counts():
