@@ -108,7 +108,7 @@ class Transcript:
     public announcements); ``secrets`` is the simulator's omniscient side
     record (true messages, keys, masks) used only for scoring and replay
     checks and never shown to adversary taps.  ``adversary`` is the active
-    attack's record, None on honest runs; ``to_dict`` renders it.
+    attack's record, None on honest runs; ``shared_dict`` renders it.
 
     Values are stored as their producers built them, as JSON-native types;
     ``RunConfig`` is where numbers from outside become native.
@@ -146,27 +146,41 @@ class Transcript:
     def aborted(self) -> bool:
         return bool(self.abort["aborted"])
 
+    def shared_dict(self) -> dict:
+        """JSON-native dict of the run that shares the transcript's containers.
+
+        For a caller that drops the transcript once it has the dict, so
+        nothing else sees a change to either; the adversary record renders
+        itself as fresh containers.
+        """
+        return {
+            "config": self.config,
+            "key_stages": self.key_stages,
+            "events": self.events,
+            "estimates": self.estimates,
+            "outputs": self.outputs,
+            "abort": self.abort,
+            "adversary": None if self.adversary is None else self.adversary.to_dict(),
+            "secrets": self.secrets,
+        }
+
     def to_dict(self) -> dict:
         """JSON-native dict of the run; changing it leaves the transcript as is.
 
         Each event, estimate and key stage is copied one level deep: their
         values are never changed after they are added.  The fields set by
-        plain assignment (config, outputs, secrets) are small and deep-copied;
-        the adversary record renders itself as fresh containers.
+        plain assignment (config, outputs, secrets) are small and deep-copied.
         """
-        return {
-            "config": copy.deepcopy(self.config),
-            "key_stages": [dict(stage) for stage in self.key_stages],
-            "events": [dict(event) for event in self.events],
-            "estimates": [dict(estimate) for estimate in self.estimates],
-            "outputs": copy.deepcopy(self.outputs),
-            "abort": dict(self.abort),
-            "adversary": None if self.adversary is None else self.adversary.to_dict(),
-            "secrets": copy.deepcopy(self.secrets),
-        }
+        data = self.shared_dict()
+        for name in ("key_stages", "events", "estimates"):
+            data[name] = [dict(item) for item in data[name]]
+        for name in ("config", "outputs", "secrets"):
+            data[name] = copy.deepcopy(data[name])
+        data["abort"] = dict(self.abort)
+        return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.shared_dict(), sort_keys=True, indent=1)
 
 
 def open_run(

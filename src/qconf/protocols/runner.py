@@ -264,7 +264,7 @@ def execute_trial(config: RunConfig, trial: int = 0) -> Transcript:
 def _trial_worker(args: tuple) -> dict:
     config_dict, trial = args
     config = RunConfig.from_dict(config_dict)
-    return execute_trial(config, trial).to_dict()
+    return execute_trial(config, trial).shared_dict()
 
 
 def iter_trials(
@@ -276,13 +276,14 @@ def iter_trials(
     a caller that writes and drops each one holds one transcript at a time.
     With a pool at most two trials per worker are submitted and not yet
     taken, so what is held stays bounded in ``trials`` there too.  Results
-    are identical for any ``workers``.
+    are identical for any ``workers``.  Each dict is the transcript's
+    ``shared_dict``: the transcript is dropped, so nothing is copied.
     """
     config.validate()
     indices = trial_indices if trial_indices is not None else range(config.trials)
     if workers <= 1:
         for t in indices:
-            yield execute_trial(config, t).to_dict()
+            yield execute_trial(config, t).shared_dict()
         return
     config_dict = config.to_dict()
     window = 2 * workers

@@ -28,7 +28,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -329,10 +328,11 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
     amplitude 1 at both bits, giving amplitudes A.  With k >= 1 of them an
     index and its complement differ on a ``MIXED`` bit, so the overlaps do
     not interfere: both signs of index i have probability
-    (|A(i)|^2 + |A(2^n-1-i)|^2) / 2^(k+1).  A pure product is exactly the
-    running sum ``measure_joint`` and ``sample_index`` compute.  Products of
-    at most ``MAX_TABLE_QUBITS`` are tabled, once per id tuple; wider ones
-    have too many tuples to keep.
+    (|A(i)|^2 + |A(2^n-1-i)|^2) / 2^(k+1).  A pure product is folded by
+    ``_pair_probabilities``, as in ``measure_joint``.  The cumulative is
+    ``np.cumsum``, a running sum in index order, the one ``sample_index``
+    draws from.  Products of at most ``MAX_TABLE_QUBITS`` are tabled, once
+    per id tuple; wider ones have too many tuples to keep.
     """
     cumulative = _JOINT.get(ids)
     if cumulative is None:
@@ -347,7 +347,7 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
             probs = np.repeat(pairs, 2)
         else:
             probs = _pair_probabilities(amps)
-        cumulative = list(accumulate(probs.tolist()))
+        cumulative = np.cumsum(probs).tolist()
         if len(ids) <= MAX_TABLE_QUBITS:
             _JOINT[ids] = cumulative
     return cumulative
@@ -398,31 +398,34 @@ def outcome_distribution(state: PureState, basis: JointBasis) -> np.ndarray:
 def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     """Born probabilities by outcome code: |a +/- b|^2 / 2 for each pair.
 
-    ``a = amplitudes[i]`` and ``b = amplitudes[dim - 1 - i]``.  The overlaps
-    are summed on Python complex scalars in the same float order as the
-    dense product ``dense_joint_basis(n).conj() @ amplitudes``, so the
-    probabilities are bit-identical to it; abs and square stay in numpy,
-    whose results differ from Python's by up to 1 ULP.  Python scalars beat
-    numpy slicing on the 4- and 8-amplitude states most runs measure.
+    ``a = amplitudes[i]`` and ``b = amplitudes[dim - 1 - i]``.  Each overlap
+    is ``R*a + R*b`` or ``R*a - R*b`` with ``R = 1/sqrt(2)``, the float
+    order of the dense product ``dense_joint_basis(n).conj() @ amplitudes``,
+    so the probabilities are bit-identical to it.  numpy scales a complex
+    by a real as (ar*R - ai*0, ar*0 + ai*R), as Python's complex scalars
+    do; the products can differ from the dense ones only in the sign of a
+    zero, which abs drops.
     """
-    values = amplitudes.tolist()
-    overlaps = []
-    for a, b in zip(values[: len(values) // 2], reversed(values)):
-        a *= INV_SQRT2
-        b *= INV_SQRT2
-        overlaps.append(a + b)
-        overlaps.append(a - b)
-    return np.abs(np.array(overlaps)) ** 2
+    scaled = amplitudes * INV_SQRT2
+    half = len(scaled) // 2
+    a = scaled[:half]
+    b = scaled[::-1][:half]
+    overlaps = np.empty_like(scaled)
+    overlaps[0::2] = a + b
+    overlaps[1::2] = a - b
+    return np.abs(overlaps) ** 2
 
 
 def sample_index(probs: np.ndarray, u: float) -> int:
     """Index of a probability vector picked by the uniform ``u``.
 
-    Sequential Python sums equal ``np.cumsum`` bit for bit, and
-    ``bisect_right`` equals ``np.searchsorted(side="right")``; on the short
-    vectors most runs draw from they skip numpy's per-call overhead.
+    ``np.cumsum`` adds in index order, as ``itertools.accumulate`` does,
+    and ``np.searchsorted(side="right")`` is ``bisect_right``, so this
+    picks the index ``_draw`` picks from the same cumulative list.
     """
-    return _draw(list(accumulate(probs.tolist())), u)
+    cumulative = np.cumsum(probs)
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return min(index, len(cumulative) - 1)
 
 
 def _draw(cumulative: list[float], u: float) -> int:

@@ -6,7 +6,7 @@ reference in ``purification.py``.
 
 import math
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -245,7 +245,16 @@ class TestPairFold:
                     for _ in range(n)])
             for _ in range(20)
         ]
-        for state in products + [random_state(n, rng) for _ in range(10)]:
+        states = products + [random_state(n, rng) for _ in range(10)]
+        # Every interned pure id: the labels, their Pauli images -Z1, -X+
+        # and -X-, and the 1-ULP copies of X+ and X- that ``pauli_image``
+        # makes.
+        ids = pauli_closure()
+        states += [
+            tensor([qsim.interned(ids[i]) for i in rng.integers(len(ids), size=n)])
+            for _ in range(30)
+        ]
+        for state in states:
             dense = np.abs(conj @ state.amplitudes) ** 2
             assert np.array_equal(outcome_distribution(state, basis), dense)
 
@@ -280,15 +289,23 @@ class TestPairFold:
 
     def test_sample_index_matches_numpy_search(self):
         rng = np.random.default_rng(11)
+        vectors = []
         for dim in (4, 8, 1024):
             probs = rng.random(dim) ** 3
-            probs /= probs.sum()
-            draws_a, draws_b = make_rng(dim), make_rng(dim)
-            for _ in range(200):
-                cumulative = np.cumsum(probs)
-                r = draws_b.random() * cumulative[-1]
+            vectors.append(probs / probs.sum())
+        # An all-Z row: both signs of one index, then zeros to the end.
+        vectors.append(outcome_distribution(state_of("Z0", "Z1", "Z0", "Z0"), build_joint_basis(4)))
+        for probs in vectors:
+            dim = len(probs)
+            draws = make_rng(dim)
+            cumulative = np.cumsum(probs)
+            table = list(accumulate(probs.tolist()))
+            for u in [draws.random() for _ in range(200)] + [0.0, 1.0 - 2.0**-53]:
+                r = u * cumulative[-1]
                 want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
-                assert sample_index(probs, draws_a.random()) == want
+                assert sample_index(probs, u) == want
+                # The rule of a tabled row, on the Python running sum.
+                assert qsim._draw(table, u) == want
 
     def test_twelve_qubit_measurement_stays_small(self):
         state = random_state(12, np.random.default_rng(12))
