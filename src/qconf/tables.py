@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -52,15 +53,20 @@ def expected_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
     return probs
 
 
-def computed_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
-    """Born-rule distribution of the actual product state.
+def born_row(specs: Sequence[QubitSpec]) -> np.ndarray:
+    """Born-rule distribution of a product preparation, by outcome code.
 
     Projects onto the dense basis matrix rather than calling the simulator's
     closed-form measurement, so the table check does not rest on the code
     path that samples outcomes.
     """
-    state = tensor([materialize(QubitSpec(basis, b)) for b in bits])
-    return np.abs(dense_joint_basis(len(bits)).conj() @ state.amplitudes) ** 2
+    state = tensor([materialize(spec) for spec in specs])
+    return np.abs(dense_joint_basis(len(specs)).conj() @ state.amplitudes) ** 2
+
+
+def computed_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
+    """Born-rule distribution of the actual product state of one table row."""
+    return born_row([QubitSpec(basis, b) for b in bits])
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,8 @@ from qconf.protocols import RunConfig, run_trials
 from qconf.qsim import (
     QubitSpec,
     Outcome,
-    build_joint_basis,
     dense_joint_basis,
     label_id,
-    materialize,
-    outcome_distribution,
-    tensor,
 )
 from qconf.rng import make_rng, random_bits
 from qconf.stats import (
@@ -59,7 +55,7 @@ from qconf.stats import (
     run_attack_suite,
     run_experiment,
 )
-from qconf.tables import verify_outcome_tables
+from qconf.tables import born_row, verify_outcome_tables
 
 PER_CHECK = 100_000
 DETECTION_RUNS = 10_000
@@ -308,19 +304,14 @@ def test_criterion_9a_basis_properties():
 
 def test_criterion_9b_product_laws():
     for n in range(2, 6):
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            z_probs = outcome_distribution(
-                tensor([materialize(QubitSpec("Z", b)) for b in bits]), basis
-            )
+            z_probs = born_row([QubitSpec("Z", b) for b in bits])
             j = int("".join(map(str, bits)), 2)
             j_hat = min(j, 2**n - 1 - j)
             for code in range(2**n):
                 want = 0.5 if code // 2 == j_hat else 0.0
                 assert abs(z_probs[code] - want) < 1e-12
-            x_probs = outcome_distribution(
-                tensor([materialize(QubitSpec("X", b)) for b in bits]), basis
-            )
+            x_probs = born_row([QubitSpec("X", b) for b in bits])
             sign = sum(bits) % 2
             for code in range(2**n):
                 want = 1.0 / 2 ** (n - 1) if code % 2 == sign else 0.0
@@ -329,22 +320,15 @@ def test_criterion_9b_product_laws():
 
 
 def test_criterion_9c_codec_round_trips():
-    basis2 = build_joint_basis(2)
     for a, b, k in product((0, 1), repeat=3):
-        state = tensor(
-            [materialize(encode_message_qubit(a, k)), materialize(encode_message_qubit(b, k))]
-        )
-        probs = outcome_distribution(state, basis2)
+        probs = born_row([encode_message_qubit(a, k), encode_message_qubit(b, k)])
         for code in range(4):
             if probs[code] > 1e-12:
                 assert decode_partner_bit(a, k, Outcome.from_code(code)) == b
     for n in range(3, 6):
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            z_state = tensor([materialize(encode_message_qubit(v, 0)) for v in bits])
-            z_probs = outcome_distribution(z_state, basis)
-            x_state = tensor([materialize(encode_message_qubit(v, 1)) for v in bits])
-            x_probs = outcome_distribution(x_state, basis)
+            z_probs = born_row([encode_message_qubit(v, 0) for v in bits])
+            x_probs = born_row([encode_message_qubit(v, 1) for v in bits])
             for code in range(2**n):
                 outcome = Outcome.from_code(code)
                 if z_probs[code] > 1e-12:

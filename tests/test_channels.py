@@ -35,16 +35,14 @@ from qconf.qsim import (
     PAULIS,
     Outcome,
     QubitSpec,
-    build_joint_basis,
     interned,
     label_id,
     label_spec,
     materialize,
-    measure_joint,
     pauli_image,
-    tensor,
 )
 from qconf.rng import make_rng, random_bits
+from qconf.tables import born_row
 
 
 class TestPermutation:
@@ -265,14 +263,14 @@ class TestInternedCarriers:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tuple_measurement_matches_dense(self, n):
+        # Each row draws from the running sum of its dense Born row.
         picks = make_rng(33 + n).integers(0, 4, size=(200, n))
-        rng_a, rng_b = make_rng(40 + n), make_rng(40 + n)
-        basis = build_joint_basis(n)
+        uniforms = make_rng(40 + n).random(len(picks)).tolist()
         rows = [tuple(label_id(LABEL_SPECS[int(k)]) for k in row) for row in picks]
-        outcomes = measure_rounds(rows, rng_a.random(len(rows)).tolist())
-        for qubits, outcome in zip(rows, outcomes):
-            dense = measure_joint(tensor([interned(q) for q in qubits]), basis, rng_b.random())
-            assert outcome == dense
+        outcomes = measure_rounds(rows, uniforms)
+        for qubits, u, outcome in zip(rows, uniforms, outcomes):
+            dense = np.cumsum(born_row([LABEL_SPECS[q] for q in qubits]))
+            assert outcome.code == qsim._draw(dense, u)
 
     def test_sizes_must_match(self):
         with pytest.raises(ContractError):

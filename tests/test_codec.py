@@ -26,12 +26,9 @@ from qconf.qsim import (
     LABEL_SPECS,
     Outcome,
     QubitSpec,
-    build_joint_basis,
     index_to_bits,
-    materialize,
-    outcome_distribution,
-    tensor,
 )
+from qconf.tables import born_row
 from qconf.rng import make_rng, random_bits
 
 # Published decode table: (key bit, own bit) -> partner guess per outcome
@@ -87,15 +84,8 @@ class TestTwoPartyDecode:
     def test_round_trip_exhaustive(self):
         # For every (a, b, k) and every outcome the pair can actually
         # produce, both parties decode the partner's bit exactly.
-        basis = build_joint_basis(2)
         for a, b, k in product((0, 1), repeat=3):
-            state = tensor(
-                [
-                    materialize(encode_message_qubit(a, k)),
-                    materialize(encode_message_qubit(b, k)),
-                ]
-            )
-            probs = outcome_distribution(state, basis)
+            probs = born_row([encode_message_qubit(a, k), encode_message_qubit(b, k)])
             for code in range(4):
                 if probs[code] < 1e-12:
                     continue
@@ -117,16 +107,9 @@ class TestSifting:
         # The discarded pair is exactly the set whose occurrence pins a ^ b
         # regardless of basis: Phi0+ only arises from equal bits in either
         # basis class, Phi1- only from unequal bits.
-        basis = build_joint_basis(2)
         for code, parity in ((0, 0), (3, 1)):
             for a, b, k in product((0, 1), repeat=3):
-                state = tensor(
-                    [
-                        materialize(encode_message_qubit(a, k)),
-                        materialize(encode_message_qubit(b, k)),
-                    ]
-                )
-                probs = outcome_distribution(state, basis)
+                probs = born_row([encode_message_qubit(a, k), encode_message_qubit(b, k)])
                 if probs[code] > 1e-12:
                     assert (a ^ b) == parity
 
@@ -145,10 +128,8 @@ class TestConferenceDecode:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_round_trip_exhaustive(self, n):
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            state = tensor([materialize(encode_message_qubit(b, 0)) for b in bits])
-            probs = outcome_distribution(state, basis)
+            probs = born_row([encode_message_qubit(b, 0) for b in bits])
             for code in range(2**n):
                 if probs[code] < 1e-12:
                     continue
@@ -159,10 +140,8 @@ class TestConferenceDecode:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_x_round_trip_exhaustive(self, n):
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            state = tensor([materialize(encode_message_qubit(b, 1)) for b in bits])
-            probs = outcome_distribution(state, basis)
+            probs = born_row([encode_message_qubit(b, 1) for b in bits])
             want = sum(bits) % 2
             for code in range(2**n):
                 if probs[code] < 1e-12:
@@ -263,13 +242,9 @@ class TestConsistentOutcomes:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_born_support(self, n):
-        basis = build_joint_basis(n)
         for x_round in (False, True):
             for bits in product((0, 1), repeat=n):
-                state = tensor(
-                    [materialize(encode_message_qubit(b, int(x_round))) for b in bits]
-                )
-                probs = outcome_distribution(state, basis)
+                probs = born_row([encode_message_qubit(b, int(x_round)) for b in bits])
                 support = {c for c in range(2**n) if probs[c] > 1e-12}
                 assert support == set(consistent_outcome_codes(bits, x_round, n))
 

@@ -6,7 +6,7 @@ reference in ``purification.py``.
 
 import math
 import tracemalloc
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ from qconf.qsim import (
     QubitSpec,
     apply_1q_unitary,
     bits_to_index,
-    build_joint_basis,
     dense_joint_basis,
     dephase,
     index_to_bits,
@@ -45,10 +44,10 @@ from qconf.qsim import (
     materialize,
     measure_joint,
     outcome_distribution,
-    sample_index,
     tensor,
 )
 from qconf.rng import make_rng
+from qconf.tables import born_row
 
 R = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[R, R], [R, -R]], dtype=complex)
@@ -61,6 +60,11 @@ def state_of(*labels):
 def label_carrier(label):
     """The carrier (intern id) of a label such as "X1"."""
     return qsim.label_id(QubitSpec.from_label(label))
+
+
+def carriers_of(*labels):
+    """The row of carriers of labels such as "X1"."""
+    return tuple(label_carrier(label) for label in labels)
 
 
 def tapped(label):
@@ -158,12 +162,22 @@ class TestJointBasis:
         np.testing.assert_allclose(total, np.eye(2**n), atol=1e-12)
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
-            build_joint_basis(17)
-        with pytest.raises(ResourceLimitError):
-            build_joint_basis(1)
-        with pytest.raises(ResourceLimitError):
-            dense_joint_basis(17)
+        # The width guard runs before anything is built: a 17-carrier row
+        # would fold 2^17 amplitudes (2 MiB), the dense basis 2^34 entries.
+        tracemalloc.start()
+        try:
+            for width in (1, MAX_QUBITS + 1):
+                row = carriers_of("X0") * width
+                with pytest.raises(ResourceLimitError):
+                    measure_rounds([row], [0.5])
+                with pytest.raises(ResourceLimitError):
+                    qsim.joint_cumulative(row)
+                with pytest.raises(ResourceLimitError):
+                    dense_joint_basis(width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_outcome_code_bijection(self):
         codes = [Outcome(i, s).code for i in range(4) for s in (0, 1)]
@@ -182,31 +196,23 @@ class TestJointBasis:
 
 class TestOutcomeDistribution:
     def test_00_pair(self):
-        probs = outcome_distribution(state_of("Z0", "Z0"), build_joint_basis(2))
+        probs = outcome_distribution(state_of("Z0", "Z0").amplitudes, 0)
         np.testing.assert_allclose(probs, [0.5, 0.5, 0, 0], atol=1e-12)
 
     def test_plus_minus_minus_triple(self):
-        probs = outcome_distribution(state_of("X0", "X1", "X1"), build_joint_basis(3))
+        probs = outcome_distribution(state_of("X0", "X1", "X1").amplitudes, 0)
         np.testing.assert_allclose(probs, [0.25, 0, 0.25, 0, 0.25, 0, 0.25, 0], atol=1e-12)
 
     def test_four_party_odd_minus_row(self):
-        probs = outcome_distribution(
-            state_of("X0", "X0", "X0", "X1"), build_joint_basis(4)
-        )
+        probs = outcome_distribution(state_of("X0", "X0", "X0", "X1").amplitudes, 0)
         expected = np.tile([0.0, 0.125], 8)
         np.testing.assert_allclose(probs, expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            outcome_distribution(state_of("Z0"), build_joint_basis(2))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_z_product_law(self, n):
         # |j1..jn> puts 1/2 on each sign of index min(j, 2^n-1-j), 0 elsewhere
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            state = tensor([materialize(QubitSpec("Z", b)) for b in bits])
-            probs = outcome_distribution(state, basis)
+            probs = born_row([QubitSpec("Z", b) for b in bits])
             j = bits_to_index(bits)
             j_hat = min(j, 2**n - 1 - j)
             for code in range(2**n):
@@ -216,10 +222,8 @@ class TestOutcomeDistribution:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_x_parity_law(self, n):
         # odd number of minus states -> all mass on minus signs, and vice versa
-        basis = build_joint_basis(n)
         for bits in product((0, 1), repeat=n):
-            state = tensor([materialize(QubitSpec("X", b)) for b in bits])
-            probs = outcome_distribution(state, basis)
+            probs = born_row([QubitSpec("X", b) for b in bits])
             sign = sum(bits) % 2
             share = 1.0 / 2 ** (n - 1)
             for code in range(2**n):
@@ -239,24 +243,23 @@ class TestPairFold:
     def test_equals_dense_product_exactly(self, n):
         rng = np.random.default_rng(n)
         conj = dense_joint_basis(n).conj()
-        basis = build_joint_basis(n)
-        products = [
+        states = [
             tensor([materialize(QubitSpec("ZX"[rng.integers(2)], int(rng.integers(2))))
                     for _ in range(n)])
             for _ in range(20)
-        ]
-        states = products + [random_state(n, rng) for _ in range(10)]
-        # Every interned pure id: the labels, their Pauli images -Z1, -X+
-        # and -X-, and the 1-ULP copies of X+ and X- that ``pauli_image``
-        # makes.
-        ids = pauli_closure()
-        states += [
-            tensor([qsim.interned(ids[i]) for i in rng.integers(len(ids), size=n)])
-            for _ in range(30)
-        ]
+        ] + [random_state(n, rng) for _ in range(10)]
         for state in states:
             dense = np.abs(conj @ state.amplitudes) ** 2
-            assert np.array_equal(outcome_distribution(state, basis), dense)
+            assert np.array_equal(outcome_distribution(state.amplitudes, 0), dense)
+        # Rows of interned pure ids, as the relay measures them: the labels,
+        # their Pauli images -Z1, -X+ and -X-, and the 1-ULP copies of X+
+        # and X- that ``pauli_image`` makes.
+        ids = pauli_closure()
+        for _ in range(30):
+            row = tuple(ids[i] for i in rng.integers(len(ids), size=n))
+            state = tensor([qsim.interned(sid) for sid in row])
+            dense = np.cumsum(np.abs(conj @ state.amplitudes) ** 2)
+            assert np.array_equal(qsim.joint_cumulative(row), dense)
 
     @pytest.mark.parametrize(
         "n, targets",
@@ -287,32 +290,13 @@ class TestPairFold:
             table = qsim.joint_cumulative(tuple(ids))
             np.testing.assert_allclose(table, dense, rtol=0, atol=1e-15)
 
-    def test_sample_index_matches_numpy_search(self):
-        rng = np.random.default_rng(11)
-        vectors = []
-        for dim in (4, 8, 1024):
-            probs = rng.random(dim) ** 3
-            vectors.append(probs / probs.sum())
-        # An all-Z row: both signs of one index, then zeros to the end.
-        vectors.append(outcome_distribution(state_of("Z0", "Z1", "Z0", "Z0"), build_joint_basis(4)))
-        for probs in vectors:
-            dim = len(probs)
-            draws = make_rng(dim)
-            cumulative = np.cumsum(probs)
-            table = list(accumulate(probs.tolist()))
-            for u in [draws.random() for _ in range(200)] + [0.0, 1.0 - 2.0**-53]:
-                r = u * cumulative[-1]
-                want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
-                assert sample_index(probs, u) == want
-                # The rule of a tabled row, on the Python running sum.
-                assert qsim._draw(table, u) == want
-
     def test_twelve_qubit_measurement_stays_small(self):
-        state = random_state(12, np.random.default_rng(12))
+        ids = pauli_closure()
+        row = tuple(ids[i] for i in np.random.default_rng(12).integers(len(ids), size=12))
         rng = make_rng(12)
         tracemalloc.start()
         try:
-            measure_joint(state, build_joint_basis(12), rng.random())
+            measure_joint(row, rng.random())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -322,26 +306,55 @@ class TestPairFold:
 class TestMeasurement:
     def test_eigenstate_deterministic(self):
         rng = make_rng(0)
-        basis = build_joint_basis(3)
         for code, vector in enumerate(dense_joint_basis(3)):
-            outcome = measure_joint(PureState(3, vector), basis, rng.random())
-            assert outcome.code == code
+            cumulative = np.cumsum(outcome_distribution(vector, 0))
+            assert qsim._draw(cumulative, rng.random()) == code
+
+    def test_draw_reads_array_and_list_alike(self):
+        # A wide row keeps its np.cumsum array and a tabled row its
+        # .tolist(); both must pick the index np.searchsorted picks.
+        rng = np.random.default_rng(11)
+        vectors = []
+        for dim in (4, 8, 1024):
+            probs = rng.random(dim) ** 3
+            vectors.append(np.cumsum(probs / probs.sum()))
+        # An all-Z row: both signs of one index, then zeros to the end.
+        z_row = qsim.joint_cumulative(carriers_of("Z1", "Z1", "Z1", "Z1"))
+        assert isinstance(z_row, np.ndarray) and z_row[1] == z_row[-1]
+        vectors.append(z_row)
+        for cumulative in vectors:
+            dim = len(cumulative)
+            draws = make_rng(dim)
+            # u = 0 and the largest u below 1, then u that lands exactly on a
+            # cumulative value, which bisect_right must pass.
+            grid = [0.0, 1.0 - 2.0**-53] + [draws.random() for _ in range(200)]
+            landing = [c / cumulative[-1] for c in cumulative[:-1]]
+            grid += [u for u in landing if u * cumulative[-1] in cumulative]
+            for u in grid:
+                r = u * cumulative[-1]
+                want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
+                assert qsim._draw(cumulative, u) == want
+                assert qsim._draw(cumulative.tolist(), u) == want
+        # On the all-Z row: 0 picks code 0, a u on the first value and the
+        # largest u both pick code 1, never a trailing zero.
+        half = float(z_row[0] / z_row[-1])
+        assert half * z_row[-1] == z_row[0]
+        for u, code in ((0.0, 0), (half, 1), (1.0 - 2.0**-53, 1)):
+            assert qsim._draw(z_row, u) == qsim._draw(z_row.tolist(), u) == code
 
     def test_111_lands_on_index_zero(self):
         rng = make_rng(1)
-        basis = build_joint_basis(3)
-        state = state_of("Z1", "Z1", "Z1")
+        row = carriers_of("Z1", "Z1", "Z1")
         for _ in range(50):
-            assert measure_joint(state, basis, rng.random()).index == 0
+            assert measure_joint(row, rng.random()).index == 0
 
     def test_plus_plus_frequencies(self):
         rng = make_rng(2)
-        basis = build_joint_basis(2)
-        state = state_of("X0", "X0")
+        row = carriers_of("X0", "X0")
         counts = np.zeros(4)
         trials = 100_000
         for _ in range(trials):
-            counts[measure_joint(state, basis, rng.random()).code] += 1
+            counts[measure_joint(row, rng.random()).code] += 1
         freq = counts / trials
         assert abs(freq[0] - 0.5) < 0.01 and abs(freq[2] - 0.5) < 0.01
         assert freq[1] == 0 and freq[3] == 0
@@ -515,24 +528,14 @@ class TestInternTables:
                 assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
                 assert qsim.interned(post) is materialize(label_spec(basis, bit))
 
-    @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
-    def test_joint_table_draws_like_sample_index(self, n):
-        ids = pauli_closure()
-        grid = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)] + list(np.linspace(0, 1, 17))
-        basis = build_joint_basis(n)
-        for combo in product(ids, repeat=n):
-            probs = outcome_distribution(tensor([qsim.interned(i) for i in combo]), basis)
-            cumulative = qsim.joint_cumulative(combo)
-            # Draws that land exactly on a boundary test the bisect side too.
-            for u in grid + cumulative:
-                want = sample_index(probs, u)
-                assert qsim.measure_product(combo, u).code == want
-
     def test_joint_table_refuses_wide_products(self):
+        narrow = (0,) * MAX_TABLE_QUBITS
+        assert isinstance(qsim.joint_cumulative(narrow), list)
+        assert narrow in qsim._JOINT
         wide = (0,) * (MAX_TABLE_QUBITS + 1)
-        state = tensor([qsim.interned(0)] * len(wide))
-        probs = outcome_distribution(state, build_joint_basis(len(wide)))
-        assert qsim.joint_cumulative(wide) == np.cumsum(probs).tolist()
+        cumulative = qsim.joint_cumulative(wide)
+        assert isinstance(cumulative, np.ndarray)
+        assert np.array_equal(cumulative, np.cumsum(born_row([LABEL_SPECS[0]] * len(wide))))
         assert wide not in qsim._JOINT
 
     def test_keys_on_exact_bytes(self):
@@ -657,7 +660,8 @@ class TestDephasedTables:
     def test_all_mixed_is_uniform_exactly(self):
         # The closed form sums powers of two, so the uniform is exact.
         for n in range(2, MAX_QUBITS + 1):
-            assert qsim.joint_cumulative((MIXED,) * n) == [(c + 1) / 2**n for c in range(2**n)]
+            uniform = [(c + 1) / 2**n for c in range(2**n)]
+            assert np.array_equal(qsim.joint_cumulative((MIXED,) * n), uniform)
 
 
 def test_index_bit_helpers_round_trip():
