@@ -67,6 +67,17 @@ def carriers_of(*labels):
     return tuple(label_carrier(label) for label in labels)
 
 
+def search_index(cumulative, u):
+    """The numpy draw rule: np.searchsorted(side="right"), kept below the end."""
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return min(index, len(cumulative) - 1)
+
+
+def sample_index(probs, u):
+    """Reference draw from a probability vector, by its np.cumsum."""
+    return search_index(np.cumsum(probs), u)
+
+
 def tapped(label):
     """The carrier of a label after one pass of the entangling tap."""
     return dephase(label_carrier(label))
@@ -302,16 +313,8 @@ class TestPairFold:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-
-class TestMeasurement:
-    def test_eigenstate_deterministic(self):
-        rng = make_rng(0)
-        for code, vector in enumerate(dense_joint_basis(3)):
-            cumulative = np.cumsum(outcome_distribution(vector, 0))
-            assert qsim._draw(cumulative, rng.random()) == code
-
-    def test_draw_reads_array_and_list_alike(self):
-        # A wide row keeps its np.cumsum array and a tabled row its
+    def test_sample_index_matches_numpy_search(self):
+        # ``_draw`` reads a wide row's np.cumsum array and a tabled row's
         # .tolist(); both must pick the index np.searchsorted picks.
         rng = np.random.default_rng(11)
         vectors = []
@@ -323,16 +326,14 @@ class TestMeasurement:
         assert isinstance(z_row, np.ndarray) and z_row[1] == z_row[-1]
         vectors.append(z_row)
         for cumulative in vectors:
-            dim = len(cumulative)
-            draws = make_rng(dim)
+            draws = make_rng(len(cumulative))
             # u = 0 and the largest u below 1, then u that lands exactly on a
             # cumulative value, which bisect_right must pass.
             grid = [0.0, 1.0 - 2.0**-53] + [draws.random() for _ in range(200)]
             landing = [c / cumulative[-1] for c in cumulative[:-1]]
             grid += [u for u in landing if u * cumulative[-1] in cumulative]
             for u in grid:
-                r = u * cumulative[-1]
-                want = min(int(np.searchsorted(cumulative, r, side="right")), dim - 1)
+                want = search_index(cumulative, u)
                 assert qsim._draw(cumulative, u) == want
                 assert qsim._draw(cumulative.tolist(), u) == want
         # On the all-Z row: 0 picks code 0, a u on the first value and the
@@ -341,6 +342,14 @@ class TestMeasurement:
         assert half * z_row[-1] == z_row[0]
         for u, code in ((0.0, 0), (half, 1), (1.0 - 2.0**-53, 1)):
             assert qsim._draw(z_row, u) == qsim._draw(z_row.tolist(), u) == code
+
+
+class TestMeasurement:
+    def test_eigenstate_deterministic(self):
+        rng = make_rng(0)
+        for code, vector in enumerate(dense_joint_basis(3)):
+            cumulative = np.cumsum(outcome_distribution(vector, 0))
+            assert qsim._draw(cumulative, rng.random()) == code
 
     def test_111_lands_on_index_zero(self):
         rng = make_rng(1)
@@ -527,6 +536,20 @@ class TestInternTables:
                 bit, post = measure_flying(sid, basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
                 assert qsim.interned(post) is materialize(label_spec(basis, bit))
+
+    @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
+    def test_joint_table_draws_like_sample_index(self, n):
+        ids = pauli_closure()
+        grid = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)] + list(np.linspace(0, 1, 17))
+        conj = dense_joint_basis(n).conj()
+        for combo in product(ids, repeat=n):
+            state = tensor([qsim.interned(i) for i in combo])
+            probs = np.abs(conj @ state.amplitudes) ** 2
+            cumulative = qsim.joint_cumulative(combo)
+            # Draws that land exactly on a boundary test the bisect side too.
+            for u in grid + cumulative:
+                want = sample_index(probs, u)
+                assert measure_joint(combo, u).code == want
 
     def test_joint_table_refuses_wide_products(self):
         narrow = (0,) * MAX_TABLE_QUBITS
