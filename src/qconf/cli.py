@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ContractError
+from .protocols.common import transcript_json
 from .protocols.runner import RunConfig, iter_trials
 from .stats import (
     records_to_csv,
@@ -55,7 +56,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for transcript in iter_trials(config, workers=args.workers, trial_indices=indices):
         trial = transcript["config"]["trial_index"]
         path = out_dir / f"transcript_{trial:03d}.json"
-        path.write_text(json.dumps(transcript, sort_keys=True, indent=1))
+        path.write_text(transcript_json(transcript))
         status = "abort" if transcript["abort"]["aborted"] else "ok"
         print(f"{path} [{status}]")
     return 0

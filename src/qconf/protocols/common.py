@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -180,7 +180,67 @@ class Transcript:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.shared_dict(), sort_keys=True, indent=1)
+        return transcript_json(self.shared_dict())
+
+
+# Scalar writers by exact type, each spelling a value as ``json`` does.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+
+def transcript_json(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=1)``, written in one pass.
+
+    With an indent the stdlib leaves its C encoder for a generator per
+    container; this writer builds the same text recursively, joining a list
+    of scalars in one ``str.join``.  Only the exact types of a JSON-native
+    tree are accepted (dict with str keys, list, str, int, float, bool,
+    None); any other value raises ``TypeError``.
+    """
+    return _write(data, "\n")
+
+
+def _write(value, newline: str) -> str:
+    """``value``'s text; ``newline`` is a line break and the current indent."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + " "
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and kinds <= _SCALAR_TYPES:
+            items = map(_SCALARS[kinds.pop()], value)
+        else:
+            items = [_write(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + " "
+        # encode_basestring_ascii raises TypeError for a key that is not a str.
+        items = [
+            encode_basestring_ascii(key) + ": " + _write(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def open_run(
