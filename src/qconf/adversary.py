@@ -18,7 +18,7 @@ import numpy as np
 from .channels import measure_carriers
 from .codec import consistent_outcome_codes
 from .errors import ContractError
-from .qsim import BASIS_X, BASIS_Z, LABEL_SPECS, PAULIS, Outcome, QubitSpec, dephase, pauli_image
+from .qsim import BASIS_X, BASIS_Z, LABELS, PAULIS, dephase, pauli_image
 from .rng import random_bits
 
 ATTACK_KINDS = (
@@ -117,7 +117,7 @@ class AdversaryRecord:
     kind: str = "none"
     guesses: dict = field(default_factory=dict)         # channel -> [(basis, bit)]
     ancilla_counts: dict = field(default_factory=dict)  # channel -> ancillas attached
-    substituted: dict = field(default_factory=dict)     # channel -> [spec label]
+    substituted: dict = field(default_factory=dict)     # channel -> [label text]
     announced: list = field(default_factory=list)       # outcome codes (middle)
     pauli_counts: list = field(default_factory=lambda: [0, 0, 0, 0])
 
@@ -167,22 +167,20 @@ def dos_attack(qubit: int, cumulative: list[float], u: float) -> tuple[int, int]
 
 def mitm_attack(
     sequence: list[int], rng: np.random.Generator
-) -> tuple[list[int], list[int], list[QubitSpec]]:
-    """Keep the genuine sequence; substitute fresh uniformly random qubits.
+) -> tuple[list[int], list[int]]:
+    """Keep the genuine sequence; substitute fresh uniformly random label states.
 
-    A label state's carrier is its index in ``LABEL_SPECS``.
+    Returns (kept, substituted); a label state's carrier is its label id.
     """
-    picks = rng.integers(0, 4, size=len(sequence)).tolist()
-    specs = [LABEL_SPECS[p] for p in picks]
-    return list(sequence), picks, specs
+    return list(sequence), rng.integers(0, 4, size=len(sequence)).tolist()
 
 
 def dishonest_middle_announce(
     bits: list[int], x_basis: bool, n_parties: int, rng: np.random.Generator
-) -> Outcome:
-    """Announce a uniformly drawn outcome consistent with per-qubit results."""
+) -> int:
+    """Announce a uniformly drawn outcome code consistent with per-qubit results."""
     codes = consistent_outcome_codes(bits, x_basis, n_parties)
-    return Outcome.from_code(codes[int(rng.integers(0, len(codes)))])
+    return codes[int(rng.integers(0, len(codes)))]
 
 
 def draw_substitute_blind(
@@ -280,8 +278,8 @@ class MitmTap:
         self.record = record
 
     def apply(self, qubits, rng, channel_id):
-        _, substituted, specs = mitm_attack(qubits, rng)
-        self.record.substituted[channel_id] = [s.label for s in specs]
+        _, substituted = mitm_attack(qubits, rng)
+        self.record.substituted[channel_id] = [LABELS[label] for label in substituted]
         return substituted
 
 

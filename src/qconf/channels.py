@@ -1,9 +1,9 @@
 """Quantum/classical channel machinery: permutations, decoys, estimations.
 
 A transmitted qubit is carried by the intern id of its single-qubit state
-(see ``qsim``): a label state's id is its index in ``LABEL_SPECS``, which is
-also its ``codec.label_indices`` value, and the entangling attack's dephased
-qubit is ``qsim.MIXED``.  The ceremonies here measure carriers by table
+(see ``qsim``): a preparation's carrier is its label id 0-3, and the
+entangling attack's dephased qubit is ``qsim.MIXED``.  A joint measurement
+gives an outcome code.  The ceremonies here measure carriers by table
 lookup, in batches: ``measure_carriers`` holds the single-qubit rule once
 and takes a whole ceremony's carriers, bases and uniforms, and
 ``measure_rounds`` measures each row of a relay round jointly from its
@@ -24,17 +24,7 @@ import numpy as np
 
 from .codec import consistent_outcome_codes
 from .errors import ContractError
-from .qsim import (
-    BASIS_X,
-    BASIS_Z,
-    P0,
-    LABEL_SPECS,
-    Outcome,
-    QubitSpec,
-    label_id,
-    label_spec,
-    measure_joint,
-)
+from .qsim import BASES, P0, measure_joint
 
 PHASE_FIRST = "first_estimation"
 PHASE_SECOND = "second_estimation"
@@ -42,10 +32,7 @@ PHASE_DECOY = "decoy_verification"
 PHASE_GUESS = "guess_comparison"
 
 # The label carrier a measurement in each basis collapses onto, by bit.
-_COLLAPSED = {
-    basis: (label_id(label_spec(basis, 0)), label_id(label_spec(basis, 1)))
-    for basis in (BASIS_Z, BASIS_X)
-}
+_COLLAPSED = {basis: (2 * x, 2 * x + 1) for x, basis in enumerate(BASES)}
 
 
 def measure_carriers(
@@ -86,8 +73,8 @@ def measure_payload(
     return measure_carriers(qubits, bases, rng.random(len(bases)).tolist())
 
 
-def measure_rounds(rows: Sequence[tuple[int, ...]], uniforms: Sequence[float]) -> list[Outcome]:
-    """Joint-basis outcome of each row of carriers, one uniform per row.
+def measure_rounds(rows: Sequence[tuple[int, ...]], uniforms: Sequence[float]) -> list[int]:
+    """Joint-basis outcome code of each row of carriers, one uniform per row.
 
     A row holds one carrier per party, in party order; ``qsim.measure_joint``
     measures it from its carrier ids, at any width from 2 to ``qsim.MAX_QUBITS``.
@@ -150,14 +137,14 @@ def unpermute(seq: Sequence, p: Permutation) -> list:
 
 @dataclass(frozen=True)
 class DecoySet:
-    """Decoy preparations plus their positions in the augmented sequence."""
+    """Decoy preparations, as label ids, plus their positions in the augmented sequence."""
 
     positions: tuple[int, ...]
-    specs: tuple[QubitSpec, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.positions) != len(self.specs):
-            raise ContractError("positions and specs must pair up")
+        if len(self.positions) != len(self.labels):
+            raise ContractError("positions and labels must pair up")
         if list(self.positions) != sorted(set(self.positions)):
             raise ContractError("decoy positions must be strictly increasing")
 
@@ -174,7 +161,7 @@ def make_decoy_set(
         raise ContractError("decoy count must be >= 0")
     positions = np.sort(rng.choice(payload_len + count, size=count, replace=False))
     picks = rng.integers(0, 4, size=count).tolist()
-    return DecoySet(tuple(positions.tolist()), tuple(LABEL_SPECS[p] for p in picks))
+    return DecoySet(tuple(positions.tolist()), tuple(picks))
 
 
 def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
@@ -187,8 +174,8 @@ def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
     if any(not 0 <= p < total for p in decoys.positions):
         raise ContractError("decoy positions out of range")
     out = list(payload)
-    for pos, spec in zip(decoys.positions, decoys.specs):
-        out.insert(pos, label_id(spec))
+    for pos, label in zip(decoys.positions, decoys.labels):
+        out.insert(pos, label)
     return out
 
 
@@ -259,16 +246,16 @@ def verify_decoys(
     Draws ``decoys.count`` uniforms.  Collapses the decoy slots of
     ``received`` in place; payload slots are untouched.
     """
-    positions, specs = decoys.positions, decoys.specs
+    positions, labels = decoys.positions, decoys.labels
     bits, collapsed = measure_carriers(
         [received[pos] for pos in positions],
-        [spec.basis for spec in specs],
+        [BASES[label >> 1] for label in labels],
         rng.random(decoys.count).tolist(),
     )
     detail = []
-    for pos, spec, bit, post in zip(positions, specs, bits, collapsed):
+    for pos, label, bit, post in zip(positions, labels, bits, collapsed):
         received[pos] = post
-        detail.append(("decoy", pos, bit == spec.bit))
+        detail.append(("decoy", pos, bit == label & 1))
     return ErrorEstimate.from_detail(PHASE_DECOY, detail, threshold)
 
 
@@ -282,8 +269,8 @@ def first_error_estimation(
 ) -> ErrorEstimate:
     """Single-qubit spot checks before the joint measurement.
 
-    ``labels`` holds each sender's preparations in original order, as indices
-    into ``LABEL_SPECS``.  For each sampled original position every sender
+    ``labels`` holds each sender's preparations in original order, as label
+    ids.  For each sampled original position every sender
     tells the middle party the physical slot and preparation basis; the
     middle party measures and announces, and the sender compares against the
     prepared bit.  Draws one uniform per check, position-major.  Collapses
@@ -291,24 +278,24 @@ def first_error_estimation(
     """
     slots = {party: perms[party].mapping.tolist() for party in labels}
     checks = [
-        (party, int(pos), slots[party][pos], LABEL_SPECS[labels[party][pos]])
+        (party, int(pos), slots[party][pos], labels[party][pos])
         for pos in sample_positions
         for party in labels
     ]
     bits, collapsed = measure_carriers(
         [held[party][slot] for party, _, slot, _ in checks],
-        [spec.basis for *_, spec in checks],
+        [BASES[label >> 1] for *_, label in checks],
         rng.random(len(checks)).tolist(),
     )
     detail = []
-    for (party, pos, slot, spec), bit, post in zip(checks, bits, collapsed):
+    for (party, pos, slot, label), bit, post in zip(checks, bits, collapsed):
         held[party][slot] = post
-        detail.append((party, pos, bit == spec.bit))
+        detail.append((party, pos, bit == label & 1))
     return ErrorEstimate.from_detail(PHASE_FIRST, detail, threshold)
 
 
 def second_error_estimation(
-    outcomes: Sequence[Outcome],
+    outcomes: Sequence[int],
     x_round_flags: Sequence[int],
     revealed_bits: Mapping[str, Sequence[int]],
     sample_rounds: Sequence[int],
@@ -316,16 +303,16 @@ def second_error_estimation(
 ) -> ErrorEstimate:
     """Consistency check of announced joint outcomes against revealed bits.
 
-    A sampled round fails when the announced outcome lies outside the set of
-    outcomes an honest joint measurement could have produced for the revealed
-    bits and that round's basis.
+    A sampled round fails when the announced outcome code lies outside the
+    set of codes an honest joint measurement could have produced for the
+    revealed bits and that round's basis.
     """
     parties = list(revealed_bits)
     detail = []
     for round_idx in sample_rounds:
         bits = [int(revealed_bits[p][round_idx]) for p in parties]
         allowed = consistent_outcome_codes(bits, bool(x_round_flags[round_idx]), len(parties))
-        detail.append(("round", int(round_idx), outcomes[round_idx].code in allowed))
+        detail.append(("round", int(round_idx), outcomes[round_idx] in allowed))
     return ErrorEstimate.from_detail(PHASE_SECOND, detail, threshold)
 
 

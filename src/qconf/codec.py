@@ -9,9 +9,11 @@ Encoding conventions shared by every protocol:
 * XOR phase: positions whose key bit equals the select bit are X-encoded,
   the rest Z-encoded.
 
-Decoding uses only two facts about the joint basis: a Z-product collapses
-onto the index of its bit string (or the complement), and an X-product
-collapses onto a sign equal to the XOR of the encoded bits.
+A preparation is its label id ``2 * x + bit`` (``x`` is 1 for the X
+basis), the ``qsim`` label id that is also its carrier, and an outcome is its
+code.  Decoding uses only two facts about the joint basis: a Z-product
+collapses onto the index of its bit string (or the complement), and an
+X-product collapses onto a sign equal to the XOR of the encoded bits.
 
 The consistent-outcome sets and the Z-round candidate bit strings are
 tabled on first use, keyed by the party count and one small integer
@@ -27,15 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ProtocolCorruptionError
-from .qsim import (
-    BASIS_X,
-    BASIS_Z,
-    Outcome,
-    QubitSpec,
-    bits_to_index,
-    index_to_bits,
-    label_spec,
-)
+from .qsim import BASES, bits_to_index, index_to_bits
 from .rng import random_bits
 
 # Two-party sifting keeps exactly the outcomes that leak nothing about the
@@ -43,41 +37,48 @@ from .rng import random_bits
 SIFT_KEEP_CODES = frozenset({1, 2})
 
 
-def encode_message_qubit(msg_bit: int, key_bit: int) -> QubitSpec:
+def _label(x: int, bit: int) -> int:
+    """Label id of a preparation in the X basis if ``x``, else Z."""
+    bit = int(bit)
+    if bit not in (0, 1):
+        raise ContractError(f"bit must be 0 or 1, got {bit!r}")
+    return 2 * bool(x) + bit
+
+
+def encode_message_qubit(msg_bit: int, key_bit: int) -> int:
     """Message-phase preparation: key bit picks the basis, message the vector."""
-    return label_spec(BASIS_X if key_bit else BASIS_Z, int(msg_bit))
+    return _label(key_bit, msg_bit)
 
 
 def label_indices(bits: Sequence[int], x_flags: Sequence[int]) -> list[int]:
-    """Each preparation as its index into ``LABEL_SPECS``: ``2 * x + bit``.
+    """Each preparation's label id, ``2 * x + bit``, for a whole sequence.
 
-    ``x`` is 1 (or True) where the basis is X.  The index is also the label
-    state's carrier (its ``qsim`` intern id), and the protocols pick specs by
-    it, so
-    ``encode_message_qubit(b, k)`` is ``LABEL_SPECS[label_indices([b], [k])[0]]``.
+    ``x`` is 1 (or True) where the basis is X, so
+    ``label_indices([b], [k])`` is ``[encode_message_qubit(b, k)]``.  The bits
+    are not checked: callers pass 0/1 rows they built.
     """
     return [2 * x + b for b, x in zip(bits, x_flags)]
 
 
-def decode_partner_bit(own_bit: int, key_bit: int, outcome: Outcome) -> int:
-    """Partner's bit in the two-party dialogue.
+def decode_partner_bit(own_bit: int, key_bit: int, code: int) -> int:
+    """Partner's bit in the two-party dialogue, from the outcome code.
 
     On Z rounds the outcome index says whether the two bits agree; on X
     rounds the sign does.
     """
-    if outcome.index > 1:
-        raise ContractError("two-party decode needs a 2-qubit outcome")
-    marker = outcome.index if key_bit == 0 else outcome.sign
+    if not 0 <= code < 4:
+        raise ContractError(f"two-party decode needs a 2-qubit outcome code, got {code}")
+    marker = code >> 1 if key_bit == 0 else code & 1
     return int(own_bit) ^ marker
 
 
-def sift_outcome(outcome: Outcome) -> bool:
-    """Keep a two-party round iff its outcome is in the non-leaking pair."""
-    return outcome.code in SIFT_KEEP_CODES
+def sift_outcome(code: int) -> bool:
+    """Keep a two-party round iff its outcome code is in the non-leaking pair."""
+    return code in SIFT_KEEP_CODES
 
 
 def decode_z_round(
-    own_bit: int, own_position: int, outcome: Outcome, n_parties: int
+    own_bit: int, own_position: int, code: int, n_parties: int
 ) -> tuple[int, ...]:
     """All parties' bits for a round where everyone used the Z basis.
 
@@ -85,11 +86,11 @@ def decode_z_round(
     complement (tabled by (n, index)); the caller's own bit picks the right
     one.
     """
-    for bits in _z_candidates(n_parties, outcome.index):
+    for bits in _z_candidates(n_parties, code >> 1):
         if bits[own_position] == own_bit:
             return bits
     raise ProtocolCorruptionError(
-        f"outcome {outcome.label} is inconsistent with own bit {own_bit} "
+        f"outcome code {code} is inconsistent with own bit {own_bit} "
         f"at position {own_position}"
     )
 
@@ -101,19 +102,19 @@ def _z_candidates(n_parties: int, index: int) -> tuple[tuple[int, ...], tuple[in
     return bits, tuple(1 - b for b in bits)
 
 
-def decode_x_round(outcome: Outcome) -> int:
+def decode_x_round(code: int) -> int:
     """XOR of all encoded bits for a round where everyone used the X basis."""
-    return outcome.sign
+    return code & 1
 
 
-def encode_exchange_qubit(msg_bit: int, position: int) -> QubitSpec:
+def encode_exchange_qubit(msg_bit: int, position: int) -> int:
     """Exchange-phase preparation; `position` is the 1-based round index."""
-    return label_spec(exchange_basis(position), int(msg_bit))
+    return _label(position % 2, msg_bit)
 
 
 def exchange_basis(position: int) -> str:
     """Basis used by encode_exchange_qubit for a 1-based round index."""
-    return BASIS_Z if position % 2 == 0 else BASIS_X
+    return BASES[encode_exchange_qubit(0, position) >> 1]
 
 
 def derive_select_bit(key: np.ndarray) -> int:
@@ -161,9 +162,9 @@ def embed_payload(
     return carrier
 
 
-def encode_xor_qubit(carrier_bit: int, key_bit: int, select: int) -> QubitSpec:
+def encode_xor_qubit(carrier_bit: int, key_bit: int, select: int) -> int:
     """XOR-phase preparation: payload-basis (X) where the key matches select."""
-    return label_spec(BASIS_X if key_bit == select else BASIS_Z, int(carrier_bit))
+    return _label(key_bit == select, carrier_bit)
 
 
 def consistent_outcome_codes(

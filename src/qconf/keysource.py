@@ -7,35 +7,23 @@ stream never touches a channel, so adversary taps structurally cannot see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
 from .rng import random_bits
 
 
-@dataclass(frozen=True)
-class SharedKeyHandle:
-    """One shared key: identical bits for every listed party."""
-
-    bits: np.ndarray
-    parties: tuple[str, ...]
-    seed_tag: int
-
-    def __post_init__(self):
-        bits = np.array(self.bits, dtype=np.uint8, copy=True)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-
 def establish_key(
     parties: tuple[str, ...], length: int, rng: np.random.Generator
-) -> SharedKeyHandle:
-    """Draw a fresh shared key for the listed parties."""
+) -> np.ndarray:
+    """Draw a fresh shared key for the listed parties, as read-only uint8 bits."""
     if length < 1:
         raise ContractError("key length must be >= 1")
     if len(parties) < 2:
         raise ContractError("a shared key needs at least 2 parties")
-    seed_tag = int(rng.integers(0, 2**63, dtype=np.int64))
-    return SharedKeyHandle(random_bits(rng, length), tuple(parties), seed_tag)
+    # Nothing reads this draw; it stays in the stream until the stream-version
+    # bump (ROADMAP item 4) removes it.
+    rng.integers(0, 2**63, dtype=np.int64)
+    bits = random_bits(rng, length)
+    bits.setflags(write=False)
+    return bits

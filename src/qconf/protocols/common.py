@@ -29,7 +29,7 @@ from ..channels import (
 )
 from ..errors import ContractError
 from ..keysource import establish_key
-from ..qsim import BASIS_X, BASIS_Z
+from ..qsim import BASES, LABELS
 
 MIDDLE = "middle"
 
@@ -259,7 +259,7 @@ def open_run(
     record = AdversaryRecord(kind=attack.kind)
     transcript = Transcript(config=config, adversary=None if attack.kind == "none" else record)
     transcript.secrets["messages"] = [bits_to_str(row) for row in rows]
-    key = establish_key(parties, key_length, rng).bits
+    key = establish_key(parties, key_length, rng)
     transcript.secrets["key_initial"] = bits_to_str(key)
     transcript.add_key_stage("initial", key_length)
     transcript.add_event("key_established", parties=list(parties), length=key_length)
@@ -285,13 +285,12 @@ def relay_round(
 ) -> tuple[list[int], list] | None:
     """Permute, send to the middle party, spot-check, reveal, measure jointly.
 
-    ``labels`` holds each party's preparations in party order, as indices
-    into ``LABEL_SPECS`` (``codec.label_indices``), which are also their
-    carriers.  With ``cheating_middle`` the middle party measures every
-    qubit of a round in one random basis and announces an outcome
-    consistent with what it saw.
+    ``labels`` holds each party's preparations in party order, as label ids
+    (``codec.label_indices``), which are also their carriers.  With
+    ``cheating_middle`` the middle party measures every qubit of a round in
+    one random basis and announces an outcome consistent with what it saw.
     Returns the positions kept after the spot check and one announced
-    outcome per kept position, or None when the spot check aborts.
+    outcome code per kept position, or None when the spot check aborts.
     """
     parties = list(labels)
     length = len(labels[parties[0]])
@@ -320,18 +319,17 @@ def relay_round(
         # Each round's announcement draws an integer after the round's basis
         # coin and measurements, so these uniforms are drawn round by round.
         n = len(parties)
-        round_bases = {False: [BASIS_Z] * n, True: [BASIS_X] * n}
+        round_bases = [[basis] * n for basis in BASES]
         outcomes = []
         for i in keep:
             coin, *uniforms = rng.random(1 + n).tolist()
             x_basis = coin < 0.5
             bits, _ = measure_carriers(rows[i], round_bases[x_basis], uniforms)
-            outcome = dishonest_middle_announce(bits, x_basis, n, rng)
-            record.announced.append(outcome.code)
-            outcomes.append(outcome)
+            outcomes.append(dishonest_middle_announce(bits, x_basis, n, rng))
+        record.announced.extend(outcomes)
     else:
         outcomes = measure_rounds([rows[i] for i in keep], rng.random(len(keep)).tolist())
-    transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
+    transcript.add_event("joint_announcement", codes=outcomes)
     return keep, outcomes
 
 
@@ -405,7 +403,7 @@ def decoy_hop(
     for link, decoy_set in decoys.items():
         transcript.add_event(
             "decoy_reveal", channel="->".join(link), positions=list(decoy_set.positions),
-            states=[spec.label for spec in decoy_set.specs], **fields,
+            states=[LABELS[label] for label in decoy_set.labels], **fields,
         )
     inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
     estimates = [

@@ -18,9 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import AttackConfig
-from ..codec import decode_x_round, decode_z_round, exchange_basis, label_indices
+from ..codec import (
+    decode_x_round,
+    decode_z_round,
+    encode_exchange_qubit,
+    exchange_basis,
+    label_indices,
+)
 from ..errors import ContractError
-from ..qsim import BASIS_X
 from .common import (
     ProtocolParams,
     Transcript,
@@ -118,9 +123,8 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
     # the relabeled sequence, and their parity fixes the encoding basis that
     # every party can derive from the shared key.
     read_bases = [exchange_basis(i + 1) for i in x_rounds]
-    read_x = [basis == BASIS_X for basis in read_bases]
     current = {
-        p: label_indices([msg3[a][i] for i in x_rounds], read_x)
+        p: [encode_exchange_qubit(msg3[a][i], i + 1) for i in x_rounds]
         for a, p in enumerate(parties)
     }
     learned = {p: {} for p in parties}

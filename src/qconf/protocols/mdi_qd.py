@@ -140,7 +140,7 @@ def run_mdi_qd_original(
     outcomes = measure_rounds(
         list(zip(held[PAIR_PARTIES[0]], held[PAIR_PARTIES[1]])), rng.random(n).tolist()
     )
-    transcript.add_event("joint_announcement", codes=[o.code for o in outcomes])
+    transcript.add_event("joint_announcement", codes=outcomes)
     _sift_and_decode(msgs, key, outcomes, list(range(n)), params, rng, transcript)
     return transcript
 

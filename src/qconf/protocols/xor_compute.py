@@ -20,9 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import AttackConfig, draw_substitute_blind
-from ..codec import derive_select_bit, embed_payload, label_indices, payload_positions
+from ..codec import (
+    decode_x_round,
+    derive_select_bit,
+    embed_payload,
+    label_indices,
+    payload_positions,
+)
 from ..errors import ContractError
-from ..qsim import BASIS_X, BASIS_Z
+from ..qsim import BASES
 from ..rng import random_bits
 from .common import (
     ProtocolParams,
@@ -65,7 +71,7 @@ def run_xor(
     transcript.secrets["mask"] = bits_to_str(mask)
     unmask = {}  # what each party takes off the blinded XOR
     mask_sent = label_indices(mask.tolist(), key_bits)
-    mask_bases = [BASIS_X if k else BASIS_Z for k in key_bits[:m]]
+    mask_bases = [BASES[label >> 1] for label in mask_sent]
     for p in parties[1:]:
         reads = decoy_hop(
             parties, {(parties[0], p): mask_sent}, mask_bases,
@@ -113,7 +119,7 @@ def run_xor(
     eta = np.zeros(m, dtype=np.uint8)
     for j, pos in enumerate(pay_pos):
         if pos in survived:
-            eta[j] = survived[pos].sign
+            eta[j] = decode_x_round(survived[pos])
         else:
             eta[j] = int(np.bitwise_xor.reduce(carriers[:, pos]))
     transcript.secrets["blinded_xor"] = bits_to_str(eta)

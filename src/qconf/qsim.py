@@ -7,14 +7,19 @@ computational index ``i`` with its bitwise complement::
 
     phi(i, +/-) = (|i> +/- |2^n - 1 - i>) / sqrt(2),  0 <= i < 2^(n-1)
 
-and outcomes are wire-encoded as ``code = 2 * index + sign_bit`` so that the
-code order matches the natural listing order of the basis.
+and an outcome is held as its code alone, ``code = 2 * index + sign_bit``
+(index ``code >> 1``, sign ``code & 1``), so that the code order matches the
+natural listing order of the basis.
 
 Every qubit on the wire is a single-qubit state held by its intern id (see
 ``intern``): each distinct state gets a small integer id, and its Born
 probabilities, Pauli images and small joint distributions are computed once
-and looked up by id after.  One id, ``MIXED``, is the maximally mixed state
-I/2 that the entangling attack leaves on the wire (see ``dephase``).
+and looked up by id after.  A preparation is one of the four label states,
+held as its label id i in 0-3: basis ``BASES[i >> 1]``, bit ``i & 1``, text
+``LABELS[i]``.  The label states take intern ids 0-3 in that order, so a
+preparation's label id is also its carrier.  One id, ``MIXED``, is the
+maximally mixed state I/2 that the entangling attack leaves on the wire (see
+``dephase``).
 
 A relay row is measured by ``measure_joint`` from its carrier ids alone, at
 every width: ``joint_cumulative`` multiplies out the carriers' amplitudes
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +53,9 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 BASIS_Z = "Z"
 BASIS_X = "X"
+# A preparation is its label id i in 0-3: basis BASES[i >> 1], bit i & 1.
+BASES = (BASIS_Z, BASIS_X)
+LABELS = ("Z0", "Z1", "X0", "X1")
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -94,97 +102,18 @@ class PureState:
         return 2**self.num_qubits
 
 
-@dataclass(frozen=True)
-class QubitSpec:
-    """Symbolic single-qubit preparation: basis in {Z, X}, bit in {0, 1}."""
-
-    basis: str
-    bit: int
-
-    def __post_init__(self):
-        if self.basis not in (BASIS_Z, BASIS_X):
-            raise ContractError(f"basis must be Z or X, got {self.basis!r}")
-        if self.bit not in (0, 1):
-            raise ContractError(f"bit must be 0 or 1, got {self.bit!r}")
-
-    @cached_property
-    def label(self) -> str:
-        return f"{self.basis}{self.bit}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "QubitSpec":
-        if len(label) != 2:
-            raise ContractError(f"bad qubit label {label!r}")
-        return cls(label[0], int(label[1]))
-
-
-# The four preparations, in the order decoy and substitute draws index them.
-LABEL_SPECS = tuple(
-    QubitSpec(basis, bit) for basis in (BASIS_Z, BASIS_X) for bit in (0, 1)
-)
-_SPEC_BY_LABEL = {(spec.basis, spec.bit): spec for spec in LABEL_SPECS}
-
-
-def label_spec(basis: str, bit: int) -> QubitSpec:
-    """The shared ``QubitSpec(basis, bit)``; invalid labels raise as it does."""
-    spec = _SPEC_BY_LABEL.get((basis, bit))
-    return spec if spec is not None else QubitSpec(basis, bit)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Joint measurement result: basis index plus sign (0 for +, 1 for -)."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ContractError("outcome index must be >= 0")
-        if self.sign not in (0, 1):
-            raise ContractError("outcome sign must be 0 (+) or 1 (-)")
-
-    @property
-    def code(self) -> int:
-        return 2 * self.index + self.sign
-
-    @classmethod
-    def from_code(cls, code: int) -> "Outcome":
-        """The one shared ``Outcome`` of a code (of at most 2^MAX_QUBITS), built on first use."""
-        outcome = _OUTCOMES.get(code)
-        if outcome is None:
-            outcome = _OUTCOMES[code] = cls(code >> 1, code & 1)
-        return outcome
-
-    @property
-    def label(self) -> str:
-        return f"Phi{self.index}{'+' if self.sign == 0 else '-'}"
-
-
-_OUTCOMES: dict[int, Outcome] = {}
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
 
 
-_LABEL_AMPLITUDES = {
-    (BASIS_Z, 0): [1.0, 0.0],
-    (BASIS_Z, 1): [0.0, 1.0],
-    (BASIS_X, 0): [INV_SQRT2, INV_SQRT2],
-    (BASIS_X, 1): [INV_SQRT2, -INV_SQRT2],
-}
-
-
-def materialize(spec: QubitSpec) -> PureState:
-    """Amplitude vector for a symbolic single-qubit preparation (interned)."""
-    return _INTERNED[label_id(spec)]
-
-
-def label_id(spec: QubitSpec) -> int:
-    """Intern id of a label state: 0-3, in ``LABEL_SPECS`` order."""
-    return _LABEL_IDS[spec.basis, spec.bit]
+# Amplitudes of the four label states, in ``LABELS`` order.
+_LABEL_AMPLITUDES = (
+    [1.0, 0.0],
+    [0.0, 1.0],
+    [INV_SQRT2, INV_SQRT2],
+    [INV_SQRT2, -INV_SQRT2],
+)
 
 
 def tensor(states: Sequence[PureState]) -> PureState:
@@ -338,17 +267,14 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float] | np.ndarray:
     return cumulative
 
 
-def measure_joint(ids: tuple[int, ...], u: float) -> Outcome:
-    """Joint-basis outcome of a product of interned states, picked by ``u``."""
-    return Outcome.from_code(_draw(joint_cumulative(ids), u))
+def measure_joint(ids: tuple[int, ...], u: float) -> int:
+    """Joint-basis outcome code of a product of interned states, picked by ``u``."""
+    return _draw(joint_cumulative(ids), u)
 
 
-# The label states take ids 0-3, in ``LABEL_SPECS`` order.
-_LABEL_IDS = {
-    label: intern(PureState(1, np.array(amps, dtype=complex)))
-    for label, amps in _LABEL_AMPLITUDES.items()
-}
-_Z_LABELS = (_LABEL_IDS[BASIS_Z, 0], _LABEL_IDS[BASIS_Z, 1])
+# The label states take ids 0-3, in ``LABELS`` order.
+for _amplitudes in _LABEL_AMPLITUDES:
+    intern(PureState(1, np.array(_amplitudes, dtype=complex)))
 
 # The maximally mixed state I/2 takes the next id.  It has no amplitudes:
 # both bases read it as a fair coin, and every Pauli leaves it unchanged.
@@ -358,12 +284,8 @@ _INTERNED.append(None)
 P0.append({BASIS_Z: 0.5, BASIS_X: 0.5})
 _IMAGE.append([MIXED] * len(PAULIS))
 
-_DEPHASED = {
-    **{sid: sid for sid in _Z_LABELS},
-    _LABEL_IDS[BASIS_X, 0]: MIXED,
-    _LABEL_IDS[BASIS_X, 1]: MIXED,
-    MIXED: MIXED,
-}
+# Z labels (ids 0, 1) pass the entangling tap; X labels (2, 3) dephase.
+_DEPHASED = {0: 0, 1: 1, 2: MIXED, 3: MIXED, MIXED: MIXED}
 
 
 # ---------------------------------------------------------------------------

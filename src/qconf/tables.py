@@ -16,25 +16,21 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .qsim import (
-    BASIS_X,
-    BASIS_Z,
-    Outcome,
-    QubitSpec,
-    bits_to_index,
-    dense_joint_basis,
-    materialize,
-    tensor,
-)
+from .codec import label_indices
+from .qsim import BASIS_X, BASIS_Z, bits_to_index, dense_joint_basis, interned, tensor
 
 TABLE_ATOL = 1e-12
 TABLE_SIZES = (2, 3, 4)
+
+
+def outcome_label(code: int) -> str:
+    """Text of an outcome code: ``Phi<index><sign>``, e.g. code 3 is ``Phi1-``."""
+    return f"Phi{code >> 1}{'+-'[code & 1]}"
 
 
 def expected_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
@@ -53,70 +49,45 @@ def expected_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
     return probs
 
 
-def born_row(specs: Sequence[QubitSpec]) -> np.ndarray:
-    """Born-rule distribution of a product preparation, by outcome code.
+def born_row(labels: Sequence[int]) -> np.ndarray:
+    """Born-rule distribution of a product preparation of label ids, by outcome code.
 
     Projects onto the dense basis matrix rather than calling the simulator's
     closed-form measurement, so the table check does not rest on the code
     path that samples outcomes.
     """
-    state = tensor([materialize(spec) for spec in specs])
-    return np.abs(dense_joint_basis(len(specs)).conj() @ state.amplitudes) ** 2
+    state = tensor([interned(label) for label in labels])
+    return np.abs(dense_joint_basis(len(labels)).conj() @ state.amplitudes) ** 2
 
 
 def computed_row(bits: tuple[int, ...], basis: str) -> np.ndarray:
     """Born-rule distribution of the actual product state of one table row."""
-    return born_row([QubitSpec(basis, b) for b in bits])
-
-
-@dataclass(frozen=True)
-class TableDiff:
-    """One table entry where computation and reference disagree."""
-
-    n_parties: int
-    basis: str
-    bits: tuple[int, ...]
-    code: int
-    expected: float
-    computed: float
-
-    @property
-    def label(self) -> str:
-        states = "".join(QubitSpec(self.basis, b).label for b in self.bits)
-        return f"N={self.n_parties} {states} {Outcome.from_code(self.code).label}"
+    return born_row(label_indices(bits, [basis == BASIS_X] * len(bits)))
 
 
 def verify_outcome_tables(
     sizes: tuple[int, ...] = TABLE_SIZES, atol: float = TABLE_ATOL
-) -> tuple[list[dict], list[TableDiff]]:
-    """Recompute every table row; returns (all entry records, diffs)."""
+) -> tuple[list[dict], list[dict]]:
+    """Recompute every table row; returns (all entry records, failing entries)."""
     entries: list[dict] = []
-    diffs: list[TableDiff] = []
     for n in sizes:
         for basis in (BASIS_Z, BASIS_X):
             for bits in product((0, 1), repeat=n):
                 expected = expected_row(bits, basis)
                 computed = computed_row(bits, basis)
                 for code in range(2**n):
-                    ok = abs(computed[code] - expected[code]) <= atol
                     entries.append(
                         {
                             "n_parties": n,
                             "basis": basis,
                             "bits": "".join(str(b) for b in bits),
-                            "outcome": Outcome.from_code(code).label,
+                            "outcome": outcome_label(code),
                             "expected": float(expected[code]),
                             "computed": float(computed[code]),
-                            "ok": ok,
+                            "ok": abs(computed[code] - expected[code]) <= atol,
                         }
                     )
-                    if not ok:
-                        diffs.append(
-                            TableDiff(
-                                n, basis, bits, code, float(expected[code]), float(computed[code])
-                            )
-                        )
-    return entries, diffs
+    return entries, [e for e in entries if not e["ok"]]
 
 
 def tables_to_csv(entries: list[dict]) -> str:
@@ -129,15 +100,17 @@ def tables_to_csv(entries: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tables_summary(entries: list[dict], diffs: list[TableDiff]) -> dict:
+def _entry_label(entry: dict) -> str:
+    """``N=<parties> <preparations> <outcome>``, e.g. ``N=2 Z0Z0 Phi0+``."""
+    states = "".join(entry["basis"] + bit for bit in entry["bits"])
+    return f"N={entry['n_parties']} {states} {entry['outcome']}"
+
+
+def tables_summary(entries: list[dict], diffs: list[dict]) -> dict:
     return {
         "entries": len(entries),
         "diffs": [
-            {
-                "entry": d.label,
-                "expected": d.expected,
-                "computed": d.computed,
-            }
+            {"entry": _entry_label(d), "expected": d["expected"], "computed": d["computed"]}
             for d in diffs
         ],
         "all_pass": not diffs,

@@ -38,12 +38,7 @@ from qconf.codec import (
     encode_message_qubit,
 )
 from qconf.protocols import RunConfig, run_trials
-from qconf.qsim import (
-    QubitSpec,
-    Outcome,
-    dense_joint_basis,
-    label_id,
-)
+from qconf.qsim import dense_joint_basis
 from qconf.rng import make_rng, random_bits
 from qconf.stats import (
     DISHONEST_MIDDLE_TRUE_PASS,
@@ -305,13 +300,13 @@ def test_criterion_9a_basis_properties():
 def test_criterion_9b_product_laws():
     for n in range(2, 6):
         for bits in product((0, 1), repeat=n):
-            z_probs = born_row([QubitSpec("Z", b) for b in bits])
+            z_probs = born_row(bits)  # Z labels: label id = bit
             j = int("".join(map(str, bits)), 2)
             j_hat = min(j, 2**n - 1 - j)
             for code in range(2**n):
                 want = 0.5 if code // 2 == j_hat else 0.0
                 assert abs(z_probs[code] - want) < 1e-12
-            x_probs = born_row([QubitSpec("X", b) for b in bits])
+            x_probs = born_row([2 + b for b in bits])  # X labels
             sign = sum(bits) % 2
             for code in range(2**n):
                 want = 1.0 / 2 ** (n - 1) if code % 2 == sign else 0.0
@@ -324,18 +319,17 @@ def test_criterion_9c_codec_round_trips():
         probs = born_row([encode_message_qubit(a, k), encode_message_qubit(b, k)])
         for code in range(4):
             if probs[code] > 1e-12:
-                assert decode_partner_bit(a, k, Outcome.from_code(code)) == b
+                assert decode_partner_bit(a, k, code) == b
     for n in range(3, 6):
         for bits in product((0, 1), repeat=n):
             z_probs = born_row([encode_message_qubit(v, 0) for v in bits])
             x_probs = born_row([encode_message_qubit(v, 1) for v in bits])
             for code in range(2**n):
-                outcome = Outcome.from_code(code)
                 if z_probs[code] > 1e-12:
                     for position in range(n):
-                        assert decode_z_round(bits[position], position, outcome, n) == bits
+                        assert decode_z_round(bits[position], position, code, n) == bits
                 if x_probs[code] > 1e-12:
-                    assert decode_x_round(outcome) == sum(bits) % 2
+                    assert decode_x_round(code) == sum(bits) % 2
     report(9, "codec round-trips exhaustive (N <= 5)", True)
 
 
@@ -346,7 +340,7 @@ def test_criterion_9d_permutation_decoy_round_trips():
         perm = random_permutation(length, rng)
         seq = list(rng.integers(0, 10_000, size=length))
         assert unpermute(permute(seq, perm), perm) == seq
-        payload = [label_id(QubitSpec("Z", int(v))) for v in random_bits(rng, length)]
+        payload = random_bits(rng, length).tolist()  # Z labels: label id = bit
         decoys = make_decoy_set(length, int(rng.integers(0, 24)), rng)
         assert extract_payload(insert_decoys(payload, decoys), decoys) == payload
     report(9, "permutation/decoy round-trips (1000 randomized cases)", True)

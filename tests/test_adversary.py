@@ -23,7 +23,7 @@ from qconf.adversary import (
 from qconf.channels import measure_flying
 from qconf.codec import consistent_outcome_codes
 from qconf.errors import ContractError
-from qconf.qsim import MIXED, QubitSpec, interned, label_id
+from qconf.qsim import BASES, LABELS, MIXED, interned
 from qconf.rng import make_rng, random_bits
 
 R = 1.0 / math.sqrt(2.0)
@@ -52,6 +52,11 @@ class TestAttackConfig:
         assert AttackConfig.from_dict(config.to_dict()) == config
 
 
+def random_label(rng) -> int:
+    """A uniformly drawn label id: the basis coin, then the bit."""
+    return 2 * int(rng.integers(2)) + int(rng.integers(2))
+
+
 def intercept_resend(qubit: int, basis: str, rng) -> tuple[int, tuple[str, int]]:
     """One qubit through the intercept tap with its basis guess fixed."""
     record = AdversaryRecord(kind="intercept_resend")
@@ -63,7 +68,7 @@ def intercept_resend(qubit: int, basis: str, rng) -> tuple[int, tuple[str, int]]
 class TestInterceptResend:
     def test_matching_basis_undetectable(self):
         rng = make_rng(40)
-        forwarded, (basis, bit) = intercept_resend(label_id(QubitSpec("Z", 0)), "Z", rng)
+        forwarded, (basis, bit) = intercept_resend(LABELS.index("Z0"), "Z", rng)
         assert (basis, bit) == ("Z", 0)
         np.testing.assert_allclose(interned(forwarded).amplitudes, [1, 0], atol=1e-12)
 
@@ -74,7 +79,7 @@ class TestInterceptResend:
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            forwarded, _ = intercept_resend(label_id(QubitSpec("Z", 0)), "X", rng)
+            forwarded, _ = intercept_resend(LABELS.index("Z0"), "X", rng)
             bit, _ = measure_flying(forwarded, "Z", rng.random())
             passes += bit == 0
         assert abs(passes / trials - 0.5) < 0.01
@@ -84,18 +89,18 @@ class TestInterceptResend:
         trials = 100_000
         passes = 0
         for _ in range(trials):
-            spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
+            label = random_label(rng)
             (basis,) = guess_bases([rng.random()])
-            forwarded, _ = intercept_resend(label_id(spec), basis, rng)
-            bit, _ = measure_flying(forwarded, spec.basis, rng.random())
-            passes += bit == spec.bit
+            forwarded, _ = intercept_resend(label, basis, rng)
+            bit, _ = measure_flying(forwarded, BASES[label >> 1], rng.random())
+            passes += bit == label & 1
         assert abs(passes / trials - 0.75) < 0.01
 
 
 def entangle(label: str) -> int:
     """The carrier the entangling tap forwards for one label state."""
     tap = EntangleMeasureTap(AdversaryRecord(kind="entangle_measure"))
-    (forwarded,) = tap.apply([label_id(QubitSpec.from_label(label))], None, "P1->middle")
+    (forwarded,) = tap.apply([LABELS.index(label)], None, "P1->middle")
     return forwarded
 
 
@@ -107,7 +112,7 @@ class TestEntangleMeasure:
         joint = purify(["Z1"], [0])
         np.testing.assert_allclose(joint, [0, 0, 0, 1], atol=1e-12)
         forwarded = entangle("Z1")
-        assert forwarded == label_id(QubitSpec("Z", 1))
+        assert forwarded == LABELS.index("Z1")
         np.testing.assert_allclose(carrier_density(forwarded), wire_density(joint, 0), atol=1e-15)
         bit, _ = measure_flying(forwarded, "Z", rng.random())
         assert bit == 1  # Z checks never fail
@@ -145,7 +150,7 @@ class TestDos:
     def test_identity_weights_pass_always(self):
         rng = make_rng(47)
         weights = dos_cumulative((1.0, 0.0, 0.0, 0.0))
-        out, choice = dos_attack(label_id(QubitSpec("X", 1)), weights, rng.random())
+        out, choice = dos_attack(LABELS.index("X1"), weights, rng.random())
         assert choice == 0
         bit, _ = measure_flying(out, "X", rng.random())
         assert bit == 1
@@ -154,20 +159,20 @@ class TestDos:
         rng = make_rng(48)
         trials = 5000
         for _ in range(trials):
-            spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(label_id(spec), dos_cumulative((0.0, 0.0, 1.0, 0.0)), rng.random())
-            bit, _ = measure_flying(out, spec.basis, rng.random())
-            assert bit != spec.bit
+            label = random_label(rng)
+            out, _ = dos_attack(label, dos_cumulative((0.0, 0.0, 1.0, 0.0)), rng.random())
+            bit, _ = measure_flying(out, BASES[label >> 1], rng.random())
+            assert bit != label & 1
 
     def test_sigma_x_passes_half(self):
         rng = make_rng(49)
         trials = 50_000
         passes = 0
         for _ in range(trials):
-            spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            out, _ = dos_attack(label_id(spec), dos_cumulative((0.0, 1.0, 0.0, 0.0)), rng.random())
-            bit, _ = measure_flying(out, spec.basis, rng.random())
-            passes += bit == spec.bit
+            label = random_label(rng)
+            out, _ = dos_attack(label, dos_cumulative((0.0, 1.0, 0.0, 0.0)), rng.random())
+            bit, _ = measure_flying(out, BASES[label >> 1], rng.random())
+            passes += bit == label & 1
         assert abs(passes / trials - 0.5) < 0.01
 
     def test_rejects_bad_weights(self):
@@ -178,20 +183,20 @@ class TestDos:
 class TestMitm:
     def test_keeps_originals(self):
         rng = make_rng(50)
-        originals = [label_id(QubitSpec("Z", 1)), label_id(QubitSpec("X", 0))]
-        kept, substituted, specs = mitm_attack(originals, rng)
+        originals = [LABELS.index("Z1"), LABELS.index("X0")]
+        kept, substituted = mitm_attack(originals, rng)
         assert kept == originals
-        assert len(substituted) == len(specs) == 2
+        assert len(substituted) == 2 and set(substituted) <= {0, 1, 2, 3}
 
     def test_check_pass_half(self):
         rng = make_rng(51)
         trials = 100_000
         passes = 0
         for _ in range(trials):
-            spec = QubitSpec("ZX"[int(rng.integers(2))], int(rng.integers(2)))
-            _, substituted, _ = mitm_attack([label_id(spec)], rng)
-            bit, _ = measure_flying(substituted[0], spec.basis, rng.random())
-            passes += bit == spec.bit
+            label = random_label(rng)
+            _, substituted = mitm_attack([label], rng)
+            bit, _ = measure_flying(substituted[0], BASES[label >> 1], rng.random())
+            passes += bit == label & 1
         assert abs(passes / trials - 0.5) < 0.01
 
 
@@ -225,14 +230,14 @@ class TestDishonestMiddle:
     def test_z_result_announces_matching_index(self):
         rng = make_rng(52)
         for _ in range(100):
-            outcome = dishonest_middle_announce([0, 0, 1], False, 3, rng)
-            assert outcome.index == 1
+            code = dishonest_middle_announce([0, 0, 1], False, 3, rng)
+            assert code >> 1 == 1
 
     def test_x_result_announces_matching_sign(self):
         rng = make_rng(53)
         for _ in range(100):
-            outcome = dishonest_middle_announce([1, 0, 0], True, 3, rng)
-            assert outcome.sign == 1
+            code = dishonest_middle_announce([1, 0, 0], True, 3, rng)
+            assert code & 1 == 1
 
     def test_exact_pass_probability_is_11_16(self):
         # The published figure for this strategy is 7/8, but the total of its
@@ -254,7 +259,7 @@ class TestDishonestMiddle:
             else:
                 observed = [int(b) for b in random_bits(rng, 3)]
             announced = dishonest_middle_announce(observed, middle_x, 3, rng)
-            passes += announced.code in consistent_outcome_codes(bits, x_round, 3)
+            passes += announced in consistent_outcome_codes(bits, x_round, 3)
         assert abs(passes / trials - 11 / 16) < 0.01
 
 

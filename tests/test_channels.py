@@ -27,22 +27,23 @@ from qconf.codec import consistent_outcome_codes, encode_message_qubit
 from qconf.errors import ContractError
 from qconf.protocols import RunConfig, Transcript, execute_trial
 from qconf.qsim import (
+    BASES,
     BASIS_X,
     BASIS_Z,
-    LABEL_SPECS,
+    LABELS,
     MIXED,
     P0,
     PAULIS,
-    Outcome,
-    QubitSpec,
     interned,
-    label_id,
-    label_spec,
-    materialize,
     pauli_image,
 )
 from qconf.rng import make_rng, random_bits
 from qconf.tables import born_row
+
+
+def label(text):
+    """The label id, also the carrier, of a preparation such as "X1"."""
+    return LABELS.index(text)
 
 
 class TestPermutation:
@@ -86,13 +87,13 @@ class TestPermutation:
 
 class TestDecoys:
     def test_zero_decoys(self):
-        payload = [label_id(QubitSpec("Z", 0))]
+        payload = [label("Z0")]
         decoys = DecoySet((), ())
         assert insert_decoys(payload, decoys) == payload
 
     def test_positional_bookkeeping(self):
-        payload = [label_id(QubitSpec("Z", b)) for b in (0, 1, 0)]
-        decoys = DecoySet((0, 4), (QubitSpec("X", 0), QubitSpec("X", 1)))
+        payload = [label("Z0"), label("Z1"), label("Z0")]
+        decoys = DecoySet((0, 4), (label("X0"), label("X1")))
         out = insert_decoys(payload, decoys)
         assert len(out) == 5
         assert out[1:4] == payload
@@ -103,19 +104,19 @@ class TestDecoys:
         for _ in range(1000):
             length = int(rng.integers(1, 40))
             count = int(rng.integers(0, 20))
-            payload = [label_id(QubitSpec("Z", int(b))) for b in random_bits(rng, length)]
+            payload = random_bits(rng, length).tolist()  # Z labels: label id = bit
             decoys = make_decoy_set(length, count, rng)
             assert extract_payload(insert_decoys(payload, decoys), decoys) == payload
 
     def test_positions_strictly_increasing(self):
         with pytest.raises(ContractError):
-            DecoySet((3, 3), (QubitSpec("Z", 0), QubitSpec("Z", 0)))
+            DecoySet((3, 3), (label("Z0"), label("Z0")))
 
     def test_untouched_channel_verifies_clean(self):
         rng = make_rng(22)
         for _ in range(200):
             decoys = make_decoy_set(10, 8, rng)
-            payload = [label_id(QubitSpec("Z", int(b))) for b in random_bits(rng, 10)]
+            payload = random_bits(rng, 10).tolist()  # Z labels: label id = bit
             received = insert_decoys(payload, decoys)
             estimate = verify_decoys(received, decoys, 0.0, rng)
             assert estimate.mismatches == 0
@@ -123,14 +124,14 @@ class TestDecoys:
 
     def test_verification_is_non_demolition_for_payload(self):
         rng = make_rng(23)
-        payload = [label_id(QubitSpec("X", 1)) for _ in range(4)]
+        payload = [label("X1")] * 4
         decoys = make_decoy_set(4, 4, rng)
         received = insert_decoys(payload, decoys)
         verify_decoys(received, decoys, 0.0, rng)
         for qubit in extract_payload(received, decoys):
             np.testing.assert_allclose(
                 interned(qubit).amplitudes,
-                materialize(QubitSpec("X", 1)).amplitudes,
+                interned(label("X1")).amplitudes,
                 atol=1e-12,
             )
 
@@ -140,7 +141,7 @@ class TestFirstEstimation:
         key = random_bits(rng, n)
         messages = {p: random_bits(rng, n) for p in ("P1", "P2")}
         labels = {
-            p: [label_id(encode_message_qubit(int(messages[p][i]), int(key[i]))) for i in range(n)]
+            p: [encode_message_qubit(messages[p][i], key[i]) for i in range(n)]
             for p in messages
         }
         perms = {p: random_permutation(n, rng) for p in messages}
@@ -167,8 +168,7 @@ class TestFirstEstimation:
         labels, held, perms = self._setup(10, rng)
         # corrupt P1's qubit for original position 4 with an orthogonal state
         slot = int(perms["P1"].mapping[4])
-        spec = LABEL_SPECS[labels["P1"][4]]
-        held["P1"][slot] = label_id(QubitSpec(spec.basis, 1 - spec.bit))
+        held["P1"][slot] = labels["P1"][4] ^ 1  # same basis, other bit
         estimate = first_error_estimation(labels, held, perms, [4], 0.0, rng)
         assert estimate.mismatches == 1
         assert estimate.verdict == "abort"
@@ -183,7 +183,7 @@ class TestSecondEstimation:
         for i in range(3):
             row = [bits[p][i] for p in bits]
             codes = consistent_outcome_codes(row, bool(key[i]), 3)
-            outcomes.append(Outcome.from_code(codes[0]))
+            outcomes.append(codes[0])
         estimate = second_error_estimation(outcomes, key, bits, [0, 1, 2], 0.0)
         assert estimate.mismatches == 0
 
@@ -195,7 +195,7 @@ class TestSecondEstimation:
         passes = 0
         for _ in range(trials):
             row = [int(b) for b in random_bits(rng, 3)]
-            announced = Outcome.from_code(int(rng.integers(0, 8)))
+            announced = int(rng.integers(0, 8))
             estimate = second_error_estimation(
                 [announced],
                 [0],
@@ -209,18 +209,19 @@ class TestSecondEstimation:
 
 class TestFlying:
     def test_shared_per_preparation(self):
-        assert label_id(QubitSpec("X", 1)) == label_id(encode_message_qubit(1, 1))
-        assert interned(label_id(QubitSpec("X", 1))) is materialize(QubitSpec("X", 1))
+        # The encoded preparation is the carrier: one id, one interned state.
+        assert encode_message_qubit(1, 1) == label("X1") == 3
+        assert interned(encode_message_qubit(1, 1)) is interned(label("X1"))
 
     def test_single_qubit_collapse_is_shared(self):
-        bit, post = measure_flying(label_id(QubitSpec("X", 0)), "X", make_rng(28).random())
+        bit, post = measure_flying(label("X0"), "X", make_rng(28).random())
         assert bit == 0
-        assert post == label_id(QubitSpec("X", 0))
+        assert post == label("X0")
 
     def test_batch_equals_scalar_for_every_id(self):
         # Every interned id: the labels, their Pauli images and MIXED, each
         # in both bases at u = 0, at p0 and its neighbours, and just below 1.
-        for sid in range(len(LABEL_SPECS)):
+        for sid in range(len(LABELS)):
             for pauli in range(len(PAULIS)):
                 pauli_image(sid, pauli)
         carriers, bases, uniforms = [], [], []
@@ -238,7 +239,7 @@ class TestFlying:
         ]
         for sid, basis, u, bit, post in zip(carriers, bases, uniforms, bits, collapsed):
             assert bit == int(u >= P0[sid][basis])
-            assert post == label_id(label_spec(basis, bit))
+            assert post == 2 * BASES.index(basis) + bit
 
     def test_batch_contract(self):
         with pytest.raises(ContractError):
@@ -249,15 +250,15 @@ class TestFlying:
 
 class TestInternedCarriers:
     def test_one_shared_carrier_per_state(self):
-        # A label state's carrier is its intern id and its LABEL_SPECS index.
-        for index, spec in enumerate(LABEL_SPECS):
-            assert qsim.intern(materialize(spec)) == label_id(spec) == index
+        # A label state's carrier is its intern id and its label id.
+        for index, text in enumerate(LABELS):
+            assert qsim.intern(interned(index)) == label(text) == index
 
     def test_entangled_carrier_is_the_mixed_id(self):
         # The entangling tap hands on intern ids: Z labels as they are, X
         # labels as MIXED, which has no pure state.
         tap = EntangleMeasureTap(AdversaryRecord(kind="entangle_measure"))
-        out = tap.apply(list(range(len(LABEL_SPECS))), None, "P1->middle")
+        out = tap.apply(list(range(len(LABELS))), None, "P1->middle")
         assert out == [0, 1, MIXED, MIXED]
         assert interned(MIXED) is None
 
@@ -266,11 +267,11 @@ class TestInternedCarriers:
         # Each row draws from the running sum of its dense Born row.
         picks = make_rng(33 + n).integers(0, 4, size=(200, n))
         uniforms = make_rng(40 + n).random(len(picks)).tolist()
-        rows = [tuple(label_id(LABEL_SPECS[int(k)]) for k in row) for row in picks]
+        rows = [tuple(row) for row in picks.tolist()]
         outcomes = measure_rounds(rows, uniforms)
         for qubits, u, outcome in zip(rows, uniforms, outcomes):
-            dense = np.cumsum(born_row([LABEL_SPECS[q] for q in qubits]))
-            assert outcome.code == qsim._draw(dense, u)
+            dense = np.cumsum(born_row(qubits))
+            assert outcome == qsim._draw(dense, u)
 
     def test_sizes_must_match(self):
         with pytest.raises(ContractError):
@@ -291,7 +292,7 @@ class TestQuantumChannel:
     def test_transmit_records_event(self):
         transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle")
-        out = channel.transmit([label_id(QubitSpec("Z", 0))], make_rng(29), transcript.add_event)
+        out = channel.transmit([label("Z0")], make_rng(29), transcript.add_event)
         assert len(out) == 1
         assert transcript.events == [{"type": "transmit", "channel": "P1->middle", "count": 1}]
 
@@ -300,11 +301,11 @@ class TestQuantumChannel:
             kind = "flip"
 
             def apply(self, qubits, rng, channel_id):
-                return [label_id(QubitSpec("Z", 1)) for _ in qubits]
+                return [label("Z1") for _ in qubits]
 
         transcript = Transcript(config={})
         channel = QuantumChannel("P1", "middle", tap=FlipTap())
-        out = channel.transmit([label_id(QubitSpec("Z", 0))], make_rng(30), transcript.add_event)
+        out = channel.transmit([label("Z0")], make_rng(30), transcript.add_event)
         bit, _ = measure_flying(out[0], "Z", make_rng(31).random())
         assert bit == 1
         assert [e["type"] for e in transcript.events] == ["transmit", "attack"]

@@ -21,13 +21,7 @@ from qconf.codec import (
     sift_outcome,
 )
 from qconf.errors import ContractError, ProtocolCorruptionError
-from qconf.qsim import (
-    BASIS_X,
-    LABEL_SPECS,
-    Outcome,
-    QubitSpec,
-    index_to_bits,
-)
+from qconf.qsim import BASES, LABELS, index_to_bits
 from qconf.tables import born_row
 from qconf.rng import make_rng, random_bits
 
@@ -50,36 +44,52 @@ THREE_PARTY_Z_TABLE = {
 }
 
 
+def label(text):
+    """The label id of a preparation such as "X1"."""
+    return LABELS.index(text)
+
+
 class TestMessageEncoding:
     def test_four_cases(self):
-        assert encode_message_qubit(0, 0) == QubitSpec("Z", 0)
-        assert encode_message_qubit(1, 0) == QubitSpec("Z", 1)
-        assert encode_message_qubit(0, 1) == QubitSpec("X", 0)
-        assert encode_message_qubit(1, 1) == QubitSpec("X", 1)
+        assert encode_message_qubit(0, 0) == label("Z0")
+        assert encode_message_qubit(1, 0) == label("Z1")
+        assert encode_message_qubit(0, 1) == label("X0")
+        assert encode_message_qubit(1, 1) == label("X1")
 
     def test_label_indices_pick_the_encoded_spec(self):
-        # The protocols send LABEL_SPECS[label] in place of each encode_* call.
+        # The protocols send label_indices in place of each encode_* call.
         for bit, flag in product((0, 1), repeat=2):
-            [label] = label_indices([bit], [flag])
-            assert LABEL_SPECS[label] is encode_message_qubit(bit, flag)
-            assert LABEL_SPECS[label] is encode_xor_qubit(bit, flag, 1)
-            [label] = label_indices([bit], [flag == 0])
-            assert LABEL_SPECS[label] is encode_xor_qubit(bit, flag, 0)
+            [encoded] = label_indices([bit], [flag])
+            assert encoded == encode_message_qubit(bit, flag)
+            assert encoded == encode_xor_qubit(bit, flag, 1)
+            [encoded] = label_indices([bit], [flag == 0])
+            assert encoded == encode_xor_qubit(bit, flag, 0)
         for position, bit in product(range(1, 5), (0, 1)):
-            [label] = label_indices([bit], [exchange_basis(position) == BASIS_X])
-            assert LABEL_SPECS[label] is encode_exchange_qubit(bit, position)
+            [encoded] = label_indices([bit], [exchange_basis(position) == "X"])
+            assert encoded == encode_exchange_qubit(bit, position)
+            assert BASES[encoded >> 1] == exchange_basis(position)
 
     def test_shared_and_validated(self):
-        assert encode_message_qubit(1, 1) is encode_message_qubit(np.uint8(1), True)
-        with pytest.raises(ContractError):
-            encode_message_qubit(2, 0)
+        # Every encoder gives a plain int label id for numpy and bool inputs,
+        # and rejects a bit outside 0/1.
+        got = encode_message_qubit(np.uint8(1), np.True_)
+        assert got == encode_message_qubit(1, 1) and type(got) is int
+        assert type(encode_xor_qubit(np.uint8(0), np.uint8(1), 1)) is int
+        assert type(encode_exchange_qubit(np.uint8(1), 3)) is int
+        for bad in (2, -1):
+            with pytest.raises(ContractError):
+                encode_message_qubit(bad, 0)
+            with pytest.raises(ContractError):
+                encode_xor_qubit(bad, 0, 1)
+            with pytest.raises(ContractError):
+                encode_exchange_qubit(bad, 1)
 
 
 class TestTwoPartyDecode:
     @pytest.mark.parametrize("key,own", list(TWO_PARTY_GUESS_TABLE))
     def test_matches_published_table(self, key, own):
         for code, want in enumerate(TWO_PARTY_GUESS_TABLE[(key, own)]):
-            assert decode_partner_bit(own, key, Outcome.from_code(code)) == want
+            assert decode_partner_bit(own, key, code) == want
 
     def test_round_trip_exhaustive(self):
         # For every (a, b, k) and every outcome the pair can actually
@@ -89,18 +99,19 @@ class TestTwoPartyDecode:
             for code in range(4):
                 if probs[code] < 1e-12:
                     continue
-                outcome = Outcome.from_code(code)
-                assert decode_partner_bit(a, k, outcome) == b
-                assert decode_partner_bit(b, k, outcome) == a
+                assert decode_partner_bit(a, k, code) == b
+                assert decode_partner_bit(b, k, code) == a
 
     def test_rejects_large_outcome(self):
-        with pytest.raises(ContractError):
-            decode_partner_bit(0, 0, Outcome(2, 0))
+        # Codes 4 and up belong to wider rows; no code is negative.
+        for code in (4, 7, -1):
+            with pytest.raises(ContractError):
+                decode_partner_bit(0, 0, code)
 
 
 class TestSifting:
     def test_keep_set(self):
-        keep = {code for code in range(4) if sift_outcome(Outcome.from_code(code))}
+        keep = {code for code in range(4) if sift_outcome(code)}
         assert keep == {1, 2}  # Phi0- and Phi1+
 
     def test_discarded_outcomes_leak_parity(self):
@@ -118,13 +129,13 @@ class TestConferenceDecode:
     def test_alice_zero_rows(self):
         for index, bits in THREE_PARTY_Z_TABLE.items():
             for sign in (0, 1):
-                got = decode_z_round(0, 0, Outcome(index, sign), 3)
+                got = decode_z_round(0, 0, 2 * index + sign, 3)
                 assert got == bits
 
     def test_spec_rows(self):
-        assert decode_z_round(0, 0, Outcome(2, 0), 3) == (0, 1, 0)
-        assert decode_z_round(1, 0, Outcome(1, 1), 4) == (1, 1, 1, 0)
-        assert decode_z_round(1, 0, Outcome(0, 0), 3) == (1, 1, 1)
+        assert decode_z_round(0, 0, 4, 3) == (0, 1, 0)  # Phi2+
+        assert decode_z_round(1, 0, 3, 4) == (1, 1, 1, 0)  # Phi1-
+        assert decode_z_round(1, 0, 0, 3) == (1, 1, 1)  # Phi0+
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_round_trip_exhaustive(self, n):
@@ -133,9 +144,8 @@ class TestConferenceDecode:
             for code in range(2**n):
                 if probs[code] < 1e-12:
                     continue
-                outcome = Outcome.from_code(code)
                 for position in range(n):
-                    got = decode_z_round(bits[position], position, outcome, n)
+                    got = decode_z_round(bits[position], position, code, n)
                     assert got == bits
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -146,21 +156,21 @@ class TestConferenceDecode:
             for code in range(2**n):
                 if probs[code] < 1e-12:
                     continue
-                assert decode_x_round(Outcome.from_code(code)) == want
+                assert decode_x_round(code) == want
 
     def test_corruption_raises(self):
         # The candidate strings are complementary, so one always matches a
         # valid own bit; only corrupted data (here an out-of-range bit) can
         # leave both candidates unmatched.
         with pytest.raises(ProtocolCorruptionError):
-            decode_z_round(2, 0, Outcome(0, 0), 3)
+            decode_z_round(2, 0, 0, 3)
 
 
 class TestExchangeEncoding:
     def test_parity_rule(self):
-        assert encode_exchange_qubit(0, 4) == QubitSpec("Z", 0)
-        assert encode_exchange_qubit(1, 7) == QubitSpec("X", 1)
-        assert encode_exchange_qubit(1, 2) == QubitSpec("Z", 1)
+        assert encode_exchange_qubit(0, 4) == label("Z0")
+        assert encode_exchange_qubit(1, 7) == label("X1")
+        assert encode_exchange_qubit(1, 2) == label("Z1")
         assert exchange_basis(3) == "X" and exchange_basis(8) == "Z"
 
 
@@ -225,10 +235,10 @@ class TestEmbedPayload:
 
 class TestXorEncoding:
     def test_cases(self):
-        assert encode_xor_qubit(0, 0, 1) == QubitSpec("Z", 0)
-        assert encode_xor_qubit(1, 1, 1) == QubitSpec("X", 1)
-        assert encode_xor_qubit(1, 0, 1) == QubitSpec("Z", 1)
-        assert encode_xor_qubit(0, 1, 1) == QubitSpec("X", 0)
+        assert encode_xor_qubit(0, 0, 1) == label("Z0")
+        assert encode_xor_qubit(1, 1, 1) == label("X1")
+        assert encode_xor_qubit(1, 0, 1) == label("Z1")
+        assert encode_xor_qubit(0, 1, 1) == label("X0")
 
 
 class TestConsistentOutcomes:
@@ -271,6 +281,6 @@ class TestTabledDecoding:
             )
             for sign in (0, 1):
                 for position in range(n):
-                    got = decode_z_round(bits[position], position, Outcome(j_hat, sign), n)
+                    got = decode_z_round(bits[position], position, 2 * j_hat + sign, n)
                     assert got == bits
                     assert got in candidates

@@ -22,9 +22,9 @@ from qconf import qsim
 from qconf.channels import measure_flying, measure_rounds
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
+    BASES,
     BASIS_X,
     BASIS_Z,
-    LABEL_SPECS,
     MAX_QUBITS,
     MIXED,
     MAX_TABLE_QUBITS,
@@ -32,16 +32,13 @@ from qconf.qsim import (
     PAULIS,
     PAULI_X,
     PAULI_Z,
-    Outcome,
     PureState,
-    QubitSpec,
     apply_1q_unitary,
     bits_to_index,
     dense_joint_basis,
     dephase,
     index_to_bits,
-    label_spec,
-    materialize,
+    interned,
     measure_joint,
     outcome_distribution,
     tensor,
@@ -53,13 +50,18 @@ R = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[R, R], [R, -R]], dtype=complex)
 
 
-def state_of(*labels):
-    return tensor([materialize(QubitSpec.from_label(lab)) for lab in labels])
-
-
 def label_carrier(label):
-    """The carrier (intern id) of a label such as "X1"."""
-    return qsim.label_id(QubitSpec.from_label(label))
+    """The carrier (label id, also its intern id) of a label such as "X1"."""
+    return qsim.LABELS.index(label)
+
+
+def label_state(label):
+    """The interned state of a label such as "X1"."""
+    return interned(label_carrier(label))
+
+
+def state_of(*labels):
+    return tensor([label_state(lab) for lab in labels])
 
 
 def carriers_of(*labels):
@@ -83,30 +85,34 @@ def tapped(label):
     return dephase(label_carrier(label))
 
 
-def measure_label(spec, basis, rng):
+def measure_label(label, basis, rng):
     """Measure a label state's carrier: (bit, collapsed state)."""
-    bit, post = measure_flying(qsim.label_id(spec), basis, rng.random())
-    return bit, qsim.interned(post)
+    bit, post = measure_flying(label_carrier(label), basis, rng.random())
+    return bit, interned(post)
 
 
 class TestMaterialize:
+    """The label states behind label ids 0-3, read by ``interned``."""
+
     def test_z0(self):
-        np.testing.assert_allclose(materialize(QubitSpec("Z", 0)).amplitudes, [1, 0])
+        np.testing.assert_allclose(label_state("Z0").amplitudes, [1, 0])
 
     def test_x0(self):
-        np.testing.assert_allclose(materialize(QubitSpec("X", 0)).amplitudes, [R, R])
+        np.testing.assert_allclose(label_state("X0").amplitudes, [R, R])
 
     def test_x1(self):
-        np.testing.assert_allclose(materialize(QubitSpec("X", 1)).amplitudes, [R, -R])
+        np.testing.assert_allclose(label_state("X1").amplitudes, [R, -R])
 
     def test_amplitudes_real(self):
-        for basis, bit in product("ZX", (0, 1)):
-            assert np.all(materialize(QubitSpec(basis, bit)).amplitudes.imag == 0)
+        for label in range(len(qsim.LABELS)):
+            assert np.all(interned(label).amplitudes.imag == 0)
 
     def test_label_round_trip(self):
-        for basis, bit in product("ZX", (0, 1)):
-            spec = QubitSpec(basis, bit)
-            assert QubitSpec.from_label(spec.label) == spec
+        # Label id i is basis BASES[i >> 1] and bit i & 1; LABELS spells both.
+        assert len(qsim.LABELS) == 4
+        for label, text in enumerate(qsim.LABELS):
+            assert text == f"{BASES[label >> 1]}{label & 1}"
+            assert label_carrier(text) == label
 
 
 class TestPureState:
@@ -125,7 +131,7 @@ class TestPureState:
             PureState(2, np.array([1.0, 0.0]))
 
     def test_amplitudes_read_only(self):
-        state = materialize(QubitSpec("Z", 0))
+        state = label_state("Z0")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
@@ -191,18 +197,27 @@ class TestJointBasis:
         assert peak < 64 * 1024
 
     def test_outcome_code_bijection(self):
-        codes = [Outcome(i, s).code for i in range(4) for s in (0, 1)]
-        assert sorted(codes) == list(range(8))
+        # Code 2 * index + sign is basis row ``code``: phi(code >> 1, code & 1).
+        codes = [2 * i + s for i in range(4) for s in (0, 1)]
+        assert codes == list(range(8))
+        matrix = dense_joint_basis(3)
         for code in range(8):
-            assert Outcome.from_code(code).code == code
+            index, sign = code >> 1, code & 1
+            assert 2 * index + sign == code
+            assert matrix[code, index] == R
+            assert matrix[code, 7 - index] == (R if sign == 0 else -R)
 
-    def test_from_code_is_shared(self):
-        for code in range(2**6):
-            outcome = Outcome.from_code(code)
-            assert outcome is Outcome.from_code(code)
-            assert outcome == Outcome(code >> 1, code & 1)
-        with pytest.raises(ContractError):
-            Outcome.from_code(-1)
+    def test_measured_codes_are_native_ints(self):
+        # An outcome is its code alone: measure_joint and measure_rounds give
+        # Python ints in 0..2^n - 1, which transcripts hold as they are.
+        rng = make_rng(16)
+        ids = pauli_closure() + [MIXED]
+        for n in (2, 3, 5, 8):
+            rows = [tuple(ids[i] for i in rng.integers(len(ids), size=n)) for _ in range(20)]
+            uniforms = rng.random(len(rows)).tolist()
+            codes = measure_rounds(rows, uniforms)
+            assert codes == [measure_joint(row, u) for row, u in zip(rows, uniforms)]
+            assert all(type(code) is int and 0 <= code < 2**n for code in codes)
 
 
 class TestOutcomeDistribution:
@@ -223,7 +238,7 @@ class TestOutcomeDistribution:
     def test_z_product_law(self, n):
         # |j1..jn> puts 1/2 on each sign of index min(j, 2^n-1-j), 0 elsewhere
         for bits in product((0, 1), repeat=n):
-            probs = born_row([QubitSpec("Z", b) for b in bits])
+            probs = born_row(bits)  # Z labels: label id = bit
             j = bits_to_index(bits)
             j_hat = min(j, 2**n - 1 - j)
             for code in range(2**n):
@@ -234,7 +249,7 @@ class TestOutcomeDistribution:
     def test_x_parity_law(self, n):
         # odd number of minus states -> all mass on minus signs, and vice versa
         for bits in product((0, 1), repeat=n):
-            probs = born_row([QubitSpec("X", b) for b in bits])
+            probs = born_row([2 + b for b in bits])  # X labels
             sign = sum(bits) % 2
             share = 1.0 / 2 ** (n - 1)
             for code in range(2**n):
@@ -255,7 +270,7 @@ class TestPairFold:
         rng = np.random.default_rng(n)
         conj = dense_joint_basis(n).conj()
         states = [
-            tensor([materialize(QubitSpec("ZX"[rng.integers(2)], int(rng.integers(2))))
+            tensor([interned(2 * int(rng.integers(2)) + int(rng.integers(2)))
                     for _ in range(n)])
             for _ in range(20)
         ] + [random_state(n, rng) for _ in range(10)]
@@ -355,7 +370,7 @@ class TestMeasurement:
         rng = make_rng(1)
         row = carriers_of("Z1", "Z1", "Z1")
         for _ in range(50):
-            assert measure_joint(row, rng.random()).index == 0
+            assert measure_joint(row, rng.random()) >> 1 == 0
 
     def test_plus_plus_frequencies(self):
         rng = make_rng(2)
@@ -363,14 +378,14 @@ class TestMeasurement:
         counts = np.zeros(4)
         trials = 100_000
         for _ in range(trials):
-            counts[measure_joint(row, rng.random()).code] += 1
+            counts[measure_joint(row, rng.random())] += 1
         freq = counts / trials
         assert abs(freq[0] - 0.5) < 0.01 and abs(freq[2] - 0.5) < 0.01
         assert freq[1] == 0 and freq[3] == 0
 
     def test_single_minus_in_x(self):
         rng = make_rng(3)
-        bit, post = measure_label(QubitSpec("X", 1), BASIS_X, rng)
+        bit, post = measure_label("X1", BASIS_X, rng)
         assert bit == 1
         np.testing.assert_allclose(post.amplitudes, [R, -R])
 
@@ -378,7 +393,7 @@ class TestMeasurement:
         rng = make_rng(4)
         trials = 100_000
         ones = sum(
-            measure_label(QubitSpec("Z", 0), BASIS_X, rng)[0]
+            measure_label("Z0", BASIS_X, rng)[0]
             for _ in range(trials)
         )
         assert abs(ones / trials - 0.5) < 0.01
@@ -387,16 +402,17 @@ class TestMeasurement:
         rng = make_rng(5)
         trials = 100_000
         zeros = sum(
-            1 - measure_label(QubitSpec("X", 0), BASIS_Z, rng)[0]
+            1 - measure_label("X0", BASIS_Z, rng)[0]
             for _ in range(trials)
         )
         assert abs(zeros / trials - 0.5) < 0.01
 
     def test_preparation_basis_non_demolition(self):
         rng = make_rng(6)
-        for basis, bit in product("ZX", (0, 1)):
-            state = materialize(QubitSpec(basis, bit))
-            got, post = measure_label(QubitSpec(basis, bit), basis, rng)
+        for label in qsim.LABELS:
+            basis, bit = label[0], int(label[1])
+            state = label_state(label)
+            got, post = measure_label(label, basis, rng)
             assert got == bit
             np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
@@ -433,7 +449,7 @@ class TestMeasurement:
         trials = 20_000
         rows = [(tapped("X0"), label_carrier("Z0"))] * trials
         for outcome in measure_rounds(rows, rng.random(trials).tolist()):
-            counts[outcome.code] += 1
+            counts[outcome] += 1
         np.testing.assert_allclose(want, [0.25] * 4, atol=1e-15)
         np.testing.assert_allclose(counts / trials, want, atol=0.02)
 
@@ -447,7 +463,7 @@ class TestScalarSingleMeasurement:
         return abs(a0) ** 2 if basis == BASIS_Z else abs(a0 + a1) ** 2 / 2.0
 
     def states(self):
-        labels = [materialize(spec) for spec in LABEL_SPECS]
+        labels = [label_state(label) for label in qsim.LABELS]
         images = [
             apply_1q_unitary(state, u, 0)
             for u in (PAULI_X, PAULI_IY, PAULI_Z)
@@ -476,25 +492,24 @@ class TestScalarSingleMeasurement:
             for basis in (BASIS_Z, BASIS_X):
                 bit, post = measure_flying(qsim.intern(state), basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < self.numpy_p0(state, basis) else 1)
-                assert qsim.interned(post) is materialize(label_spec(basis, bit))
+                assert post == label_carrier(f"{basis}{bit}")
 
     def test_label_specs_are_shared(self):
-        for spec in LABEL_SPECS:
-            assert label_spec(spec.basis, spec.bit) is spec
-            assert materialize(QubitSpec(spec.basis, spec.bit)) is materialize(spec)
-        with pytest.raises(ContractError):
-            label_spec("Y", 0)
-        with pytest.raises(ContractError):
-            label_spec(BASIS_Z, 2)
+        # Each label id's state is interned once: its amplitudes intern back
+        # to the same id, and ``interned`` hands out that one object.
+        for label in range(len(qsim.LABELS)):
+            state = interned(label)
+            assert state is interned(label)
+            assert qsim.intern(PureState(1, state.amplitudes.copy())) == label
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ContractError):
-            measure_flying(qsim.label_id(LABEL_SPECS[0]), "Y", 0.5)
+            measure_flying(label_carrier("Z0"), "Y", 0.5)
 
 
 def pauli_closure():
     """Ids of every state reachable from the label states by Paulis."""
-    frontier = [qsim.intern(materialize(spec)) for spec in LABEL_SPECS]
+    frontier = [qsim.intern(label_state(label)) for label in qsim.LABELS]
     seen = set(frontier)
     while frontier:
         sid = frontier.pop()
@@ -512,7 +527,7 @@ class TestInternTables:
     def test_closure_is_small(self):
         ids = pauli_closure()
         assert len(ids) <= qsim.MAX_INTERNED
-        assert ids[: len(LABEL_SPECS)] == list(range(len(LABEL_SPECS)))
+        assert ids[: len(qsim.LABELS)] == list(range(len(qsim.LABELS)))
 
     def test_pauli_images_byte_equal(self):
         for sid in pauli_closure():
@@ -535,7 +550,7 @@ class TestInternTables:
             for basis in (BASIS_Z, BASIS_X):
                 bit, post = measure_flying(sid, basis, rng_a.random())
                 assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
-                assert qsim.interned(post) is materialize(label_spec(basis, bit))
+                assert post == label_carrier(f"{basis}{bit}")
 
     @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
     def test_joint_table_draws_like_sample_index(self, n):
@@ -549,7 +564,7 @@ class TestInternTables:
             # Draws that land exactly on a boundary test the bisect side too.
             for u in grid + cumulative:
                 want = sample_index(probs, u)
-                assert measure_joint(combo, u).code == want
+                assert measure_joint(combo, u) == want
 
     def test_joint_table_refuses_wide_products(self):
         narrow = (0,) * MAX_TABLE_QUBITS
@@ -558,11 +573,11 @@ class TestInternTables:
         wide = (0,) * (MAX_TABLE_QUBITS + 1)
         cumulative = qsim.joint_cumulative(wide)
         assert isinstance(cumulative, np.ndarray)
-        assert np.array_equal(cumulative, np.cumsum(born_row([LABEL_SPECS[0]] * len(wide))))
+        assert np.array_equal(cumulative, np.cumsum(born_row([0] * len(wide))))
         assert wide not in qsim._JOINT
 
     def test_keys_on_exact_bytes(self):
-        state = materialize(QubitSpec("X", 0))
+        state = label_state("X0")
         nudged = state.amplitudes.copy()
         nudged[0] = np.nextafter(nudged[0].real, 1.0)
         twin = PureState(1, state.amplitudes.copy())
@@ -571,7 +586,7 @@ class TestInternTables:
 
     def test_bound_raises(self, monkeypatch):
         monkeypatch.setattr(qsim, "MAX_INTERNED", len(qsim._INTERNED))
-        known = materialize(QubitSpec("Z", 1))
+        known = label_state("Z1")
         assert qsim.intern(known) == 1
         fresh = random_state(1, np.random.default_rng(15))
         with pytest.raises(ResourceLimitError):
@@ -591,11 +606,11 @@ class TestUnitaries:
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_pauli_x_flips(self):
-        out = apply_1q_unitary(materialize(QubitSpec("Z", 0)), PAULI_X, 0)
+        out = apply_1q_unitary(label_state("Z0"), PAULI_X, 0)
         np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
 
     def test_pauli_z_swaps_x_states(self):
-        out = apply_1q_unitary(materialize(QubitSpec("X", 0)), PAULI_Z, 0)
+        out = apply_1q_unitary(label_state("X0"), PAULI_Z, 0)
         np.testing.assert_allclose(out.amplitudes, [R, -R], atol=1e-15)
 
     def test_norm_preserved(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qconf.tables import computed_row, expected_row, verify_outcome_tables
+from qconf.tables import computed_row, expected_row, tables_summary, verify_outcome_tables
 
 HALF, QUARTER, EIGHTH = 0.5, 0.25, 0.125
 
@@ -115,3 +115,21 @@ def test_full_verification_clean():
     assert not diffs
     # 2 bases x (2^n rows x 2^n entries) for n = 2, 3, 4
     assert len(entries) == 2 * (16 + 64 + 256)
+
+
+def test_failing_entries_become_diffs():
+    # A negative tolerance fails every entry: each is one diff, in entry
+    # order, and the summary names it by party count, preparation and outcome.
+    entries, diffs = verify_outcome_tables(atol=-1.0)
+    assert len(entries) == len(diffs) == 2 * (16 + 64 + 256)
+    assert not any(entry["ok"] for entry in entries)
+    summary = tables_summary(entries, diffs)
+    assert summary["entries"] == len(entries)
+    assert summary["all_pass"] is False
+    assert len(summary["diffs"]) == len(entries)
+    for index, label in ((0, "N=2 Z0Z0 Phi0+"), (3, "N=2 Z0Z0 Phi1-"), (-1, "N=4 X1X1X1X1 Phi7-")):
+        entry = entries[index]
+        assert summary["diffs"][index] == {
+            "entry": label, "expected": entry["expected"], "computed": entry["computed"],
+        }
+    assert entries[0]["expected"] == 0.5 and abs(entries[0]["computed"] - 0.5) < 1e-12
