@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..adversary import AttackConfig
+from ..adversary import CHANNEL_TAP_KINDS, AttackConfig
 from ..errors import ContractError, ResourceLimitError
 from ..qsim import MAX_QUBITS
 from ..rng import derive_rng, random_bits
@@ -33,6 +33,16 @@ PROTOCOLS = ("mdi_qd_original", "mdi_qd_modified", "conference3", "conferenceN",
 # transcript records, so a three-party conference run is byte-identical no
 # matter which alias requested it.
 _CANONICAL = {"conference3": "conferenceN"}
+
+# The attack kinds each protocol implements, by canonical name.  ``validate``
+# rejects any other pair, so a config cannot name an attack that never runs.
+_TAPS = ("none", *CHANNEL_TAP_KINDS)
+PROTOCOL_ATTACKS = {
+    "mdi_qd_original": _TAPS,
+    "mdi_qd_modified": _TAPS,
+    "conferenceN": (*_TAPS, "dishonest_middle"),
+    "xor": (*_TAPS, "dishonest_middle", "dishonest_p1"),
+}
 
 MIN_SAMPLED_POSITIONS = 10
 # Longest message a run accepts: a trial holds a few lists of this length
@@ -110,8 +120,12 @@ class RunConfig:
             _check_int(name, getattr(self, name))
         for name in _FLOAT_FIELDS:
             _check_float(name, getattr(self, name))
-        if self.protocol not in set(PROTOCOLS) | set(_CANONICAL.values()):
+        if self.protocol not in PROTOCOL_ATTACKS:
             raise ContractError(f"protocol: unknown value {self.protocol!r}")
+        if self.attack.kind not in PROTOCOL_ATTACKS[self.protocol]:
+            raise ContractError(
+                f"attack.kind: protocol {self.protocol!r} does not implement {self.attack.kind!r}"
+            )
         if self.protocol.startswith("mdi_qd"):
             if self.n_parties != 2:
                 raise ContractError("n_parties: dialogue protocols take exactly 2")

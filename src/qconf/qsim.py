@@ -21,12 +21,18 @@ preparation's label id is also its carrier.  One id, ``MIXED``, is the
 maximally mixed state I/2 that the entangling attack leaves on the wire (see
 ``dephase``).
 
-A relay row is measured by ``measure_joint`` from its carrier ids alone, at
-every width: ``joint_cumulative`` multiplies out the carriers' amplitudes
-and ``outcome_distribution`` folds each index with its complement.  No
-product ``PureState`` is built.  ``tensor`` and ``dense_joint_basis`` (an
-O(4^n) matrix) stay as the reference that ``tables.computed_row`` and the
-tests compute Born rows from.
+A relay row is measured by ``measure_joint`` from its carrier ids alone.  A
+row of at most ``MAX_TABLE_QUBITS`` carriers reads its joint table.  A wider
+row of label ids and ``MIXED``, as honest and entangled runs send, is drawn
+from its support (``label_support``): all its nonzero outcomes share one
+probability, so the draw needs only the running sums of that float.  A
+wider row holding a Pauli image, as the ``dos`` attack sends, is folded:
+``joint_cumulative`` multiplies out the carriers' amplitudes and
+``outcome_distribution`` folds each index with its complement.  The fold
+stays the tests' reference for the other two, which draw the code it draws
+for every ``u``.  No product ``PureState`` is built.  ``tensor`` and
+``dense_joint_basis`` (an O(4^n) matrix) stay as the reference that
+``tables.computed_row`` and the tests compute Born rows from.
 
 Nothing here draws random numbers: each measurement takes one uniform
 ``u`` in [0, 1), drawn by its caller, so a ceremony can draw the uniforms of
@@ -39,7 +45,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -268,8 +274,104 @@ def joint_cumulative(ids: tuple[int, ...]) -> list[float] | np.ndarray:
 
 
 def measure_joint(ids: tuple[int, ...], u: float) -> int:
-    """Joint-basis outcome code of a product of interned states, picked by ``u``."""
-    return _draw(joint_cumulative(ids), u)
+    """Joint-basis outcome code of a product of interned states, picked by ``u``.
+
+    A tabled row is looked up; a wider row of label ids and ``MIXED`` is
+    drawn from its support (``label_support``); any other row, one holding
+    a Pauli image, is folded by ``joint_cumulative``.  All three draw the
+    same code for the same ``u``.
+    """
+    cumulative = _JOINT.get(ids)
+    if cumulative is None:
+        if len(ids) > MAX_TABLE_QUBITS and max(ids) <= MIXED:
+            return _draw_support(ids, u)
+        cumulative = joint_cumulative(ids)
+    return _draw(cumulative, u)
+
+
+def label_support(ids: tuple[int, ...]) -> tuple[float, int, Callable]:
+    """``(p, size, code)`` of a row of label ids 0-3 and ``MIXED``.
+
+    Every nonzero outcome of such a row has the same probability ``p``,
+    computed in the float order of ``outcome_distribution``: the product
+    amplitudes all have magnitude m, ``INV_SQRT2`` multiplied in once per
+    X carrier (Z and ``MIXED`` factors are an exact 1.0), and the fold of
+    an index with a zero complement adds an exact 0.0.  ``size`` is the
+    number of nonzero outcomes and ``code(t)`` the t-th of them in code
+    order; ``code`` takes an int or an int array.  With a Z carrier the
+    support is both signs of each pair index min(j, 2^n-1-j), j ranging
+    over the indices that agree with the Z bits.  Without one, an X-only
+    row puts every index at the sign of its X1 parity, and a row with
+    ``MIXED`` puts every code.
+    """
+    _check_width(len(ids))
+    top = len(ids) - 1
+    low = (1 << top) - 1  # a pair index has qubit 0's bit clear
+    m = 1.0
+    zmask = zbits = parity = 0
+    free = []  # weights of the X and MIXED bits below qubit 0
+    for k, sid in enumerate(ids):
+        weight = 1 << (top - k)
+        if sid < 2:
+            zmask |= weight
+            zbits |= sid * weight
+            continue
+        if sid != MIXED:
+            m *= INV_SQRT2
+            parity ^= sid & 1
+        if k:
+            free.append(weight)
+    mixed = ids.count(MIXED)
+    if mixed:
+        w = m * m
+        p = (w if zmask else w + w) / 2 ** (mixed + 1)
+    else:
+        s = m * INV_SQRT2
+        p = s * s if zmask else (s + s) * (s + s)
+    if not zmask:
+        if mixed:
+            return p, 2 << top, lambda t: t
+        return p, 1 << top, lambda t: 2 * t + parity
+    zlow = zmask & low
+    flip = pivot = 0
+    if ids[0] < 2:
+        # Every j has top bit ids[0]: its pair index is j, or its complement.
+        fixed = (zbits ^ zmask if ids[0] else zbits) & low
+    else:
+        # A free qubit 0 folds each j with top bit 1 onto its complement, so
+        # the Z bits of a pair index read zbits or their flip.  The highest
+        # Z bit below qubit 0, the pivot, joins the free bits and tells which.
+        pivot = zlow.bit_length() - 1
+        free.append(1 << pivot)
+        flip = zlow ^ (1 << pivot)
+        fixed = zbits & flip
+    free.sort()
+
+    def code(t):
+        index, rest = fixed, t >> 1
+        for weight in free:
+            index = index + (rest & 1) * weight
+            rest = rest >> 1
+        if flip:
+            index = index ^ flip * (((index ^ zbits) >> pivot) & 1)
+        return 2 * index + (t & 1)
+
+    return p, 2 << len(free), code
+
+
+def _draw_support(ids: tuple[int, ...], u: float) -> int:
+    """``_draw(joint_cumulative(ids), u)`` for a row ``label_support`` takes.
+
+    The running sums of ``p`` equal the dense cumulative at the nonzero
+    codes, since the zero codes add an exact 0.0, so ``bisect_right``
+    passes the same codes.  Past the last sum the dense draw stops at the
+    last code, 2^n - 1.
+    """
+    p, size, code = label_support(ids)
+    sums = np.full(size, p)
+    np.cumsum(sums, out=sums)  # in place: one buffer a row, not two
+    t = bisect_right(sums, u * sums[-1])
+    return code(t) if t < size else (1 << len(ids)) - 1
 
 
 # The label states take ids 0-3, in ``LABELS`` order.

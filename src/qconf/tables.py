@@ -84,7 +84,7 @@ def verify_outcome_tables(
                             "outcome": outcome_label(code),
                             "expected": float(expected[code]),
                             "computed": float(computed[code]),
-                            "ok": abs(computed[code] - expected[code]) <= atol,
+                            "ok": bool(abs(computed[code] - expected[code]) <= atol),
                         }
                     )
     return entries, [e for e in entries if not e["ok"]]

@@ -117,6 +117,7 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
         ),
         ({"decoy_count": 0}, "decoy_count"),
         ({"threshold": 10**400}, "threshold"),
+        ({"attack": {"kind": "dishonest_p1"}}, "attack.kind"),
     ],
 )
 def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):

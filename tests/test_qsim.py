@@ -6,6 +6,7 @@ reference in ``purification.py``.
 
 import math
 import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -357,6 +358,86 @@ class TestPairFold:
         assert half * z_row[-1] == z_row[0]
         for u, code in ((0.0, 0), (half, 1), (1.0 - 2.0**-53, 1)):
             assert qsim._draw(z_row, u) == qsim._draw(z_row.tolist(), u) == code
+
+
+def dense_probabilities(ids):
+    """The fold's outcome probabilities of a row, as ``joint_cumulative`` forms them."""
+    factors = [np.ones(2, dtype=complex) if sid == MIXED else interned(sid).amplitudes
+               for sid in ids]
+    amplitudes = reduce(np.multiply.outer, factors).reshape(-1)
+    return outcome_distribution(amplitudes, ids.count(MIXED))
+
+
+class TestSupportSampler:
+    """``label_support`` and the draw from it against the dense fold, bit for bit.
+
+    A wide row of label ids and ``MIXED`` is drawn from its support; every
+    code it draws must be the code ``_draw(joint_cumulative(ids), u)`` draws.
+    """
+
+    @staticmethod
+    def check_row(ids, rng, landings=1):
+        dense = qsim.joint_cumulative(ids)
+        p, size, code = qsim.label_support(ids)
+        codes = code(np.arange(size))
+        probs = dense_probabilities(ids)
+        assert np.array_equal(codes, np.flatnonzero(probs))
+        assert np.all(probs[codes] == p)
+        sums = np.cumsum(np.full(size, p))
+        assert np.array_equal(sums, dense[codes])
+        # u = 0, the largest u below 1, and 1 itself, which only the guard
+        # of both draws keeps on the last code; then u landing on sampled
+        # running sums and their neighbours, which bisect_right must split
+        # alike.
+        grid = [0.0, 1.0 - 2.0**-53, 1.0]
+        for t in rng.integers(size, size=landings):
+            u = float(sums[t] / sums[-1])
+            grid += [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]
+        for u in grid:
+            assert measure_joint(ids, u) == qsim._draw(dense, u)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_label_and_mixed_row(self, n):
+        rng = np.random.default_rng(n)
+        for ids in product(range(MIXED + 1), repeat=n):
+            self.check_row(ids, rng)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_every_label_row(self, n):
+        rng = np.random.default_rng(n)
+        for ids in product(range(len(qsim.LABELS)), repeat=n):
+            self.check_row(ids, rng)
+
+    @pytest.mark.parametrize("n", range(9, MAX_QUBITS + 1))
+    def test_random_wide_rows(self, n):
+        rng = np.random.default_rng(n)
+        x_bits = rng.integers(2, size=n)
+        x_bits[-1] = x_bits[:-1].sum() % 2  # an even X1 count
+        flipped = x_bits.copy()
+        flipped[-1] ^= 1
+        rows = [
+            tuple(rng.integers(2, size=n)),  # all Z
+            tuple(2 + x_bits),  # all X, both parities
+            tuple(2 + flipped),
+            (MIXED,) * n,
+        ] + [tuple(rng.integers(MIXED + 1, size=n)) for _ in range(8)]
+        for ids in rows:
+            self.check_row(tuple(int(sid) for sid in ids), rng, landings=20)
+
+    def test_routes(self, monkeypatch):
+        # A wide label row never folds; a row holding a Pauli image always
+        # does, as do tabled rows.
+        label_row = carriers_of("X0", "Z1", "X1", "Z0")
+        image = qsim.pauli_image(label_carrier("Z0"), 2)  # i*sigma_y|0> = -|1>
+        image_row = (image,) + label_row
+        want = qsim._draw(qsim.joint_cumulative(image_row), 0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(qsim, "joint_cumulative", None)
+            assert measure_joint(label_row, 0.3) == qsim._draw_support(label_row, 0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(qsim, "label_support", None)
+            assert measure_joint(image_row, 0.3) == want
+            assert measure_joint(label_row[:MAX_TABLE_QUBITS], 0.3) in range(8)
 
 
 class TestMeasurement:

@@ -1,5 +1,7 @@
 """Published probability tables, frozen row by row, against the Born rule."""
 
+import json
+
 import pytest
 
 from qconf.tables import computed_row, expected_row, tables_summary, verify_outcome_tables
@@ -115,6 +117,9 @@ def test_full_verification_clean():
     assert not diffs
     # 2 bases x (2^n rows x 2^n entries) for n = 2, 3, 4
     assert len(entries) == 2 * (16 + 64 + 256)
+    # The entries are JSON-native: each verdict is a Python bool.
+    assert all(type(entry["ok"]) is bool for entry in entries)
+    json.dumps(entries)
 
 
 def test_failing_entries_become_diffs():
