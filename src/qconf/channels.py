@@ -12,12 +12,17 @@ carrier ids, by ``qsim.measure_joint``.
 Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
 uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
 which on numpy's PCG64 equals k successive ``rng.random()`` calls, so the
-generator's stream is the one a draw per measurement would give.
+generator's stream is the one a draw per measurement would give.  The decoy
+check of a hop takes every inbound link at once and draws one block for
+all their decoys, in link order: the per-link blocks, concatenated.
+
+A ceremony's estimate is the JSON-native dict the transcript stores
+(``estimate_from_detail``), with one ``[label, position, ok]`` list per check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -145,7 +150,7 @@ class DecoySet:
     def __post_init__(self):
         if len(self.positions) != len(self.labels):
             raise ContractError("positions and labels must pair up")
-        if list(self.positions) != sorted(set(self.positions)):
+        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise ContractError("decoy positions must be strictly increasing")
 
     @property
@@ -159,19 +164,19 @@ def make_decoy_set(
     """Fresh decoys at random slots of the augmented sequence."""
     if count < 0:
         raise ContractError("decoy count must be >= 0")
-    positions = np.sort(rng.choice(payload_len + count, size=count, replace=False))
+    positions = sorted(rng.choice(payload_len + count, size=count, replace=False).tolist())
     picks = rng.integers(0, 4, size=count).tolist()
-    return DecoySet(tuple(positions.tolist()), tuple(picks))
+    return DecoySet(tuple(positions), tuple(picks))
 
 
 def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
     """Interleave decoys into the payload; removing them restores the order.
 
     Positions rise strictly, so inserting each decoy in turn puts every one
-    at its final slot.
+    at its final slot, and the two ends bound every position.
     """
-    total = len(payload) + decoys.count
-    if any(not 0 <= p < total for p in decoys.positions):
+    positions = decoys.positions
+    if positions and (positions[0] < 0 or positions[-1] >= len(payload) + len(positions)):
         raise ContractError("decoy positions out of range")
     out = list(payload)
     for pos, label in zip(decoys.positions, decoys.labels):
@@ -180,11 +185,19 @@ def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
 
 
 def extract_payload(seq: Sequence[int], decoys: DecoySet) -> list[int]:
-    """Drop the decoy positions, recovering the payload in order."""
-    positions = set(decoys.positions)
-    if len(seq) < len(positions):
+    """Drop the decoy positions, recovering the payload in order.
+
+    Joins the slices between the (strictly increasing) decoy positions.
+    """
+    if len(seq) < decoys.count:
         raise ContractError("sequence shorter than the decoy set")
-    return [q for slot, q in enumerate(seq) if slot not in positions]
+    payload = []
+    start = 0
+    for pos in decoys.positions:
+        payload += seq[start:pos]
+        start = pos + 1
+    payload += seq[start:]
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -192,71 +205,55 @@ def extract_payload(seq: Sequence[int], decoys: DecoySet) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Outcome of one estimation ceremony.
+def estimate_from_detail(phase: str, detail: list, threshold: float) -> dict:
+    """The estimate of one ceremony from its ``[label, position, ok]`` rows.
 
-    ``detail`` keeps one (label, position, ok) record per individual check so
-    the Monte Carlo layer can aggregate pass rates at any granularity.
+    The dict is what the transcript stores, as it is: the rows let the Monte
+    Carlo layer aggregate pass rates at any granularity, and the verdict is
+    ``abort`` when the mismatch rate exceeds the threshold.
     """
-
-    phase: str
-    positions_checked: int
-    mismatches: int
-    threshold: float
-    detail: tuple = field(default=())
-
-    @property
-    def rate(self) -> float:
-        if self.positions_checked == 0:
-            return 0.0
-        return self.mismatches / self.positions_checked
-
-    @property
-    def verdict(self) -> str:
-        return "abort" if self.rate > self.threshold else "continue"
-
-    @classmethod
-    def from_detail(cls, phase: str, detail: list, threshold: float) -> "ErrorEstimate":
-        """The estimate of one ceremony from its (label, position, ok) rows."""
-        mismatches = sum(not ok for _, _, ok in detail)
-        return cls(phase, len(detail), mismatches, threshold, tuple(detail))
-
-    def to_dict(self) -> dict:
-        """The estimate as a dict; each detail row is a fresh [label, position, ok] list."""
-        return {
-            "phase": self.phase,
-            "positions_checked": self.positions_checked,
-            "mismatches": self.mismatches,
-            "rate": self.rate,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "detail": [list(row) for row in self.detail],
-        }
+    checked = len(detail)
+    mismatches = sum(not ok for _, _, ok in detail)
+    rate = mismatches / checked if checked else 0.0
+    return {
+        "phase": phase,
+        "positions_checked": checked,
+        "mismatches": mismatches,
+        "rate": rate,
+        "threshold": threshold,
+        "verdict": "abort" if rate > threshold else "continue",
+        "detail": detail,
+    }
 
 
 def verify_decoys(
-    received: list[int],
-    decoys: DecoySet,
+    links: Sequence[tuple[list[int], DecoySet]],
     threshold: float,
     rng: np.random.Generator,
-) -> ErrorEstimate:
-    """Measure each decoy in its preparation basis and count mismatches.
+) -> list[dict]:
+    """Measure each link's decoys in their preparation bases; one estimate per link.
 
-    Draws ``decoys.count`` uniforms.  Collapses the decoy slots of
-    ``received`` in place; payload slots are untouched.
+    ``links`` holds a hop's inbound ``(received, decoys)`` pairs in check
+    order.  Draws one uniform per decoy, as one block across the links in
+    that order.  Collapses the decoy slots of each ``received`` in place;
+    payload slots are untouched.
     """
-    positions, labels = decoys.positions, decoys.labels
-    bits, collapsed = measure_carriers(
-        [received[pos] for pos in positions],
-        [BASES[label >> 1] for label in labels],
-        rng.random(decoys.count).tolist(),
-    )
-    detail = []
-    for pos, label, bit, post in zip(positions, labels, bits, collapsed):
-        received[pos] = post
-        detail.append(("decoy", pos, bit == label & 1))
-    return ErrorEstimate.from_detail(PHASE_DECOY, detail, threshold)
+    carriers, bases = [], []
+    for received, decoys in links:
+        carriers += [received[pos] for pos in decoys.positions]
+        bases += [BASES[label >> 1] for label in decoys.labels]
+    bits, collapsed = measure_carriers(carriers, bases, rng.random(len(bases)).tolist())
+    # One iterator over every link's results: ``zip`` stops at a link's last
+    # position before it takes the next link's first result.
+    results = zip(bits, collapsed)
+    estimates = []
+    for received, decoys in links:
+        detail = []
+        for pos, label, (bit, post) in zip(decoys.positions, decoys.labels, results):
+            received[pos] = post
+            detail.append(["decoy", pos, bit == label & 1])
+        estimates.append(estimate_from_detail(PHASE_DECOY, detail, threshold))
+    return estimates
 
 
 def first_error_estimation(
@@ -266,7 +263,7 @@ def first_error_estimation(
     sample_positions: Sequence[int],
     threshold: float,
     rng: np.random.Generator,
-) -> ErrorEstimate:
+) -> dict:
     """Single-qubit spot checks before the joint measurement.
 
     ``labels`` holds each sender's preparations in original order, as label
@@ -290,8 +287,8 @@ def first_error_estimation(
     detail = []
     for (party, pos, slot, label), bit, post in zip(checks, bits, collapsed):
         held[party][slot] = post
-        detail.append((party, pos, bit == label & 1))
-    return ErrorEstimate.from_detail(PHASE_FIRST, detail, threshold)
+        detail.append([party, pos, bit == label & 1])
+    return estimate_from_detail(PHASE_FIRST, detail, threshold)
 
 
 def second_error_estimation(
@@ -300,7 +297,7 @@ def second_error_estimation(
     revealed_bits: Mapping[str, Sequence[int]],
     sample_rounds: Sequence[int],
     threshold: float,
-) -> ErrorEstimate:
+) -> dict:
     """Consistency check of announced joint outcomes against revealed bits.
 
     A sampled round fails when the announced outcome code lies outside the
@@ -312,8 +309,8 @@ def second_error_estimation(
     for round_idx in sample_rounds:
         bits = [int(revealed_bits[p][round_idx]) for p in parties]
         allowed = consistent_outcome_codes(bits, bool(x_round_flags[round_idx]), len(parties))
-        detail.append(("round", int(round_idx), outcomes[round_idx] in allowed))
-    return ErrorEstimate.from_detail(PHASE_SECOND, detail, threshold)
+        detail.append(["round", int(round_idx), outcomes[round_idx] in allowed])
+    return estimate_from_detail(PHASE_SECOND, detail, threshold)
 
 
 # ---------------------------------------------------------------------------

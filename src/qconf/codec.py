@@ -15,10 +15,10 @@ code.  Decoding uses only two facts about the joint basis: a Z-product
 collapses onto the index of its bit string (or the complement), and an
 X-product collapses onto a sign equal to the XOR of the encoded bits.
 
-The consistent-outcome sets and the Z-round candidate bit strings are
-tabled on first use, keyed by the party count and one small integer
-(parity, folded index or outcome index), never by a bit tuple: at 16
-parties one X-round entry already holds 32768 codes.
+The consistent-outcome sets are tabled on first use, keyed by the party
+count and one small integer (parity or folded index), never by a bit
+tuple: at 16 parties one X-round entry already holds 32768 codes.  Z rounds
+decode in one batch for every reader (``decode_z_rounds``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ProtocolCorruptionError
-from .qsim import BASES, bits_to_index, index_to_bits
+from .qsim import BASES, bits_to_index
 from .rng import random_bits
 
 # Two-party sifting keeps exactly the outcomes that leak nothing about the
@@ -77,29 +77,33 @@ def sift_outcome(code: int) -> bool:
     return code in SIFT_KEEP_CODES
 
 
+def decode_z_rounds(
+    own_bits: np.ndarray, own_positions: Sequence[int], codes: Sequence[int], n_parties: int
+) -> np.ndarray:
+    """Each reader's view of all parties' bits at rounds where everyone used Z.
+
+    Each round's outcome index, read once as a bit string, gives every
+    party's bit up to one complement; a reader fixes the complement by its
+    own bit.  ``own_bits[r, i]`` is reader r's bit at round i and
+    ``own_positions[r]`` its party position.  Returns ``views[r, b, i]``,
+    party b's bit at round i as reader r decodes it.
+    """
+    index = np.asarray(codes, dtype=np.int64) >> 1
+    bits = (index >> np.arange(n_parties - 1, -1, -1)[:, None]) & 1
+    flips = bits[list(own_positions)] ^ own_bits
+    if (flips >> 1).any():
+        raise ProtocolCorruptionError(
+            f"outcome codes {list(codes)} are inconsistent with own bits {own_bits.tolist()}"
+        )
+    return bits ^ flips[:, None, :]
+
+
 def decode_z_round(
     own_bit: int, own_position: int, code: int, n_parties: int
 ) -> tuple[int, ...]:
-    """All parties' bits for a round where everyone used the Z basis.
-
-    The candidates are the outcome index read as a bit string and its
-    complement (tabled by (n, index)); the caller's own bit picks the right
-    one.
-    """
-    for bits in _z_candidates(n_parties, code >> 1):
-        if bits[own_position] == own_bit:
-            return bits
-    raise ProtocolCorruptionError(
-        f"outcome code {code} is inconsistent with own bit {own_bit} "
-        f"at position {own_position}"
-    )
-
-
-@cache
-def _z_candidates(n_parties: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The bit string of a Z-round outcome index, then its complement."""
-    bits = index_to_bits(index, n_parties)
-    return bits, tuple(1 - b for b in bits)
+    """All parties' bits for one Z round: the one-round case of ``decode_z_rounds``."""
+    view = decode_z_rounds(np.array([[own_bit]]), [own_position], [code], n_parties)
+    return tuple(view[0, :, 0].tolist())
 
 
 def decode_x_round(code: int) -> int:

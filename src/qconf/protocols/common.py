@@ -12,7 +12,6 @@ import numpy as np
 from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
 from ..channels import (
     PHASE_DECOY,
-    ErrorEstimate,
     QuantumChannel,
     extract_payload,
     first_error_estimation,
@@ -129,13 +128,14 @@ class Transcript:
     def add_key_stage(self, stage: str, length: int) -> None:
         self.key_stages.append({"stage": stage, "length": length})
 
-    def add_estimate(self, estimate: ErrorEstimate) -> None:
-        self.estimates.append(estimate.to_dict())
+    def add_estimate(self, estimate: dict) -> None:
+        """Store a ceremony's estimate dict as it is and log its verdict."""
+        self.estimates.append(estimate)
         self.add_event(
             "estimation_verdict",
-            phase=estimate.phase,
-            rate=estimate.rate,
-            verdict=estimate.verdict,
+            phase=estimate["phase"],
+            rate=estimate["rate"],
+            verdict=estimate["verdict"],
         )
 
     def record_abort(self, stage: str) -> None:
@@ -225,10 +225,12 @@ def _write(value, newline: str) -> str:
             return "[]"
         inner = newline + " "
         kinds = set(map(type, value))
-        if len(kinds) == 1 and kinds <= _SCALAR_TYPES:
+        if not kinds <= _SCALAR_TYPES:
+            items = [_write(item, inner) for item in value]
+        elif len(kinds) == 1:
             items = map(_SCALARS[kinds.pop()], value)
         else:
-            items = [_write(item, inner) for item in value]
+            items = [_SCALARS[type(item)](item) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not value:
@@ -304,8 +306,8 @@ def relay_round(
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)
     estimate = first_error_estimation(labels, held, perms, sample, params.threshold, rng)
     transcript.add_estimate(estimate)
-    if estimate.verdict == "abort":
-        transcript.record_abort(estimate.phase)
+    if estimate["verdict"] == "abort":
+        transcript.record_abort(estimate["phase"])
         return None
 
     for p in parties:
@@ -363,8 +365,8 @@ def consistency_check(
         outcomes, [x_flags[i] for i in keep], kept_rows, sample, params.threshold
     )
     transcript.add_estimate(estimate)
-    if estimate.verdict == "abort":
-        transcript.record_abort(estimate.phase)
+    if estimate["verdict"] == "abort":
+        transcript.record_abort(estimate["phase"])
         return None
     discard = set(sample)
     survivors = [i for i in range(len(keep)) if i not in discard]
@@ -380,13 +382,18 @@ def decoy_hop(
     """Send payloads under fresh decoys; each receiver checks them, then reads.
 
     ``payloads`` maps each link ``(sender, receiver)``, senders in party
-    order, to the sender's carriers; a party receives on at most one link.
-    Senders draw decoys, then transmit; each link gets a ``receipt_ack``,
-    then a ``decoy_reveal``.  Receivers check, then read in ``read_bases``,
-    in the order of ``parties``.  Returns each receiver's ``measure_payload``
-    pair, or None after recording an abort.  ``fields`` go on every event,
-    ``transmit_fields`` on the transmit and attack events only.
+    order, to the sender's carriers, one per read basis; a party receives on
+    at most one link.  Senders draw decoys, then transmit; each link gets a
+    ``receipt_ack``, then a ``decoy_reveal``.  Receivers check, then read in
+    ``read_bases``, in the order of ``parties``: one block of uniforms checks
+    every inbound link's decoys and, only if none aborts, one more reads every
+    payload.  Returns each receiver's ``measure_payload`` pair, or None after
+    recording an abort.  ``fields`` go on every event, ``transmit_fields`` on
+    the transmit and attack events only.
     """
+    width = len(read_bases)
+    if any(len(payload) != width for payload in payloads.values()):
+        raise ContractError("one read basis per payload carrier")
     decoys = {
         link: make_decoy_set(len(payload), params.decoy_count, rng)
         for link, payload in payloads.items()
@@ -406,15 +413,20 @@ def decoy_hop(
             states=[LABELS[label] for label in decoy_set.labels], **fields,
         )
     inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
-    estimates = [
-        verify_decoys(received[link], decoys[link], params.threshold, rng) for link in inbound
-    ]
+    estimates = verify_decoys(
+        [(received[link], decoys[link]) for link in inbound], params.threshold, rng
+    )
     for estimate in estimates:
         transcript.add_estimate(estimate)
-    if any(estimate.verdict == "abort" for estimate in estimates):
+    if any(estimate["verdict"] == "abort" for estimate in estimates):
         transcript.record_abort(PHASE_DECOY)
         return None
-    return {
-        link[1]: measure_payload(extract_payload(received[link], decoys[link]), read_bases, rng)
-        for link in inbound
-    }
+    payload = []
+    for link in inbound:
+        payload += extract_payload(received[link], decoys[link])
+    bits, collapsed = measure_payload(payload, read_bases * len(inbound), rng)
+    reads = {}
+    for j, link in enumerate(inbound):
+        span = slice(j * width, (j + 1) * width)
+        reads[link[1]] = bits[span], collapsed[span]
+    return reads

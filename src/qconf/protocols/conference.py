@@ -11,6 +11,13 @@ N = 3 instance.  A run has two phases:
    message bits, so parties circulate decoy-protected qubit sets for N-2
    hops, each hop measured non-destructively in its publicly derivable
    basis, until every party can reconstruct all other messages.
+
+Each piece of the exchange phase's work is done once: a hop checks the
+decoys of all its links with one block of uniforms and reads all its
+payloads with one more (``common.decoy_hop``), and each Z round's outcome
+index is read once as all parties' bits (``codec.decode_z_rounds``), which
+each party's own bit then orients.  Every party's view of every message is
+one n x n x n3 bit array.
 """
 
 from __future__ import annotations
@@ -18,13 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import AttackConfig
-from ..codec import (
-    decode_x_round,
-    decode_z_round,
-    encode_exchange_qubit,
-    exchange_basis,
-    label_indices,
-)
+from ..codec import decode_x_round, decode_z_rounds, exchange_basis, label_indices
 from ..errors import ContractError
 from .common import (
     ProtocolParams,
@@ -73,14 +74,11 @@ def run_conference(
     if survivors is None:
         return transcript
 
-    outcomes3 = [outcomes[i] for i in survivors]
     kept_positions = [keep[i] for i in survivors]
-    key3 = [key_bits[i] for i in kept_positions]
-    msg3 = [[row[i] for i in kept_positions] for row in msg_rows]
-    n3 = len(survivors)
-
+    key3 = key[kept_positions]
     recovered, chi, ok = _reconstruct(
-        parties, msg3, key3, outcomes3, attack, record, params, rng, transcript
+        parties, msg[:, kept_positions], key3, [outcomes[i] for i in survivors],
+        attack, record, params, rng, transcript,
     )
     if not ok:
         return transcript
@@ -88,11 +86,11 @@ def run_conference(
     transcript.outputs = {
         "kept_positions": kept_positions,
         "recovered": {
-            p: {q: bits_to_str(recovered[p][q]) for q in parties if q != p}
-            for p in parties
+            p: {q: bits_to_str(recovered[a, b]) for b, q in enumerate(parties) if q != p}
+            for a, p in enumerate(parties)
         },
         "xor_view": {
-            "positions": [i for i in range(n3) if key3[i] == 1],
+            "positions": np.flatnonzero(key3).tolist(),
             "bits": bits_to_str(chi),
         },
     }
@@ -100,34 +98,35 @@ def run_conference(
 
 
 def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, transcript):
-    """Exchange phase plus final per-party reassembly.
+    """Exchange phase plus every party's view of every message.
 
-    ``msg3`` holds one list of kept message bits per party and ``key3`` the
-    kept key bits.  Returns (recovered, chi, ok); ok False means a decoy
-    check aborted.
+    ``msg3`` is the parties' kept message bits (an n x n3 array), ``key3``
+    the kept key bits and ``outcomes3`` the kept rounds' codes.  Returns
+    (views, chi, ok): ``views[a, b]`` is party b's kept bits as party a
+    reads them; ok False means a decoy check aborted.
     """
-    n_parties = len(parties)
-    n3 = len(key3)
-    z_rounds = [i for i in range(n3) if key3[i] == 0]
-    x_rounds = [i for i in range(n3) if key3[i] == 1]
-    chi = [decode_x_round(outcomes3[i]) for i in x_rounds]
-
-    # Z rounds decode in place for every party at once.
-    z_bits = {p: {} for p in parties}
-    for a, p in enumerate(parties):
-        for i in z_rounds:
-            z_bits[p][i] = decode_z_round(msg3[a][i], a, outcomes3[i], n_parties)
+    n_parties, n3 = msg3.shape
+    z_rounds = np.flatnonzero(key3 == 0)
+    x_rounds = np.flatnonzero(key3 == 1).tolist()
+    chi = np.array([decode_x_round(outcomes3[i]) for i in x_rounds], dtype=np.uint8)
+    everyone = np.arange(n_parties)
+    views = np.empty((n_parties, n_parties, n3), dtype=np.uint8)
+    # Z rounds: each outcome index is read once, as all parties' bits.
+    views[:, :, z_rounds] = decode_z_rounds(
+        msg3[:, z_rounds], everyone, [outcomes3[i] for i in z_rounds], n_parties
+    )
 
     # Exchange phase: each party's X-round bits travel N-2 hops clockwise,
     # re-protected with fresh decoys at every hop.  Positions are 1-based in
     # the relabeled sequence, and their parity fixes the encoding basis that
-    # every party can derive from the shared key.
+    # every party can derive from the shared key (``encode_exchange_qubit``).
+    x_flags = [(i + 1) % 2 for i in x_rounds]
     read_bases = [exchange_basis(i + 1) for i in x_rounds]
-    current = {
-        p: [encode_exchange_qubit(msg3[a][i], i + 1) for i in x_rounds]
-        for a, p in enumerate(parties)
-    }
-    learned = {p: {} for p in parties}
+    own = msg3[:, x_rounds]
+    current = dict(zip(parties, (label_indices(row, x_flags) for row in own.tolist())))
+    # learned[a, b]: party b's X-round bits as party a has them.
+    learned = np.zeros((n_parties, n_parties, len(x_rounds)), dtype=np.uint8)
+    learned[everyone, everyone] = own
     for hop in range(1, n_parties - 1):
         ring = {(p, parties[(a + 1) % n_parties]): current[p] for a, p in enumerate(parties)}
         reads = decoy_hop(
@@ -136,29 +135,10 @@ def _reconstruct(parties, msg3, key3, outcomes3, attack, record, params, rng, tr
         )
         if reads is None:
             return None, None, False
-        for a, p in enumerate(parties):
-            source = parties[(a - hop) % n_parties]
-            learned[p][source], current[p] = reads[p]
+        learned[everyone, (everyone - hop) % n_parties] = [reads[p][0] for p in parties]
+        current = {p: reads[p][1] for p in parties}
 
     # The one party never heard from directly is pinned down by the XOR view.
-    recovered = {p: {} for p in parties}
-    for a, p in enumerate(parties):
-        unknown = parties[(a + 1) % n_parties]
-        inferred = []
-        for j, i in enumerate(x_rounds):
-            acc = chi[j] ^ msg3[a][i]
-            for q in parties:
-                if q not in (p, unknown):
-                    acc ^= learned[p][q][j]
-            inferred.append(acc)
-        learned[p][unknown] = inferred
-        for b, q in enumerate(parties):
-            if q == p:
-                continue
-            full = [0] * n3
-            for i in z_rounds:
-                full[i] = z_bits[p][i][b]
-            for j, i in enumerate(x_rounds):
-                full[i] = learned[p][q][j]
-            recovered[p][q] = full
-    return recovered, chi, True
+    learned[everyone, (everyone + 1) % n_parties] = chi ^ np.bitwise_xor.reduce(learned, axis=1)
+    views[:, :, x_rounds] = learned
+    return views, chi, True

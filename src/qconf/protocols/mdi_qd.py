@@ -14,12 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import AttackConfig, guess_bases, make_tap
-from ..channels import (
-    PHASE_GUESS,
-    ErrorEstimate,
-    QuantumChannel,
-    measure_rounds,
-)
+from ..channels import PHASE_GUESS, QuantumChannel, estimate_from_detail, measure_rounds
 from ..codec import decode_partner_bit, label_indices, sift_outcome
 from ..errors import ContractError
 from .common import (
@@ -90,11 +85,11 @@ def _sift_and_decode(
         guess_a = decode_partner_bit(b[i], key[i], outcomes[i])
         guesses[PAIR_PARTIES[0]].append(guess_b)
         guesses[PAIR_PARTIES[1]].append(guess_a)
-        detail.append(("pair", int(i), guess_b == b[i] and guess_a == a[i]))
+        detail.append(["pair", int(i), guess_b == b[i] and guess_a == a[i]])
     transcript.add_event("guess_reveal", phase=PHASE_GUESS, guesses=guesses)
-    estimate = ErrorEstimate.from_detail(PHASE_GUESS, detail, params.threshold)
+    estimate = estimate_from_detail(PHASE_GUESS, detail, params.threshold)
     transcript.add_estimate(estimate)
-    if estimate.verdict == "abort":
+    if estimate["verdict"] == "abort":
         transcript.record_abort(PHASE_GUESS)
         return
 

@@ -53,6 +53,14 @@ _INT_FIELDS = ("message_length", "n_parties", "decoy_count", "trials", "seed")
 _FLOAT_FIELDS = ("delta", "gamma", "threshold")
 
 
+def _check_pair(protocol: str, kind: str) -> None:
+    """Reject an unknown protocol, or an attack kind it does not implement."""
+    if protocol not in PROTOCOL_ATTACKS:
+        raise ContractError(f"protocol: unknown value {protocol!r}")
+    if kind not in PROTOCOL_ATTACKS[protocol]:
+        raise ContractError(f"attack.kind: protocol {protocol!r} does not implement {kind!r}")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -120,12 +128,7 @@ class RunConfig:
             _check_int(name, getattr(self, name))
         for name in _FLOAT_FIELDS:
             _check_float(name, getattr(self, name))
-        if self.protocol not in PROTOCOL_ATTACKS:
-            raise ContractError(f"protocol: unknown value {self.protocol!r}")
-        if self.attack.kind not in PROTOCOL_ATTACKS[self.protocol]:
-            raise ContractError(
-                f"attack.kind: protocol {self.protocol!r} does not implement {self.attack.kind!r}"
-            )
+        _check_pair(self.protocol, self.attack.kind)
         if self.protocol.startswith("mdi_qd"):
             if self.n_parties != 2:
                 raise ContractError("n_parties: dialogue protocols take exactly 2")
@@ -257,7 +260,12 @@ def trial_messages(config: RunConfig, trial: int) -> list[np.ndarray]:
 
 
 def execute_trial(config: RunConfig, trial: int = 0) -> Transcript:
-    """Run one trial; the embedded config makes the transcript replayable."""
+    """Run one trial; the embedded config makes the transcript replayable.
+
+    The config is not validated here (``iter_trials`` and ``from_dict`` do),
+    but a protocol/attack pair that ``validate`` rejects is rejected too.
+    """
+    _check_pair(config.protocol, config.attack.kind)
     messages = trial_messages(config, trial)
     rng = derive_rng(config.seed, trial, 1)
     snapshot = config.to_dict()
@@ -270,9 +278,7 @@ def execute_trial(config: RunConfig, trial: int = 0) -> Transcript:
         return run_mdi_qd_modified(*messages, config.attack, rng, params, snapshot)
     if config.protocol == "conferenceN":
         return run_conference(messages, config.attack, rng, params, snapshot)
-    if config.protocol == "xor":
-        return run_xor(messages, config.attack, rng, params, snapshot)
-    raise ContractError(f"protocol: unknown value {config.protocol!r}")
+    return run_xor(messages, config.attack, rng, params, snapshot)
 
 
 def _trial_worker(args: tuple) -> dict:

@@ -38,6 +38,7 @@ from qconf.codec import (
     encode_message_qubit,
 )
 from qconf.protocols import RunConfig, run_trials
+from qconf.protocols.common import sample_size
 from qconf.qsim import dense_joint_basis
 from qconf.rng import make_rng, random_bits
 from qconf.stats import (
@@ -55,9 +56,8 @@ from qconf.tables import born_row, verify_outcome_tables
 PER_CHECK = 100_000
 DETECTION_RUNS = 10_000
 SUITE_SEED = 2024
-SUITE_ROWS = {
-    row.name: row for row in attack_suite(SUITE_SEED, PER_CHECK, DETECTION_RUNS)[1]
-}
+SUITE_EXPERIMENTS, _SUITE_ROWS = attack_suite(SUITE_SEED, PER_CHECK, DETECTION_RUNS)
+SUITE_ROWS = {row.name: row for row in _SUITE_ROWS}
 
 # The suite rows each gate reads.  test_gates_cover_every_suite_row holds
 # their union to the suite table, so a new row cannot slip past the gate.
@@ -240,9 +240,21 @@ def test_criterion_5_dishonest_middle_pass(suite_records):
     )
 
 
+def position_floor(row: str) -> int:
+    """The sampled positions of a row's runs.
+
+    Rows reading ``first_sender_qubit_pass`` count one check per sampled
+    position (the checks at a position share its basis), so their floor is
+    the positions their runs sample, not ``PER_CHECK`` checks.
+    """
+    config = SUITE_EXPERIMENTS[SUITE_ROWS[row].experiment].config
+    return config.trials * sample_size(config.delta, config.message_length)
+
+
 @pytest.mark.parametrize("row", PER_QUBIT_ROWS)
 def test_criterion_6_per_qubit_rates(suite_records, row):
-    assert_record(6, suite_records[row], PER_CHECK)
+    per_position = SUITE_ROWS[row].statistic == "first_sender_qubit_pass"
+    assert_record(6, suite_records[row], position_floor(row) if per_position else PER_CHECK)
 
 
 @pytest.mark.parametrize("row", DETECTION_ROWS)

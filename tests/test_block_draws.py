@@ -79,7 +79,7 @@ def test_first_estimation_draws_one_per_check(entangled):
     before = twin(rng)
     estimate = first_error_estimation(labels, held, perms, sample, 0.0, rng)
     assert_advanced_by(rng, before, len(sample) * len(PARTIES))
-    assert estimate.positions_checked == len(sample) * len(PARTIES)
+    assert estimate["positions_checked"] == len(sample) * len(PARTIES)
 
 
 @pytest.mark.parametrize("entangled", [False, True])
@@ -89,9 +89,9 @@ def test_verify_decoys_draws_one_per_decoy(entangled):
     payload = rng.integers(0, 4, size=12).tolist()
     received = carriers(insert_decoys(payload, decoys), entangled)
     before = twin(rng)
-    estimate = verify_decoys(received, decoys, 0.0, rng)
+    (estimate,) = verify_decoys([(received, decoys)], 0.0, rng)
     assert_advanced_by(rng, before, decoys.count)
-    assert estimate.positions_checked == 9
+    assert estimate["positions_checked"] == 9
 
 
 @pytest.mark.parametrize("entangled", [False, True])
@@ -163,6 +163,8 @@ def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
 
     Every sender draws its decoys, then every link passes its tap; receivers
     check in party order, and read in the same order only if none aborts.
+    Each link checks and reads with a block of its own, so the hop's one
+    block per phase must equal these blocks concatenated.
     """
     decoys = {
         link: make_decoy_set(len(qubits), params.decoy_count, rng)
@@ -175,7 +177,7 @@ def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
         received[link] = sent if tap is None else tap.apply(sent, rng, "->".join(link))
     inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
     verdicts = [
-        verify_decoys(received[link], decoys[link], params.threshold, rng).verdict
+        verify_decoys([(received[link], decoys[link])], params.threshold, rng)[0]["verdict"]
         for link in inbound
     ]
     if "abort" in verdicts:
@@ -186,9 +188,16 @@ def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
     }
 
 
-# The ring of a conference hop and one XOR mask link.
+def ring(n):
+    """The links of a conference hop among n parties."""
+    names = party_names(n)
+    return [(p, names[(a + 1) % n]) for a, p in enumerate(names)]
+
+
+# The rings of a 3- and a 10-party conference hop and one XOR mask link.
 HOP_LINKS = {
-    "ring": [("P1", "P2"), ("P2", "P3"), ("P3", "P1")],
+    "ring": ring(3),
+    "ring10": ring(10),
     "mask": [("P1", "P3")],
 }
 
@@ -201,6 +210,7 @@ HOP_LINKS = {
 def test_decoy_hop_draws_as_its_primitives(links, kind, threshold, aborts):
     # Intercept and resend fails a quarter of the 16 decoys of a link on
     # average: threshold 0.9 lets the tapped hop pass, threshold 0 aborts it.
+    parties = party_names(max(int(p[1:]) for link in HOP_LINKS[links] for p in link))
     rng = make_rng(66)
     payloads = {link: rng.integers(0, 4, size=12).tolist() for link in HOP_LINKS[links]}
     read_bases = [BASIS_Z, BASIS_X] * 6
@@ -209,9 +219,9 @@ def test_decoy_hop_draws_as_its_primitives(links, kind, threshold, aborts):
     before = twin(rng)
     transcript = Transcript(config={})
     reads = decoy_hop(
-        PARTIES, payloads, read_bases, attack, AdversaryRecord(kind=kind), params, rng,
+        parties, payloads, read_bases, attack, AdversaryRecord(kind=kind), params, rng,
         transcript, fields={}, transmit_fields={},
     )
-    assert reads == replay_decoy_hop(PARTIES, payloads, read_bases, attack, params, before)
+    assert reads == replay_decoy_hop(parties, payloads, read_bases, attack, params, before)
     assert rng.bit_generator.state == before.bit_generator.state
     assert (reads is None) == aborts == transcript.aborted

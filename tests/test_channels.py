@@ -112,22 +112,34 @@ class TestDecoys:
         with pytest.raises(ContractError):
             DecoySet((3, 3), (label("Z0"), label("Z0")))
 
+    @pytest.mark.parametrize("positions", [(4, 2), (0, 5, 5, 7), (1, 6, 2)])
+    def test_positions_out_of_order(self, positions):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            DecoySet(positions, (label("Z0"),) * len(positions))
+
+    @pytest.mark.parametrize("positions", [(-1, 2), (0, 4), (5,)])
+    def test_insert_rejects_positions_out_of_range(self, positions):
+        # Two payload qubits and the decoys fill slots 0..len(positions) + 1.
+        decoys = DecoySet(positions, (label("X0"),) * len(positions))
+        with pytest.raises(ContractError, match="out of range"):
+            insert_decoys([label("Z0"), label("Z1")], decoys)
+
     def test_untouched_channel_verifies_clean(self):
         rng = make_rng(22)
         for _ in range(200):
             decoys = make_decoy_set(10, 8, rng)
             payload = random_bits(rng, 10).tolist()  # Z labels: label id = bit
             received = insert_decoys(payload, decoys)
-            estimate = verify_decoys(received, decoys, 0.0, rng)
-            assert estimate.mismatches == 0
-            assert estimate.verdict == "continue"
+            (estimate,) = verify_decoys([(received, decoys)], 0.0, rng)
+            assert estimate["mismatches"] == 0
+            assert estimate["verdict"] == "continue"
 
     def test_verification_is_non_demolition_for_payload(self):
         rng = make_rng(23)
         payload = [label("X1")] * 4
         decoys = make_decoy_set(4, 4, rng)
         received = insert_decoys(payload, decoys)
-        verify_decoys(received, decoys, 0.0, rng)
+        verify_decoys([(received, decoys)], 0.0, rng)
         for qubit in extract_payload(received, decoys):
             np.testing.assert_allclose(
                 interned(qubit).amplitudes,
@@ -152,16 +164,16 @@ class TestFirstEstimation:
         rng = make_rng(24)
         labels, held, perms = self._setup(40, rng)
         estimate = first_error_estimation(labels, held, perms, [3, 7, 20], 0.0, rng)
-        assert estimate.mismatches == 0
-        assert estimate.positions_checked == 6  # 2 parties x 3 positions
-        assert estimate.verdict == "continue"
+        assert estimate["mismatches"] == 0
+        assert estimate["positions_checked"] == 6  # 2 parties x 3 positions
+        assert estimate["verdict"] == "continue"
 
     def test_detail_labels_parties_and_positions(self):
         rng = make_rng(25)
         labels, held, perms = self._setup(10, rng)
         estimate = first_error_estimation(labels, held, perms, [2, 5], 0.0, rng)
-        assert {entry[0] for entry in estimate.detail} == {"P1", "P2"}
-        assert {entry[1] for entry in estimate.detail} == {2, 5}
+        assert {entry[0] for entry in estimate["detail"]} == {"P1", "P2"}
+        assert {entry[1] for entry in estimate["detail"]} == {2, 5}
 
     def test_flipped_qubit_detected(self):
         rng = make_rng(26)
@@ -170,8 +182,8 @@ class TestFirstEstimation:
         slot = int(perms["P1"].mapping[4])
         held["P1"][slot] = labels["P1"][4] ^ 1  # same basis, other bit
         estimate = first_error_estimation(labels, held, perms, [4], 0.0, rng)
-        assert estimate.mismatches == 1
-        assert estimate.verdict == "abort"
+        assert estimate["mismatches"] == 1
+        assert estimate["verdict"] == "abort"
 
 
 class TestSecondEstimation:
@@ -185,7 +197,7 @@ class TestSecondEstimation:
             codes = consistent_outcome_codes(row, bool(key[i]), 3)
             outcomes.append(codes[0])
         estimate = second_error_estimation(outcomes, key, bits, [0, 1, 2], 0.0)
-        assert estimate.mismatches == 0
+        assert estimate["mismatches"] == 0
 
     def test_uniform_announcements_pass_z_rounds_quarter(self):
         # With random announcements a Z round passes iff the index matches:
@@ -203,7 +215,7 @@ class TestSecondEstimation:
                 [0],
                 0.0,
             )
-            passes += estimate.mismatches == 0
+            passes += estimate["mismatches"] == 0
         assert abs(passes / trials - 0.25) < 0.01
 
 

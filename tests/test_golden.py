@@ -180,12 +180,12 @@ TRANSCRIPT_HASHES = {
     "conferenceN-16/dos/11": "27398a816b762b6f58e3fbfb3665befa7688fb8ff817c129da32ef44f01cbc34",
 }
 
-SUITE_HASH = "44118037e424196062c6c04b0375e156a3ced6a708ec09febd538fb8dd1c89d0"
+SUITE_HASH = "5ad2fb86ee627d5f5b8eb95abe0e98fa78ea1d4fc7bbda4b39a73db89c38438c"
 
 # The small suite's agreement records as ``verify attacks`` writes them.
 # SUITE_HASH sees sorted counts only; this pins row order, row names,
 # analytic values, bands and verdicts.
-RECORDS_HASH = "19c1abbf234bfa6eaaaefd4427cf69ba25b37447ebe88d08fb3abf340103d70a"
+RECORDS_HASH = "be1c299be67d4b27d84770a4fc6e0f02b62fd60638defefd5a21e0845b25f747"
 
 
 # Decoy-hop order.  In each case one link is tapped (intercept and resend),

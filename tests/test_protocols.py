@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconf.adversary import ATTACK_KINDS, AttackConfig
+from qconf.codec import decode_z_round
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.protocols import (
     PROTOCOLS,
@@ -209,6 +210,48 @@ class TestConference:
                 aborted_at_decoy += 1
         # pass probability (3/4)^8 ~ 0.1 per run
         assert aborted_at_decoy >= 25
+
+    @pytest.mark.parametrize("n_parties", [3, 10])
+    @pytest.mark.parametrize("kind", ["none", "dos"])
+    def test_z_rounds_decode_from_public_codes(self, n_parties, kind):
+        # The reference of the batch decode: each party's Z-round bits,
+        # rebuilt round by round with decode_z_round from the announced codes
+        # and the party's own bits, are what the run recovered.  The dos tap
+        # makes announced codes disagree with the bits, so the parties'
+        # views differ; threshold 0.9 lets such runs complete.
+        weights = (0.8, 0.6, 0.0, 0.0) if kind == "dos" else None
+        config = RunConfig(
+            protocol="conferenceN", message_length=100, n_parties=n_parties, threshold=0.9,
+            attack=AttackConfig(kind, dos_weights=weights), seed=5,
+        )
+        parties = party_names(n_parties)
+        completed = views_differ = 0
+        for trial in range(4):
+            transcript = execute_trial(config, trial).to_dict()
+            if transcript["outputs"] is None:
+                continue
+            completed += 1
+            key = str_to_bits(transcript["secrets"]["key_initial"])
+            messages = [str_to_bits(m) for m in transcript["secrets"]["messages"]]
+            events = transcript["events"]
+            sampled = next(e["positions"] for e in events if e["type"] == "estimation_positions")
+            (codes,) = [e["codes"] for e in events if e["type"] == "joint_announcement"]
+            keep = [i for i in range(config.message_length) if i not in set(sampled)]
+            code_at = dict(zip(keep, codes))
+            recovered = transcript["outputs"]["recovered"]
+            for j, pos in enumerate(transcript["outputs"]["kept_positions"]):
+                if key[pos]:
+                    continue
+                views = set()
+                for a, p in enumerate(parties):
+                    bits = decode_z_round(int(messages[a][pos]), a, code_at[pos], n_parties)
+                    views.add(bits)
+                    for b, q in enumerate(parties):
+                        if q != p:
+                            assert recovered[p][q][j] == str(bits[b])
+                views_differ += len(views) > 1
+        assert completed >= 2
+        assert (views_differ > 0) == (kind == "dos")
 
     def test_dishonest_middle_abort_stage(self):
         rng = make_rng(75)
@@ -449,6 +492,19 @@ class TestBitText:
 
 
 class TestRunConfigValidation:
+    def test_execute_trial_rejects_unimplemented_pair(self):
+        # execute_trial does not validate a config, but it refuses a pair
+        # that validate refuses, with the same message.
+        config = RunConfig(
+            protocol="mdi_qd_original", message_length=100, n_parties=2,
+            attack=AttackConfig("dishonest_p1"), seed=11,
+        )
+        with pytest.raises(ContractError) as refused:
+            config.validate()
+        with pytest.raises(ContractError, match="does not implement") as ran:
+            execute_trial(config)
+        assert str(ran.value) == str(refused.value)
+
     def test_minimum_sample_rule(self):
         config = RunConfig(protocol="conference3", n_parties=3, message_length=32, delta=0.1)
         with pytest.raises(ContractError, match="message_length"):
