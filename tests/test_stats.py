@@ -193,6 +193,16 @@ class TestRunExperiment:
         want = math.sqrt(est.value * (1 - est.value) / est.samples)
         assert abs(est.se - want) < 1e-15
 
+    def test_first_sender_reads_one_check_per_position(self):
+        # The checks at a position share its basis, so the statistic keeps
+        # only the first sender's check of each sampled position.
+        detail = [
+            ["P1", 2, True], ["P2", 2, False], ["P3", 2, False],
+            ["P1", 5, False], ["P2", 5, True], ["P3", 5, True],
+        ]
+        transcript = {"estimates": [{"phase": "first_estimation", "detail": detail}]}
+        assert STATISTICS["first_sender_qubit_pass"](transcript) == (1, 2)
+
     def test_unknown_statistic_rejected(self):
         config = RunConfig(protocol="xor", n_parties=3, message_length=32, delta=0.16)
         with pytest.raises(ContractError):
