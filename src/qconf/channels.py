@@ -23,6 +23,7 @@ A ceremony's estimate is the JSON-native dict the transcript stores
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -158,15 +159,68 @@ class DecoySet:
         return len(self.positions)
 
 
-def make_decoy_set(
-    payload_len: int, count: int, rng: np.random.Generator
-) -> DecoySet:
-    """Fresh decoys at random slots of the augmented sequence."""
+# numpy's ``Generator.choice(total, count, replace=False)`` shuffles the
+# tail of ``arange(total)`` when this holds, and runs Floyd's algorithm
+# otherwise (numpy 2.4; the cutoff was found by experiment).
+def _tail_shuffled(total: int, count: int) -> bool:
+    return total > 10000 and count > total // 50
+
+
+@lru_cache(maxsize=256)
+def _decoy_bounds(total: int, count: int) -> np.ndarray:
+    """Exclusive upper bound of each draw of one link's decoys, in draw order.
+
+    ``choice`` draws each index below its bound: Floyd's ``total - count + 1
+    ... total``, then a shuffle of the picks, ``count ... 2``; or the tail
+    shuffle's ``total ... max(total - count, 1) + 1``.  Then ``count`` labels
+    below 4.  Read-only, 24 bytes a decoy at most; 256 rows are kept.
+    """
+    if _tail_shuffled(total, count):
+        picks = range(total, max(total - count, 1), -1)
+    else:
+        picks = [*range(total - count + 1, total + 1), *range(count, 1, -1)]
+    bounds = np.array([*picks, *[4] * count], dtype=np.int64)
+    bounds.setflags(write=False)
+    return bounds
+
+
+def make_decoy_sets(
+    payload_lens: Sequence[int], count: int, rng: np.random.Generator
+) -> list[DecoySet]:
+    """Fresh decoys at random slots of each link's augmented sequence, in link order.
+
+    Each link draws what ``rng.choice(payload_len + count, count,
+    replace=False)`` then ``rng.integers(0, 4, count)`` draw.  Both reduce
+    every draw to one bounded 32-bit Lemire draw, so one ``rng.integers``
+    call over the bounds of every draw (``_decoy_bounds``) takes the same
+    numbers from the stream, and leaves the generator in the same state.
+    The positions follow from the draws by ``choice``'s own rule.
+    """
     if count < 0:
         raise ContractError("decoy count must be >= 0")
-    positions = sorted(rng.choice(payload_len + count, size=count, replace=False).tolist())
-    picks = rng.integers(0, 4, size=count).tolist()
-    return DecoySet(tuple(positions), tuple(picks))
+    rows = [_decoy_bounds(n + count, count) for n in payload_lens]
+    draws = rng.integers(0, np.concatenate(rows)).tolist() if rows else []
+    sets = []
+    end = 0
+    for n, row in zip(payload_lens, rows):
+        total, start, end = n + count, end, end + len(row)
+        picks = draws[start : end - count]
+        if _tail_shuffled(total, count):
+            slots = {}  # the moved entries of arange(total)
+            for i, j in zip(range(total - 1, 0, -1), picks):
+                slots[i], slots[j] = slots.get(j, j), slots.get(i, i)
+            positions = [slots.get(i, i) for i in range(total - count, total)]
+        else:
+            positions = set()
+            for j, pick in zip(range(total - count, total), picks):
+                positions.add(j if pick in positions else pick)
+        sets.append(DecoySet(tuple(sorted(positions)), tuple(draws[end - count : end])))
+    return sets
+
+
+def make_decoy_set(payload_len: int, count: int, rng: np.random.Generator) -> DecoySet:
+    """Fresh decoys at random slots of one link's augmented sequence."""
+    return make_decoy_sets([payload_len], count, rng)[0]
 
 
 def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:

@@ -16,7 +16,7 @@ from ..channels import (
     extract_payload,
     first_error_estimation,
     insert_decoys,
-    make_decoy_set,
+    make_decoy_sets,
     measure_carriers,
     measure_payload,
     measure_rounds,
@@ -70,7 +70,7 @@ def sample_size(fraction: float, total: int) -> int:
 
 def sorted_sample(rng: np.random.Generator, total: int, count: int) -> list[int]:
     """Sorted sample of distinct positions drawn from the shared coin."""
-    return sorted(int(i) for i in rng.choice(total, size=count, replace=False))
+    return sorted(rng.choice(total, size=count, replace=False).tolist())
 
 
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -383,7 +383,8 @@ def decoy_hop(
 
     ``payloads`` maps each link ``(sender, receiver)``, senders in party
     order, to the sender's carriers, one per read basis; a party receives on
-    at most one link.  Senders draw decoys, then transmit; each link gets a
+    at most one link.  Senders draw decoys, every link's with one call
+    (``make_decoy_sets``), then transmit; each link gets a
     ``receipt_ack``, then a ``decoy_reveal``.  Receivers check, then read in
     ``read_bases``, in the order of ``parties``: one block of uniforms checks
     every inbound link's decoys and, only if none aborts, one more reads every
@@ -394,10 +395,7 @@ def decoy_hop(
     width = len(read_bases)
     if any(len(payload) != width for payload in payloads.values()):
         raise ContractError("one read basis per payload carrier")
-    decoys = {
-        link: make_decoy_set(len(payload), params.decoy_count, rng)
-        for link, payload in payloads.items()
-    }
+    decoys = dict(zip(payloads, make_decoy_sets([width] * len(payloads), params.decoy_count, rng)))
     received = {}
     for link, payload in payloads.items():
         channel = QuantumChannel(*link, tap=make_tap(attack, record, "->".join(link)))

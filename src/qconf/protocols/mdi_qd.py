@@ -26,6 +26,7 @@ from .common import (
     party_names,
     relay_round,
     sample_size,
+    sorted_sample,
 )
 
 PAIR_PARTIES = party_names(2)
@@ -72,11 +73,7 @@ def _sift_and_decode(
     kept = [i for i, o in enumerate(outcomes) if sift_outcome(o)]
     transcript.add_event("sifting", kept_positions=kept)
     count = min(sample_size(params.delta, len(outcomes)), len(kept))
-    picked = (
-        sorted(kept[j] for j in rng.choice(len(kept), size=count, replace=False))
-        if kept
-        else []
-    )
+    picked = [kept[j] for j in sorted_sample(rng, len(kept), count)] if kept else []
     transcript.add_event("estimation_positions", phase=PHASE_GUESS, positions=picked)
     detail = []
     guesses = {p: [] for p in PAIR_PARTIES}
@@ -85,7 +82,7 @@ def _sift_and_decode(
         guess_a = decode_partner_bit(b[i], key[i], outcomes[i])
         guesses[PAIR_PARTIES[0]].append(guess_b)
         guesses[PAIR_PARTIES[1]].append(guess_a)
-        detail.append(["pair", int(i), guess_b == b[i] and guess_a == a[i]])
+        detail.append(["pair", i, guess_b == b[i] and guess_a == a[i]])
     transcript.add_event("guess_reveal", phase=PHASE_GUESS, guesses=guesses)
     estimate = estimate_from_detail(PHASE_GUESS, detail, params.threshold)
     transcript.add_estimate(estimate)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -279,8 +279,12 @@ def measure_joint(ids: tuple[int, ...], u: float) -> int:
     A tabled row is looked up; a wider row of label ids and ``MIXED`` is
     drawn from its support (``label_support``); any other row, one holding
     a Pauli image, is folded by ``joint_cumulative``.  All three draw the
-    same code for the same ``u``.
+    same code for the same ``u``, which must lie in [0, 1).  The draws keep
+    their guard at the last code: ``u * cumulative[-1]`` can round up to the
+    last sum even for ``u < 1``.
     """
+    if not 0.0 <= u < 1.0:
+        raise ContractError(f"u must be a uniform in [0, 1), got {u!r}")
     cumulative = _JOINT.get(ids)
     if cumulative is None:
         if len(ids) > MAX_TABLE_QUBITS and max(ids) <= MIXED:
@@ -368,10 +372,22 @@ def _draw_support(ids: tuple[int, ...], u: float) -> int:
     last code, 2^n - 1.
     """
     p, size, code = label_support(ids)
-    sums = np.full(size, p)
-    np.cumsum(sums, out=sums)  # in place: one buffer a row, not two
+    sums = _running_sums(p, size)
     t = bisect_right(sums, u * sums[-1])
     return code(t) if t < size else (1 << len(ids)) - 1
+
+
+@lru_cache(maxsize=16)
+def _running_sums(p: float, size: int) -> np.ndarray:
+    """``np.cumsum`` of ``size`` copies of ``p``, read-only and kept per key.
+
+    Rows share keys: an honest conference trial has two.  A 16-qubit row's
+    sums are 512 KiB, so the 16 kept rows take at most 8 MiB.
+    """
+    sums = np.full(size, p)
+    np.cumsum(sums, out=sums)  # in place: one buffer a row, not two
+    sums.setflags(write=False)
+    return sums
 
 
 # The label states take ids 0-3, in ``LABELS`` order.

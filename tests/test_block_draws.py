@@ -19,10 +19,11 @@ from qconf.adversary import (
     make_tap,
 )
 from qconf.channels import (
+    DecoySet,
     extract_payload,
     first_error_estimation,
     insert_decoys,
-    make_decoy_set,
+    make_decoy_sets,
     measure_payload,
     permute,
     random_permutation,
@@ -49,6 +50,12 @@ def assert_advanced_by(rng, before, count):
     assert rng.bit_generator.state == before.bit_generator.state
 
 
+def choice_decoys(payload_len, count, rng):
+    """One link's decoys drawn by the numpy primitives the hop's one call reproduces."""
+    positions = sorted(rng.choice(payload_len + count, size=count, replace=False).tolist())
+    return DecoySet(tuple(positions), tuple(rng.integers(0, 4, size=count).tolist()))
+
+
 def entangle(qubits):
     """The carriers after the entangling tap, which draws nothing."""
     return EntangleMeasureTap(AdversaryRecord(kind="entangle_measure")).apply(qubits, None, "")
@@ -69,6 +76,43 @@ def test_block_equals_scalar_draws(k):
     assert block.random() == scalar.random()
 
 
+# numpy's choice(total, count, replace=False) runs Floyd's algorithm, or
+# shuffles the tail of an arange when total > 10000 and count > total // 50:
+# both sides of each cutoff, count == total, and payload_len 0.
+DECOY_CASES = [
+    (10000, 200), (10000, 201), (10001, 200), (10001, 201),
+    (10000, 10000), (10001, 10001), (20000, 400), (20000, 401),
+    (16, 16), (1, 1), (116, 16), (28, 16), (5, 3),
+]
+
+
+@pytest.mark.parametrize("total,count", DECOY_CASES)
+@pytest.mark.parametrize("links", [1, 3, 10])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_decoy_sets_equal_choice(total, count, links, half_word):
+    # The one call of a hop equals each link's rng.choice then rng.integers,
+    # and leaves the generator where they leave it.  A 32-bit draw first
+    # leaves half of PCG64's 64-bit word buffered, which the bounded draws of
+    # both forms take before a fresh word.
+    rng = make_rng(total + count + links)
+    if half_word:
+        rng.integers(0, 2**31, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    before = twin(rng)
+    drawn = make_decoy_sets([total - count] * links, count, rng)
+    assert drawn == [choice_decoys(total - count, count, before) for _ in range(links)]
+    assert rng.bit_generator.state == before.bit_generator.state
+
+
+def test_decoy_sets_of_unequal_links_equal_choice():
+    rng = make_rng(67)
+    lens = [0, 3, 9990, 9985, 20, 12000]
+    before = twin(rng)
+    drawn = make_decoy_sets(lens, 16, rng)
+    assert drawn == [choice_decoys(n, 16, before) for n in lens]
+    assert rng.bit_generator.state == before.bit_generator.state
+
+
 @pytest.mark.parametrize("entangled", [False, True])
 def test_first_estimation_draws_one_per_check(entangled):
     rng = make_rng(60)
@@ -85,7 +129,7 @@ def test_first_estimation_draws_one_per_check(entangled):
 @pytest.mark.parametrize("entangled", [False, True])
 def test_verify_decoys_draws_one_per_decoy(entangled):
     rng = make_rng(61)
-    decoys = make_decoy_set(12, 9, rng)
+    decoys = choice_decoys(12, 9, rng)
     payload = rng.integers(0, 4, size=12).tolist()
     received = carriers(insert_decoys(payload, decoys), entangled)
     before = twin(rng)
@@ -167,7 +211,7 @@ def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
     block per phase must equal these blocks concatenated.
     """
     decoys = {
-        link: make_decoy_set(len(qubits), params.decoy_count, rng)
+        link: choice_decoys(len(qubits), params.decoy_count, rng)
         for link, qubits in payloads.items()
     }
     received = {}

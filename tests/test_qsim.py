@@ -385,16 +385,21 @@ class TestSupportSampler:
         assert np.all(probs[codes] == p)
         sums = np.cumsum(np.full(size, p))
         assert np.array_equal(sums, dense[codes])
+        # The sampler's kept sums are these floats, and nothing can write them.
+        kept = qsim._running_sums(p, size)
+        assert np.array_equal(kept, sums) and not kept.flags.writeable
         # u = 0, the largest u below 1, and 1 itself, which only the guard
         # of both draws keeps on the last code; then u landing on sampled
         # running sums and their neighbours, which bisect_right must split
-        # alike.
+        # alike.  measure_joint refuses u = 1, so the guard is held through
+        # the sampler it routes to.
         grid = [0.0, 1.0 - 2.0**-53, 1.0]
         for t in rng.integers(size, size=landings):
             u = float(sums[t] / sums[-1])
             grid += [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]
         for u in grid:
-            assert measure_joint(ids, u) == qsim._draw(dense, u)
+            draw = measure_joint if u < 1.0 else qsim._draw_support
+            assert draw(ids, u) == qsim._draw(dense, u)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_label_and_mixed_row(self, n):
@@ -424,6 +429,15 @@ class TestSupportSampler:
         for ids in rows:
             self.check_row(tuple(int(sid) for sid in ids), rng, landings=20)
 
+    def test_running_sums_are_kept_per_key(self):
+        # Rows with the same (p, size) share one read-only array.
+        p, size, _ = qsim.label_support(carriers_of("X0", "Z1", "X1", "Z0"))
+        kept = qsim._running_sums(p, size)
+        assert qsim._running_sums(p, size) is kept
+        assert np.array_equal(kept, np.cumsum(np.full(size, p)))
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+
     def test_routes(self, monkeypatch):
         # A wide label row never folds; a row holding a Pauli image always
         # does, as do tabled rows.
@@ -441,6 +455,17 @@ class TestSupportSampler:
 
 
 class TestMeasurement:
+    @pytest.mark.parametrize("u", [1.0, 1.5, -0.25, math.nan])
+    @pytest.mark.parametrize("width", [2, MAX_TABLE_QUBITS + 1])
+    def test_measure_joint_refuses_u_outside_unit_interval(self, u, width):
+        # A tabled row, a support-drawn row and a folded row alike: each
+        # caller means a uniform in [0, 1), and the draws' end guards would
+        # quietly give the last code for any u past it.
+        image = qsim.pauli_image(label_carrier("Z0"), 2)
+        for row in [carriers_of(*["X0"] * width), (image,) * width]:
+            with pytest.raises(ContractError, match=r"\[0, 1\)"):
+                measure_joint(row, u)
+
     def test_eigenstate_deterministic(self):
         rng = make_rng(0)
         for code, vector in enumerate(dense_joint_basis(3)):
@@ -645,7 +670,12 @@ class TestInternTables:
             # Draws that land exactly on a boundary test the bisect side too.
             for u in grid + cumulative:
                 want = sample_index(probs, u)
-                assert measure_joint(combo, u) == want
+                # measure_joint refuses u >= 1; the guard of _draw still
+                # keeps such a u on the last code of the row's table.
+                if u < 1.0:
+                    assert measure_joint(combo, u) == want
+                else:
+                    assert qsim._draw(cumulative, u) == want
 
     def test_joint_table_refuses_wide_products(self):
         narrow = (0,) * MAX_TABLE_QUBITS
