@@ -14,7 +14,11 @@ uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
 which on numpy's PCG64 equals k successive ``rng.random()`` calls, so the
 generator's stream is the one a draw per measurement would give.  The decoy
 check of a hop takes every inbound link at once and draws one block for
-all their decoys, in link order: the per-link blocks, concatenated.
+all their decoys, in link order: the per-link blocks, concatenated.  A
+hop's senders draw their decoys with one call too (``make_decoy_sets``):
+one ``rng.integers`` over the bound of every draw that each link's
+``rng.choice`` and ``rng.integers`` would make, which takes the same
+numbers from the stream.
 
 A ceremony's estimate is the JSON-native dict the transcript stores
 (``estimate_from_detail``), with one ``[label, position, ok]`` list per check.
