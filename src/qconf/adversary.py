@@ -44,7 +44,8 @@ class AttackConfig:
     """Which strategy is active, its parameters, and where it attaches.
 
     ``target_links`` of None means every quantum channel of the run; naming
-    links (e.g. ``{"P1->P2"}``) restricts the tap to those hops.
+    links (e.g. ``{"P1->P2"}``) restricts the tap to those hops.  An empty
+    set, which would be written as null and replay as every channel, is refused.
     """
 
     kind: str = "none"
@@ -65,7 +66,10 @@ class AttackConfig:
         elif self.dos_weights is not None:
             raise ContractError("dos_weights only apply to kind='dos'")
         if self.target_links is not None:
-            object.__setattr__(self, "target_links", frozenset(self.target_links))
+            links = frozenset(self.target_links)
+            if not links:
+                raise ContractError("attack.target_links: name a link, or null for every channel")
+            object.__setattr__(self, "target_links", links)
 
     def applies_to(self, channel_id: str) -> bool:
         if self.kind not in CHANNEL_TAP_KINDS:
@@ -76,7 +80,7 @@ class AttackConfig:
         return {
             "kind": self.kind,
             "dos_weights": list(self.dos_weights) if self.dos_weights else None,
-            "target_links": sorted(self.target_links) if self.target_links else None,
+            "target_links": None if self.target_links is None else sorted(self.target_links),
         }
 
     @classmethod
@@ -102,7 +106,7 @@ class AttackConfig:
         return cls(
             kind=data.get("kind", "none"),
             dos_weights=tuple(weights) if weights else None,
-            target_links=frozenset(links) if links else None,
+            target_links=links,
         )
 
 

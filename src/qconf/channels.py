@@ -9,6 +9,11 @@ and takes a whole ceremony's carriers, bases and uniforms, and
 ``measure_rounds`` measures each row of a relay round jointly from its
 carrier ids, by ``qsim.measure_joint``.
 
+Wire order matters only to a tap, so only a tapped channel builds it, from
+the channel's ``Permutation`` or ``DecoySet`` (``QuantumChannel.transmit``).
+The ceremonies read party order: the first estimation reads each sampled
+position, and the decoy check takes each link's carriers at its decoy slots.
+
 Measurements take a pre-drawn uniform ``u``.  Each ceremony draws the
 uniforms of all its measurements as one ``rng.random(k).tolist()`` block,
 which on numpy's PCG64 equals k successive ``rng.random()`` calls, so the
@@ -28,21 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .codec import consistent_outcome_codes
 from .errors import ContractError
-from .qsim import BASES, P0, measure_joint
+from .qsim import BASES, MEASURE, measure_joint
 
 PHASE_FIRST = "first_estimation"
 PHASE_SECOND = "second_estimation"
 PHASE_DECOY = "decoy_verification"
 PHASE_GUESS = "guess_comparison"
-
-# The label carrier a measurement in each basis collapses onto, by bit.
-_COLLAPSED = {basis: (2 * x, 2 * x + 1) for x, basis in enumerate(BASES)}
 
 
 def measure_carriers(
@@ -50,8 +53,9 @@ def measure_carriers(
 ) -> tuple[list[int], list[int]]:
     """Measure each carrier in its basis with its uniform; returns (bits, collapsed).
 
-    The one single-qubit measurement rule: bit 0 iff ``u < qsim.P0[carrier][basis]``,
-    and the carrier collapses onto the label carrier of (basis, bit).
+    The one single-qubit measurement rule, read from the basis's
+    ``qsim.MEASURE`` row: bit 0 iff ``u`` is below the carrier's p0, and the
+    carrier collapses onto the label carrier of (basis, bit).
     """
     if not len(carriers) == len(bases) == len(uniforms):
         raise ContractError("one basis and one uniform per carrier")
@@ -59,18 +63,16 @@ def measure_carriers(
     collapsed = []
     try:
         for carrier, basis, u in zip(carriers, bases, uniforms):
-            bit = 0 if u < P0[carrier][basis] else 1
-            bits.append(bit)
-            collapsed.append(_COLLAPSED[basis][bit])
+            p0, zero, one = MEASURE[basis]
+            if u < p0[carrier]:
+                bits.append(0)
+                collapsed.append(zero)
+            else:
+                bits.append(1)
+                collapsed.append(one)
     except KeyError:
         raise ContractError(f"bases must be Z or X, got {sorted(set(bases))}") from None
     return bits, collapsed
-
-
-def measure_flying(qubit: int, basis: str, u: float) -> tuple[int, int]:
-    """Measure one carrier in Z or X; returns (bit, collapsed carrier)."""
-    (bit,), (collapsed,) = measure_carriers((qubit,), (basis,), (u,))
-    return bit, collapsed
 
 
 def measure_payload(
@@ -114,6 +116,14 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.mapping)
+
+    def to_wire(self, seq: Sequence) -> list:
+        """The wire order of a party-order sequence (``permute``)."""
+        return permute(seq, self)
+
+    def from_wire(self, seq: Sequence) -> list:
+        """The party order of a wire sequence (``unpermute``)."""
+        return unpermute(seq, self)
 
 
 def random_permutation(length: int, rng: np.random.Generator) -> Permutation:
@@ -162,6 +172,14 @@ class DecoySet:
     def count(self) -> int:
         return len(self.positions)
 
+    def to_wire(self, seq: Sequence[int]) -> list[int]:
+        """The wire order of a link's payload followed by these decoys' labels."""
+        return insert_decoys(seq[: len(seq) - self.count], self)
+
+    def from_wire(self, seq: Sequence[int]) -> list[int]:
+        """A link's sequence from wire order: the payload, then the decoy slots."""
+        return extract_payload(seq, self) + [seq[pos] for pos in self.positions]
+
 
 # numpy's ``Generator.choice(total, count, replace=False)`` shuffles the
 # tail of ``arange(total)`` when this holds, and runs Floyd's algorithm
@@ -198,7 +216,8 @@ def make_decoy_sets(
     every draw to one bounded 32-bit Lemire draw, so one ``rng.integers``
     call over the bounds of every draw (``_decoy_bounds``) takes the same
     numbers from the stream, and leaves the generator in the same state.
-    The positions follow from the draws by ``choice``'s own rule.
+    The positions follow from the draws by ``choice``'s own rule, distinct,
+    so sorted they rise strictly and ``DecoySet``'s check is skipped.
     """
     if count < 0:
         raise ContractError("decoy count must be >= 0")
@@ -218,13 +237,11 @@ def make_decoy_sets(
             positions = set()
             for j, pick in zip(range(total - count, total), picks):
                 positions.add(j if pick in positions else pick)
-        sets.append(DecoySet(tuple(sorted(positions)), tuple(draws[end - count : end])))
+        drawn = object.__new__(DecoySet)
+        object.__setattr__(drawn, "positions", tuple(sorted(positions)))
+        object.__setattr__(drawn, "labels", tuple(draws[end - count : end]))
+        sets.append(drawn)
     return sets
-
-
-def make_decoy_set(payload_len: int, count: int, rng: np.random.Generator) -> DecoySet:
-    """Fresh decoys at random slots of one link's augmented sequence."""
-    return make_decoy_sets([payload_len], count, rng)[0]
 
 
 def insert_decoys(payload: Sequence[int], decoys: DecoySet) -> list[int]:
@@ -271,7 +288,7 @@ def estimate_from_detail(phase: str, detail: list, threshold: float) -> dict:
     ``abort`` when the mismatch rate exceeds the threshold.
     """
     checked = len(detail)
-    mismatches = sum(not ok for _, _, ok in detail)
+    mismatches = checked - sum(map(itemgetter(2), detail))
     rate = mismatches / checked if checked else 0.0
     return {
         "phase": phase,
@@ -285,67 +302,62 @@ def estimate_from_detail(phase: str, detail: list, threshold: float) -> dict:
 
 
 def verify_decoys(
-    links: Sequence[tuple[list[int], DecoySet]],
+    links: Sequence[tuple[Sequence[int], DecoySet]],
     threshold: float,
     rng: np.random.Generator,
 ) -> list[dict]:
     """Measure each link's decoys in their preparation bases; one estimate per link.
 
-    ``links`` holds a hop's inbound ``(received, decoys)`` pairs in check
-    order.  Draws one uniform per decoy, as one block across the links in
-    that order.  Collapses the decoy slots of each ``received`` in place;
-    payload slots are untouched.
+    ``links`` holds a hop's inbound ``(carriers, decoys)`` pairs in check
+    order, ``carriers`` being what the receiver holds at the decoy slots,
+    in slot order.  Draws one uniform per decoy, as one block across the
+    links in that order.  Nothing reads a decoy slot again, so the
+    collapses are dropped.
     """
     carriers, bases = [], []
-    for received, decoys in links:
-        carriers += [received[pos] for pos in decoys.positions]
+    for held, decoys in links:
+        if len(held) != decoys.count:
+            raise ContractError("one carrier per decoy")
+        carriers += held
         bases += [BASES[label >> 1] for label in decoys.labels]
-    bits, collapsed = measure_carriers(carriers, bases, rng.random(len(bases)).tolist())
-    # One iterator over every link's results: ``zip`` stops at a link's last
-    # position before it takes the next link's first result.
-    results = zip(bits, collapsed)
+    bits, _ = measure_carriers(carriers, bases, rng.random(len(bases)).tolist())
+    # One iterator over every link's bits: ``zip`` stops at a link's last
+    # position before it takes the next link's first bit.
+    results = iter(bits)
     estimates = []
-    for received, decoys in links:
-        detail = []
-        for pos, label, (bit, post) in zip(decoys.positions, decoys.labels, results):
-            received[pos] = post
-            detail.append(["decoy", pos, bit == label & 1])
+    for _, decoys in links:
+        checks = zip(decoys.positions, decoys.labels, results)
+        detail = [["decoy", pos, bit == label & 1] for pos, label, bit in checks]
         estimates.append(estimate_from_detail(PHASE_DECOY, detail, threshold))
     return estimates
 
 
 def first_error_estimation(
     labels: Mapping[str, Sequence[int]],
-    held: Mapping[str, list[int]],
-    perms: Mapping[str, Permutation],
+    held: Mapping[str, Sequence[int]],
     sample_positions: Sequence[int],
     threshold: float,
     rng: np.random.Generator,
 ) -> dict:
     """Single-qubit spot checks before the joint measurement.
 
-    ``labels`` holds each sender's preparations in original order, as label
-    ids.  For each sampled original position every sender
-    tells the middle party the physical slot and preparation basis; the
-    middle party measures and announces, and the sender compares against the
-    prepared bit.  Draws one uniform per check, position-major.  Collapses
-    the checked slots of ``held`` in place.
+    ``labels`` holds each sender's preparations and ``held`` what the
+    middle party holds, both in party order, as carrier ids.  For each
+    sampled position every sender tells the middle party the physical slot
+    and preparation basis; the middle party measures and announces, and the
+    sender compares against the prepared bit.  Draws one uniform per check,
+    position-major.  The sampled positions leave the kept rounds, so the
+    collapses are dropped.
     """
-    slots = {party: perms[party].mapping.tolist() for party in labels}
-    checks = [
-        (party, int(pos), slots[party][pos], labels[party][pos])
-        for pos in sample_positions
-        for party in labels
-    ]
-    bits, collapsed = measure_carriers(
-        [held[party][slot] for party, _, slot, _ in checks],
-        [BASES[label >> 1] for *_, label in checks],
+    checks = [(party, int(pos)) for pos in sample_positions for party in labels]
+    bits, _ = measure_carriers(
+        [held[party][pos] for party, pos in checks],
+        [BASES[labels[party][pos] >> 1] for party, pos in checks],
         rng.random(len(checks)).tolist(),
     )
-    detail = []
-    for (party, pos, slot, label), bit, post in zip(checks, bits, collapsed):
-        held[party][slot] = post
-        detail.append([party, pos, bit == label & 1])
+    detail = [
+        [party, pos, bit == labels[party][pos] & 1] for (party, pos), bit in zip(checks, bits)
+    ]
     return estimate_from_detail(PHASE_FIRST, detail, threshold)
 
 
@@ -393,18 +405,20 @@ class QuantumChannel:
         qubits: list[int],
         rng: np.random.Generator,
         record_event: Callable[..., None],
+        layout: Permutation | DecoySet | None = None,
         **event_fields,
     ) -> list[int]:
-        """Carry the qubits through the tap; ``record_event`` logs the traffic.
+        """Carry the sender's qubits, in party order; ``record_event`` logs the traffic.
 
-        ``record_event(type_, **fields)`` is the transcript's ``add_event``.
+        An untapped receiver holds the sender's list as it is.  A tap acts on
+        the wire order that ``layout`` builds (none: party order), and what
+        arrives is mapped back.  ``record_event(type_, **fields)`` is the
+        transcript's ``add_event``.
         """
-        record_event(
-            "transmit", channel=self.channel_id, count=len(qubits), **event_fields
-        )
-        if self.tap is not None:
-            qubits = self.tap.apply(qubits, rng, self.channel_id)
-            record_event(
-                "attack", channel=self.channel_id, kind=self.tap.kind, **event_fields
-            )
-        return list(qubits)
+        record_event("transmit", channel=self.channel_id, count=len(qubits), **event_fields)
+        if self.tap is None:
+            return qubits
+        wire = qubits if layout is None else layout.to_wire(qubits)
+        wire = self.tap.apply(wire, rng, self.channel_id)
+        record_event("attack", channel=self.channel_id, kind=self.tap.kind, **event_fields)
+        return wire if layout is None else layout.from_wire(wire)

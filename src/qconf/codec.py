@@ -98,14 +98,6 @@ def decode_z_rounds(
     return bits ^ flips[:, None, :]
 
 
-def decode_z_round(
-    own_bit: int, own_position: int, code: int, n_parties: int
-) -> tuple[int, ...]:
-    """All parties' bits for one Z round: the one-round case of ``decode_z_rounds``."""
-    view = decode_z_rounds(np.array([[own_bit]]), [own_position], [code], n_parties)
-    return tuple(view[0, :, 0].tolist())
-
-
 def decode_x_round(code: int) -> int:
     """XOR of all encoded bits for a round where everyone used the X basis."""
     return code & 1

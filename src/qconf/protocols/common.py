@@ -13,17 +13,13 @@ from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce
 from ..channels import (
     PHASE_DECOY,
     QuantumChannel,
-    extract_payload,
     first_error_estimation,
-    insert_decoys,
     make_decoy_sets,
     measure_carriers,
     measure_payload,
     measure_rounds,
-    permute,
     random_permutation,
     second_error_estimation,
-    unpermute,
     verify_decoys,
 )
 from ..errors import ContractError
@@ -288,7 +284,9 @@ def relay_round(
     """Permute, send to the middle party, spot-check, reveal, measure jointly.
 
     ``labels`` holds each party's preparations in party order, as label ids
-    (``codec.label_indices``), which are also their carriers.  With
+    (``codec.label_indices``), which are also their carriers.  Permutations
+    are drawn and revealed, but only a tapped channel applies one: the spot
+    check and the joint rows read party order.  With
     ``cheating_middle`` the middle party measures every qubit of a round in
     one random basis and announces an outcome consistent with what it saw.
     Returns the positions kept after the spot check and one announced
@@ -300,11 +298,11 @@ def relay_round(
     held = {}
     for p in parties:
         channel = QuantumChannel(p, MIDDLE, tap=make_tap(attack, record, f"{p}->{MIDDLE}"))
-        held[p] = channel.transmit(permute(labels[p], perms[p]), rng, transcript.add_event)
+        held[p] = channel.transmit(labels[p], rng, transcript.add_event, perms[p])
 
     sample = sorted_sample(rng, length, sample_size(params.delta, length))
     transcript.add_event("estimation_positions", phase="first_estimation", positions=sample)
-    estimate = first_error_estimation(labels, held, perms, sample, params.threshold, rng)
+    estimate = first_error_estimation(labels, held, sample, params.threshold, rng)
     transcript.add_estimate(estimate)
     if estimate["verdict"] == "abort":
         transcript.record_abort(estimate["phase"])
@@ -312,7 +310,7 @@ def relay_round(
 
     for p in parties:
         transcript.add_event("permutation_reveal", party=p, mapping=perms[p].mapping.tolist())
-    rows = list(zip(*(unpermute(held[p], perms[p]) for p in parties)))
+    rows = list(zip(*(held[p] for p in parties)))
     discard = set(sample)
     keep = [i for i in range(length) if i not in discard]
     transcript.add_key_stage("after_first_estimation", len(keep))
@@ -384,7 +382,8 @@ def decoy_hop(
     ``payloads`` maps each link ``(sender, receiver)``, senders in party
     order, to the sender's carriers, one per read basis; a party receives on
     at most one link.  Senders draw decoys, every link's with one call
-    (``make_decoy_sets``), then transmit; each link gets a
+    (``make_decoy_sets``), then transmit each payload followed by its decoys,
+    which only a tapped link interleaves; each link gets a
     ``receipt_ack``, then a ``decoy_reveal``.  Receivers check, then read in
     ``read_bases``, in the order of ``parties``: one block of uniforms checks
     every inbound link's decoys and, only if none aborts, one more reads every
@@ -400,7 +399,7 @@ def decoy_hop(
     for link, payload in payloads.items():
         channel = QuantumChannel(*link, tap=make_tap(attack, record, "->".join(link)))
         received[link] = channel.transmit(
-            insert_decoys(payload, decoys[link]), rng, transcript.add_event,
+            payload + list(decoys[link].labels), rng, transcript.add_event, decoys[link],
             **fields, **transmit_fields,
         )
     for link in payloads:
@@ -412,7 +411,7 @@ def decoy_hop(
         )
     inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
     estimates = verify_decoys(
-        [(received[link], decoys[link]) for link in inbound], params.threshold, rng
+        [(received[link][width:], decoys[link]) for link in inbound], params.threshold, rng
     )
     for estimate in estimates:
         transcript.add_estimate(estimate)
@@ -421,7 +420,7 @@ def decoy_hop(
         return None
     payload = []
     for link in inbound:
-        payload += extract_payload(received[link], decoys[link])
+        payload += received[link][:width]
     bits, collapsed = measure_payload(payload, read_bases * len(inbound), rng)
     reads = {}
     for j, link in enumerate(inbound):

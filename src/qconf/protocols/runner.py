@@ -22,7 +22,7 @@ from ..adversary import CHANNEL_TAP_KINDS, AttackConfig
 from ..errors import ContractError, ResourceLimitError
 from ..qsim import MAX_QUBITS
 from ..rng import derive_rng, random_bits
-from .common import ProtocolParams, Transcript
+from .common import MIDDLE, ProtocolParams, Transcript, party_names
 from .conference import run_conference
 from .mdi_qd import run_mdi_qd_modified, run_mdi_qd_original
 from .xor_compute import run_xor
@@ -59,6 +59,18 @@ def _check_pair(protocol: str, kind: str) -> None:
         raise ContractError(f"protocol: unknown value {protocol!r}")
     if kind not in PROTOCOL_ATTACKS[protocol]:
         raise ContractError(f"attack.kind: protocol {protocol!r} does not implement {kind!r}")
+
+
+def _channel_ids(protocol: str, n_parties: int) -> set[str]:
+    """Every quantum channel of a run: each party's link to the middle party,
+    then the conference's exchange ring or the XOR mask links from P1."""
+    parties = party_names(n_parties)
+    links = {f"{p}->{MIDDLE}" for p in parties}
+    if protocol == "conferenceN":
+        links.update(f"{p}->{parties[(a + 1) % n_parties]}" for a, p in enumerate(parties))
+    elif protocol == "xor":
+        links.update(f"{parties[0]}->{p}" for p in parties[1:])
+    return links
 
 
 def _is_int(value) -> bool:
@@ -143,6 +155,13 @@ class RunConfig:
                 f"n_parties: {self.n_parties} parties need a joint state of {qubits} "
                 f"qubits ({'over ' if qubits > 64 else ''}{mib:,} MiB of amplitudes); "
                 f"the simulator's limit is {MAX_QUBITS} qubits"
+            )
+        links = self.attack.target_links or frozenset()
+        unknown = sorted(links - _channel_ids(self.protocol, self.n_parties))
+        if unknown:
+            raise ContractError(
+                f"attack.target_links: protocol {self.protocol!r} with {self.n_parties} "
+                f"parties has no channel {', '.join(unknown)}"
             )
         if self.message_length < 1:
             raise ContractError("message_length: must be >= 1")

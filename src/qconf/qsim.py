@@ -163,7 +163,7 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 # Paulis, collapses and the entangling attack: a small, closed set.  Each pure
 # state is interned once, keyed on its exact amplitude bytes, and gets a small
 # integer id.  Three tables keyed by id hold what the protocols compute from
-# it: ``P0[id][basis]``, ``_IMAGE[id][pauli]`` and, for products of at most
+# it: ``MEASURE[basis]``, ``_IMAGE[id][pauli]`` and, for products of at most
 # ``MAX_TABLE_QUBITS``, ``_JOINT[ids]``.  Each entry of a pure state is
 # computed once by the dense code from those same bytes, so a lookup returns
 # exactly the float that code would return on every call.  States whose
@@ -172,9 +172,11 @@ def dense_joint_basis(num_qubits: int) -> np.ndarray:
 
 _INTERN_IDS: dict[bytes, int] = {}
 _INTERNED: list[PureState | None] = []
-# Read by ``channels.measure_carriers``, the one single-qubit measurement of
-# interned states.
-P0: list[dict[str, float]] = []
+# Per basis: each id's Born probability of bit 0, then the label carriers
+# that bits 0 and 1 collapse onto.  Read by ``channels.measure_carriers``.
+MEASURE: dict[str, tuple[list[float], int, int]] = {
+    basis: ([], 2 * x, 2 * x + 1) for x, basis in enumerate(BASES)
+}
 _IMAGE: list[list[int | None]] = []
 _JOINT: dict[tuple[int, ...], list[float]] = {}
 
@@ -207,7 +209,8 @@ def intern(state: PureState) -> int:
             "amplitudes are drifting under renormalization"
         )
     sid = _INTERN_IDS[key] = len(_INTERNED)
-    P0.append({basis: _zero_probability(state, basis) for basis in (BASIS_Z, BASIS_X)})
+    for basis, (p0, _, _) in MEASURE.items():
+        p0.append(_zero_probability(state, basis))
     _IMAGE.append([None] * len(PAULIS))
     _INTERNED.append(state)
     return sid
@@ -399,7 +402,8 @@ for _amplitudes in _LABEL_AMPLITUDES:
 MIXED = len(_INTERNED)
 _BOTH_BITS = np.ones(2, dtype=complex)
 _INTERNED.append(None)
-P0.append({BASIS_Z: 0.5, BASIS_X: 0.5})
+for _p0, _, _ in MEASURE.values():
+    _p0.append(0.5)
 _IMAGE.append([MIXED] * len(PAULIS))
 
 # Z labels (ids 0, 1) pass the entangling tap; X labels (2, 3) dephase.
@@ -477,13 +481,8 @@ def apply_1q_unitary(state: PureState, u: np.ndarray, target: int) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# Index helpers shared by the codec and table checks
+# Index helper shared by the codec and table checks
 # ---------------------------------------------------------------------------
-
-
-def index_to_bits(index: int, n: int) -> tuple[int, ...]:
-    """Big-endian bit tuple of an index (bit of qubit 0 first)."""
-    return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
 
 
 def bits_to_index(bits: Sequence[int]) -> int:

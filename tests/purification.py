@@ -3,7 +3,7 @@
 The attack CNOTs each wire qubit onto a fresh |0> ancilla that nothing reads.
 This module builds that joint pure state and marginalizes the ancillas with
 dense numpy, independently of the intern tables in ``qconf.qsim``, so tests
-can pin the dephasing map, ``P0[MIXED]`` and the joint table against it.
+can pin the dephasing map, the p0 of ``MIXED`` and the joint table against it.
 Qubit 0 is the most significant bit of the index, as in ``qsim``.
 """
 

@@ -22,11 +22,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import decode_z_round, make_decoy_set
 from qconf.adversary import AttackConfig
 from qconf.channels import (
     extract_payload,
     insert_decoys,
-    make_decoy_set,
     permute,
     random_permutation,
     unpermute,
@@ -34,7 +34,6 @@ from qconf.channels import (
 from qconf.codec import (
     decode_partner_bit,
     decode_x_round,
-    decode_z_round,
     encode_message_qubit,
 )
 from qconf.protocols import RunConfig, run_trials

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import measure_flying
 from purification import carrier_density, purify, wire_density
 from qconf.adversary import (
     AdversaryRecord,
@@ -20,7 +21,6 @@ from qconf.adversary import (
     guess_bases,
     mitm_attack,
 )
-from qconf.channels import measure_flying
 from qconf.codec import consistent_outcome_codes
 from qconf.errors import ContractError
 from qconf.qsim import BASES, LABELS, MIXED, interned

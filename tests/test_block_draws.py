@@ -25,8 +25,6 @@ from qconf.channels import (
     insert_decoys,
     make_decoy_sets,
     measure_payload,
-    permute,
-    random_permutation,
     verify_decoys,
 )
 from qconf.protocols import ProtocolParams, Transcript, party_names
@@ -118,10 +116,9 @@ def test_first_estimation_draws_one_per_check(entangled):
     rng = make_rng(60)
     length, sample = 30, [1, 4, 9, 16, 25]
     labels = {p: rng.integers(0, 4, size=length).tolist() for p in PARTIES}
-    perms = {p: random_permutation(length, rng) for p in PARTIES}
-    held = {p: permute(carriers(labels[p], entangled), perms[p]) for p in PARTIES}
+    held = {p: carriers(labels[p], entangled) for p in PARTIES}
     before = twin(rng)
-    estimate = first_error_estimation(labels, held, perms, sample, 0.0, rng)
+    estimate = first_error_estimation(labels, held, sample, 0.0, rng)
     assert_advanced_by(rng, before, len(sample) * len(PARTIES))
     assert estimate["positions_checked"] == len(sample) * len(PARTIES)
 
@@ -132,8 +129,9 @@ def test_verify_decoys_draws_one_per_decoy(entangled):
     decoys = choice_decoys(12, 9, rng)
     payload = rng.integers(0, 4, size=12).tolist()
     received = carriers(insert_decoys(payload, decoys), entangled)
+    held = [received[pos] for pos in decoys.positions]
     before = twin(rng)
-    (estimate,) = verify_decoys([(received, decoys)], 0.0, rng)
+    (estimate,) = verify_decoys([(held, decoys)], 0.0, rng)
     assert_advanced_by(rng, before, decoys.count)
     assert estimate["positions_checked"] == 9
 
@@ -205,10 +203,12 @@ def test_honest_joint_loop_draws_one_per_kept_round(kind, n_parties):
 def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
     """The decoy hop's draws in their documented order, on the primitives.
 
-    Every sender draws its decoys, then every link passes its tap; receivers
-    check in party order, and read in the same order only if none aborts.
-    Each link checks and reads with a block of its own, so the hop's one
-    block per phase must equal these blocks concatenated.
+    Every sender draws its decoys, then every link's wire sequence
+    (``insert_decoys``) passes its tap; receivers check the decoy slots in
+    party order, and read the payload slots (``extract_payload``) in the
+    same order only if none aborts.  Each link checks and reads with a
+    block of its own, so the hop's one block per phase, on party order,
+    must equal these blocks concatenated.
     """
     decoys = {
         link: choice_decoys(len(qubits), params.decoy_count, rng)
@@ -221,7 +221,10 @@ def replay_decoy_hop(parties, payloads, read_bases, attack, params, rng):
         received[link] = sent if tap is None else tap.apply(sent, rng, "->".join(link))
     inbound = sorted(payloads, key=lambda link: parties.index(link[1]))
     verdicts = [
-        verify_decoys([(received[link], decoys[link])], params.threshold, rng)[0]["verdict"]
+        verify_decoys(
+            [([received[link][pos] for pos in decoys[link].positions], decoys[link])],
+            params.threshold, rng,
+        )[0]["verdict"]
         for link in inbound
     ]
     if "abort" in verdicts:

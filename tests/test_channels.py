@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import make_decoy_set, measure_flying
 from qconf import qsim
 from qconf.adversary import AdversaryRecord, EntangleMeasureTap
 from qconf.channels import (
@@ -12,9 +13,7 @@ from qconf.channels import (
     extract_payload,
     first_error_estimation,
     insert_decoys,
-    make_decoy_set,
     measure_carriers,
-    measure_flying,
     measure_payload,
     measure_rounds,
     permute,
@@ -32,7 +31,6 @@ from qconf.qsim import (
     BASIS_Z,
     LABELS,
     MIXED,
-    P0,
     PAULIS,
     interned,
     pauli_image,
@@ -125,27 +123,40 @@ class TestDecoys:
             insert_decoys([label("Z0"), label("Z1")], decoys)
 
     def test_untouched_channel_verifies_clean(self):
+        # The decoy slots of an untouched wire sequence hold the prepared decoys.
         rng = make_rng(22)
         for _ in range(200):
             decoys = make_decoy_set(10, 8, rng)
             payload = random_bits(rng, 10).tolist()  # Z labels: label id = bit
             received = insert_decoys(payload, decoys)
-            (estimate,) = verify_decoys([(received, decoys)], 0.0, rng)
+            held = [received[pos] for pos in decoys.positions]
+            (estimate,) = verify_decoys([(held, decoys)], 0.0, rng)
             assert estimate["mismatches"] == 0
             assert estimate["verdict"] == "continue"
 
     def test_verification_is_non_demolition_for_payload(self):
+        # The check reads the decoy slots only: the payload slots keep their
+        # states, and nothing the receiver holds is written.
         rng = make_rng(23)
         payload = [label("X1")] * 4
         decoys = make_decoy_set(4, 4, rng)
         received = insert_decoys(payload, decoys)
-        verify_decoys([(received, decoys)], 0.0, rng)
+        sent = list(received)
+        held = [received[pos] for pos in decoys.positions]
+        verify_decoys([(held, decoys)], 0.0, rng)
+        assert received == sent
+        assert held == list(decoys.labels)
         for qubit in extract_payload(received, decoys):
             np.testing.assert_allclose(
                 interned(qubit).amplitudes,
                 interned(label("X1")).amplitudes,
                 atol=1e-12,
             )
+
+    def test_verify_rejects_carrier_count(self):
+        decoys = DecoySet((0, 2), (label("X0"), label("Z1")))
+        with pytest.raises(ContractError, match="one carrier per decoy"):
+            verify_decoys([([label("X0")], decoys)], 0.0, make_rng(24))
 
 
 class TestFirstEstimation:
@@ -156,32 +167,31 @@ class TestFirstEstimation:
             p: [encode_message_qubit(messages[p][i], key[i]) for i in range(n)]
             for p in messages
         }
-        perms = {p: random_permutation(n, rng) for p in messages}
-        held = {p: permute(labels[p], perms[p]) for p in messages}
-        return labels, held, perms
+        # What the middle party holds, in party order: its own copy.
+        held = {p: list(labels[p]) for p in messages}
+        return labels, held
 
     def test_honest_run_no_mismatch(self):
         rng = make_rng(24)
-        labels, held, perms = self._setup(40, rng)
-        estimate = first_error_estimation(labels, held, perms, [3, 7, 20], 0.0, rng)
+        labels, held = self._setup(40, rng)
+        estimate = first_error_estimation(labels, held, [3, 7, 20], 0.0, rng)
         assert estimate["mismatches"] == 0
         assert estimate["positions_checked"] == 6  # 2 parties x 3 positions
         assert estimate["verdict"] == "continue"
 
     def test_detail_labels_parties_and_positions(self):
         rng = make_rng(25)
-        labels, held, perms = self._setup(10, rng)
-        estimate = first_error_estimation(labels, held, perms, [2, 5], 0.0, rng)
+        labels, held = self._setup(10, rng)
+        estimate = first_error_estimation(labels, held, [2, 5], 0.0, rng)
         assert {entry[0] for entry in estimate["detail"]} == {"P1", "P2"}
         assert {entry[1] for entry in estimate["detail"]} == {2, 5}
 
     def test_flipped_qubit_detected(self):
         rng = make_rng(26)
-        labels, held, perms = self._setup(10, rng)
-        # corrupt P1's qubit for original position 4 with an orthogonal state
-        slot = int(perms["P1"].mapping[4])
-        held["P1"][slot] = labels["P1"][4] ^ 1  # same basis, other bit
-        estimate = first_error_estimation(labels, held, perms, [4], 0.0, rng)
+        labels, held = self._setup(10, rng)
+        # corrupt P1's qubit at position 4 with an orthogonal state
+        held["P1"][4] = labels["P1"][4] ^ 1  # same basis, other bit
+        estimate = first_error_estimation(labels, held, [4], 0.0, rng)
         assert estimate["mismatches"] == 1
         assert estimate["verdict"] == "abort"
 
@@ -237,9 +247,9 @@ class TestFlying:
             for pauli in range(len(PAULIS)):
                 pauli_image(sid, pauli)
         carriers, bases, uniforms = [], [], []
-        for sid in range(len(P0)):
+        for sid in range(len(qsim.MEASURE[BASIS_Z][0])):
             for basis in (BASIS_Z, BASIS_X):
-                p0 = P0[sid][basis]
+                p0 = qsim.MEASURE[basis][0][sid]
                 for u in (0.0, np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0), 1.0 - 2.0**-53):
                     carriers.append(sid)
                     bases.append(basis)
@@ -250,7 +260,7 @@ class TestFlying:
             measure_flying(*args) for args in zip(carriers, bases, uniforms)
         ]
         for sid, basis, u, bit, post in zip(carriers, bases, uniforms, bits, collapsed):
-            assert bit == int(u >= P0[sid][basis])
+            assert bit == int(u >= qsim.MEASURE[basis][0][sid])
             assert post == 2 * BASES.index(basis) + bit
 
     def test_batch_contract(self):

@@ -118,6 +118,11 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
         ({"decoy_count": 0}, "decoy_count"),
         ({"threshold": 10**400}, "threshold"),
         ({"attack": {"kind": "dishonest_p1"}}, "attack.kind"),
+        ({"attack": {"kind": "intercept_resend", "target_links": []}}, "attack.target_links"),
+        (
+            {"attack": {"kind": "intercept_resend", "target_links": ["P1->P9"]}},
+            "attack.target_links",
+        ),
     ],
 )
 def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):

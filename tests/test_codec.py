@@ -5,11 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import decode_z_round, index_to_bits
 from qconf.codec import (
     consistent_outcome_codes,
     decode_partner_bit,
     decode_x_round,
-    decode_z_round,
     derive_select_bit,
     embed_payload,
     encode_exchange_qubit,
@@ -21,7 +21,7 @@ from qconf.codec import (
     sift_outcome,
 )
 from qconf.errors import ContractError, ProtocolCorruptionError
-from qconf.qsim import BASES, LABELS, index_to_bits
+from qconf.qsim import BASES, LABELS
 from qconf.tables import born_row
 from qconf.rng import make_rng, random_bits
 

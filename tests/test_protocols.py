@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import decode_z_round
 from qconf.adversary import ATTACK_KINDS, AttackConfig
-from qconf.codec import decode_z_round
+from qconf.channels import DecoySet, Permutation, QuantumChannel, insert_decoys, permute
+from qconf.codec import label_indices
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.protocols import (
+    MIDDLE,
     PROTOCOLS,
     ProtocolParams,
     RunConfig,
@@ -25,8 +28,9 @@ from qconf.protocols import (
     run_xor,
     trial_messages,
 )
-from qconf.protocols import runner
+from qconf.protocols import common, runner
 from qconf.protocols.common import bits_to_str, str_to_bits
+from qconf.qsim import LABELS
 from qconf.rng import make_rng, random_bits
 
 HONEST = AttackConfig()
@@ -625,3 +629,166 @@ def test_from_dict_returns_valid_config_or_contract_error(data):
         return
     config.validate()
     assert RunConfig.from_dict(config.to_dict()) == config
+
+
+class TestTargetLinks:
+    """``attack.target_links`` names channels of the run and survives a replay."""
+
+    @staticmethod
+    def targeted(links, **fields):
+        config = dict(protocol="conference3", n_parties=3, message_length=128, seed=1)
+        config.update(fields)
+        return RunConfig(**config, attack=AttackConfig("intercept_resend", target_links=links))
+
+    def test_replay_taps_the_same_links(self):
+        config = self.targeted(frozenset({"P1->P2"}))
+        config.validate()
+        transcript = execute_trial(config, 0).to_dict()
+        assert transcript["config"]["attack"]["target_links"] == ["P1->P2"]
+        replayed = execute_trial(RunConfig.from_dict(transcript["config"]), 0).to_dict()
+        assert replayed == transcript
+        attacks = [e["channel"] for e in transcript["events"] if e["type"] == "attack"]
+        assert attacks == ["P1->P2"]
+
+    def test_empty_link_set_refused(self):
+        # An empty set taps nothing, but would be written as null, which
+        # replays as every channel.
+        with pytest.raises(ContractError, match="attack.target_links"):
+            AttackConfig("intercept_resend", target_links=frozenset())
+        with pytest.raises(ContractError, match="attack.target_links"):
+            AttackConfig.from_dict({"kind": "intercept_resend", "target_links": []})
+
+    @pytest.mark.parametrize(
+        "protocol,n_parties,link",
+        [
+            ("conference3", 3, "P1->P9"),
+            ("conferenceN", 5, "P2->P1"),
+            ("conferenceN", 5, "P1->P3"),
+            ("xor", 4, "P2->P3"),
+            ("xor", 4, "P5->middle"),
+            ("mdi_qd_modified", 2, "P1->P2"),
+            ("mdi_qd_original", 2, "P1->Middle"),
+        ],
+    )
+    def test_mistyped_link_refused(self, protocol, n_parties, link):
+        config = self.targeted(
+            frozenset({"P1->middle", link}), protocol=protocol, n_parties=n_parties
+        )
+        with pytest.raises(ContractError, match=f"attack.target_links: .* no channel {link}$"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "protocol,n_parties",
+        [("mdi_qd_original", 2), ("mdi_qd_modified", 2), ("conference3", 3),
+         ("conferenceN", 5), ("xor", 4)],
+    )
+    def test_every_channel_is_a_target(self, protocol, n_parties):
+        # The channels validate accepts are exactly those an honest run
+        # sends on, and each one alone can be tapped.
+        fields = dict(protocol=protocol, n_parties=n_parties, message_length=128)
+        honest = execute_trial(RunConfig(**fields, seed=1), 0).to_dict()
+        channels = {e["channel"] for e in honest["events"] if e["type"] == "transmit"}
+        assert channels == runner._channel_ids(RunConfig(**fields).protocol, n_parties)
+        for link in sorted(channels):
+            config = self.targeted(frozenset({link}), **fields)
+            config.validate()
+            events = execute_trial(config, 0).to_dict()["events"]
+            assert {e["channel"] for e in events if e["type"] == "attack"} == {link}
+
+
+class PassThroughTap:
+    """A tap that forwards the wire sequence as it is, keeping a copy."""
+
+    kind = "pass_through"
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def apply(self, qubits, rng, channel_id):
+        self.seen.append((channel_id, list(qubits)))
+        return list(qubits)
+
+
+WIRE_CONFIGS = {
+    "conference3": dict(protocol="conference3", n_parties=3, message_length=64, delta=0.16),
+    "conference10": dict(protocol="conferenceN", n_parties=10, message_length=100),
+    "xor": dict(protocol="xor", n_parties=3, message_length=32, delta=0.16),
+    "mdi_qd_modified": dict(protocol="mdi_qd_modified", n_parties=2, message_length=100),
+}
+
+
+def pass_through_run(monkeypatch, config):
+    """A trial with a pass-through tap on every channel of ``common``.
+
+    Returns the transcript dict, each transmitted sequence as the sender
+    gave it to its channel, and each wire sequence as the tap saw it.
+    """
+    sent, seen = [], []
+    monkeypatch.setattr(common, "make_tap", lambda *args: PassThroughTap(seen))
+    transmit = QuantumChannel.transmit
+
+    def recording_transmit(self, qubits, *args, **kwargs):
+        sent.append((self.channel_id, list(qubits)))
+        return transmit(self, qubits, *args, **kwargs)
+
+    monkeypatch.setattr(QuantumChannel, "transmit", recording_transmit)
+    return execute_trial(config, 0).to_dict(), sent, seen
+
+
+class TestWireOrder:
+    """Wire order is built only for a tap, and a tap that changes nothing changes no byte."""
+
+    @pytest.mark.parametrize("name", WIRE_CONFIGS)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_pass_through_tap_changes_nothing(self, monkeypatch, name, seed):
+        config = RunConfig(**WIRE_CONFIGS[name], seed=seed)
+        untapped = execute_trial(config, 0).to_dict()
+        tapped, sent, seen = pass_through_run(monkeypatch, config)
+        assert len(seen) == len(sent) > 0
+        events = tapped["events"]
+        transmits = [e for e in events if e["type"] == "transmit"]
+        attacks = [e for e in events if e["type"] == "attack"]
+        assert [e["channel"] for e in attacks] == [e["channel"] for e in transmits]
+        tapped["events"] = [e for e in events if e["type"] != "attack"]
+        tapped["adversary"] = None
+        assert untapped["outputs"] is not None
+        assert tapped == untapped
+
+    @pytest.mark.parametrize("name", WIRE_CONFIGS)
+    def test_tap_sees_wire_order(self, monkeypatch, name):
+        config = RunConfig(**WIRE_CONFIGS[name], seed=5)
+        transcript, sent, seen = pass_through_run(monkeypatch, config)
+        events = transcript["events"]
+        perms = {
+            e["party"]: Permutation(np.array(e["mapping"]))
+            for e in events if e["type"] == "permutation_reveal"
+        }
+        reveals = iter([e for e in events if e["type"] == "decoy_reveal"])
+        key = str_to_bits(transcript["secrets"]["key_initial"]).tolist()
+        messages = [str_to_bits(m).tolist() for m in transcript["secrets"]["messages"]]
+        relayed = hops = 0
+        for (channel, qubits), (tapped, wire) in zip(sent, seen, strict=True):
+            assert tapped == channel
+            sender, receiver = channel.split("->")
+            if receiver == MIDDLE:
+                # A relay channel: the preparations, permuted.
+                if config.protocol != "xor":
+                    party = party_names(config.n_parties).index(sender)
+                    assert qubits == label_indices(messages[party], key)
+                assert wire == permute(qubits, perms[sender])
+                relayed += 1
+            else:
+                # A hop link: the payload, then its decoys, interleaved.
+                reveal = next(reveals)
+                assert reveal["channel"] == channel
+                labels = tuple(LABELS.index(state) for state in reveal["states"])
+                decoys = DecoySet(tuple(reveal["positions"]), labels)
+                width = len(qubits) - decoys.count
+                assert qubits[width:] == list(labels)
+                assert wire == insert_decoys(qubits[:width], decoys)
+                hops += 1
+        n = config.n_parties
+        assert relayed == n
+        # The conference's N - 2 hops of N links, or the XOR's N - 1 mask links.
+        assert hops == {"mdi_qd_modified": 0, "xor": n - 1}.get(name, n * (n - 2))
+        assert next(reveals, None) is None

@@ -19,8 +19,9 @@ from purification import (
     wire_density,
     wire_distribution,
 )
+from helpers import index_to_bits, measure_flying
 from qconf import qsim
-from qconf.channels import measure_flying, measure_rounds
+from qconf.channels import measure_rounds
 from qconf.errors import ContractError, ResourceLimitError
 from qconf.qsim import (
     BASES,
@@ -38,7 +39,6 @@ from qconf.qsim import (
     bits_to_index,
     dense_joint_basis,
     dephase,
-    index_to_bits,
     interned,
     measure_joint,
     outcome_distribution,
@@ -648,14 +648,14 @@ class TestInternTables:
             state = qsim.interned(sid)
             for basis in (BASIS_Z, BASIS_X):
                 want = TestScalarSingleMeasurement.numpy_p0(state, basis)
-                assert qsim.P0[sid][basis] == want
+                assert qsim.MEASURE[basis][0][sid] == want
 
     def test_collapse_to_label_states(self):
         rng_a, rng_b = make_rng(14), make_rng(14)
         for sid in pauli_closure():
             for basis in (BASIS_Z, BASIS_X):
                 bit, post = measure_flying(sid, basis, rng_a.random())
-                assert bit == (0 if rng_b.random() < qsim.P0[sid][basis] else 1)
+                assert bit == (0 if rng_b.random() < qsim.MEASURE[basis][0][sid] else 1)
                 assert post == label_carrier(f"{basis}{bit}")
 
     @pytest.mark.parametrize("n", range(2, MAX_TABLE_QUBITS + 1))
@@ -771,8 +771,8 @@ class TestDephasedTables:
             # Tapped once, and tapped again on a second ancilla.
             for taps in ([0], [0, 0]):
                 rho = wire_density(purify([label], taps), 0)
-                assert abs(qsim.P0[MIXED][BASIS_Z] - rho[0, 0].real) <= 1e-15
-                assert abs(qsim.P0[MIXED][BASIS_X] - (rho.sum() / 2).real) <= 1e-15
+                assert abs(qsim.MEASURE[BASIS_Z][0][MIXED] - rho[0, 0].real) <= 1e-15
+                assert abs(qsim.MEASURE[BASIS_X][0][MIXED] - (rho.sum() / 2).real) <= 1e-15
         assert [qsim.pauli_image(MIXED, pauli) for pauli in range(4)] == [MIXED] * 4
 
     def test_dephasing_map_equals_purification(self):
