@@ -18,8 +18,8 @@ import numpy as np
 from .channels import measure_carriers
 from .codec import consistent_outcome_codes
 from .errors import ContractError
-from .qsim import BASIS_X, BASIS_Z, LABELS, PAULIS, dephase, pauli_image
-from .rng import random_bits
+from .qsim import BASES, BASIS_X, BASIS_Z, LABELS, PAULIS, dephase, pauli_image
+from .rng import random_bits, uniform_rows_and_words
 
 ATTACK_KINDS = (
     "none",
@@ -179,12 +179,29 @@ def mitm_attack(
     return list(sequence), rng.integers(0, 4, size=len(sequence)).tolist()
 
 
-def dishonest_middle_announce(
-    bits: list[int], x_basis: bool, n_parties: int, rng: np.random.Generator
-) -> int:
-    """Announce a uniformly drawn outcome code consistent with per-qubit results."""
-    codes = consistent_outcome_codes(bits, x_basis, n_parties)
-    return codes[int(rng.integers(0, len(codes)))]
+def dishonest_middle_rounds(rows: list[tuple[int, ...]], rng: np.random.Generator) -> list[int]:
+    """Measure each round in one random basis; announce a code consistent with it.
+
+    A row holds one carrier per party.  Each round draws what
+    ``rng.random(1 + n)`` (a basis coin, X below 1/2, then one uniform per
+    carrier) and then ``rng.integers(0, len(codes))`` (the announced code)
+    draw, all rounds from one block (``uniform_rows_and_words``): every
+    consistent-code set has 2 or 2**(n - 1) codes.  Every carrier is
+    measured with one ``measure_carriers`` call.
+    """
+    if not rows:
+        return []
+    n = len(rows[0])
+    uniforms, words = uniform_rows_and_words(rng, len(rows), 1 + n)
+    x_rounds = [coin < 0.5 for coin in uniforms[:: 1 + n]]
+    del uniforms[:: 1 + n]
+    bases = [BASES[x] for x in x_rounds for _ in range(n)]
+    bits, _ = measure_carriers([c for row in rows for c in row], bases, uniforms)
+    announced = []
+    for start, x, word in zip(range(0, len(bits), n), x_rounds, words):
+        codes = consistent_outcome_codes(bits[start : start + n], x, n)
+        announced.append(codes[(word * len(codes)) >> 32])
+    return announced
 
 
 def draw_substitute_blind(

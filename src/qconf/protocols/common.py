@@ -9,13 +9,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_announce, make_tap
+from ..adversary import AdversaryRecord, AttackConfig, dishonest_middle_rounds, make_tap
 from ..channels import (
     PHASE_DECOY,
     QuantumChannel,
     first_error_estimation,
     make_decoy_sets,
-    measure_carriers,
     measure_payload,
     measure_rounds,
     random_permutation,
@@ -24,7 +23,7 @@ from ..channels import (
 )
 from ..errors import ContractError
 from ..keysource import establish_key
-from ..qsim import BASES, LABELS
+from ..qsim import LABELS
 
 MIDDLE = "middle"
 
@@ -288,7 +287,9 @@ def relay_round(
     are drawn and revealed, but only a tapped channel applies one: the spot
     check and the joint rows read party order.  With
     ``cheating_middle`` the middle party measures every qubit of a round in
-    one random basis and announces an outcome consistent with what it saw.
+    one random basis and announces an outcome consistent with what it saw,
+    all kept rounds in one batch from one block
+    (``adversary.dishonest_middle_rounds``).
     Returns the positions kept after the spot check and one announced
     outcome code per kept position, or None when the spot check aborts.
     """
@@ -316,16 +317,7 @@ def relay_round(
     transcript.add_key_stage("after_first_estimation", len(keep))
 
     if cheating_middle:
-        # Each round's announcement draws an integer after the round's basis
-        # coin and measurements, so these uniforms are drawn round by round.
-        n = len(parties)
-        round_bases = [[basis] * n for basis in BASES]
-        outcomes = []
-        for i in keep:
-            coin, *uniforms = rng.random(1 + n).tolist()
-            x_basis = coin < 0.5
-            bits, _ = measure_carriers(rows[i], round_bases[x_basis], uniforms)
-            outcomes.append(dishonest_middle_announce(bits, x_basis, n, rng))
+        outcomes = dishonest_middle_rounds([rows[i] for i in keep], rng)
         record.announced.extend(outcomes)
     else:
         outcomes = measure_rounds([rows[i] for i in keep], rng.random(len(keep)).tolist())

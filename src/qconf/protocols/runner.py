@@ -46,7 +46,8 @@ PROTOCOL_ATTACKS = {
 
 MIN_SAMPLED_POSITIONS = 10
 # Longest message a run accepts: a trial holds a few lists of this length
-# per party, and its transcript a permutation of it per party.
+# per party, and its transcript a permutation of it per party.  It caps
+# ``decoy_count`` too, since each hop link holds that many decoys.
 MAX_MESSAGE_LENGTH = 100_000
 
 _INT_FIELDS = ("message_length", "n_parties", "decoy_count", "trials", "seed")
@@ -157,6 +158,11 @@ class RunConfig:
                 f"the simulator's limit is {MAX_QUBITS} qubits"
             )
         links = self.attack.target_links or frozenset()
+        if links and self.attack.kind not in CHANNEL_TAP_KINDS:
+            raise ContractError(
+                f"attack.target_links: attack kind {self.attack.kind!r} taps no channel; "
+                "leave it null"
+            )
         unknown = sorted(links - _channel_ids(self.protocol, self.n_parties))
         if unknown:
             raise ContractError(
@@ -169,6 +175,10 @@ class RunConfig:
             raise ResourceLimitError(
                 f"message_length: {self.message_length} exceeds the limit of "
                 f"{MAX_MESSAGE_LENGTH:,} bits"
+            )
+        if self.decoy_count > MAX_MESSAGE_LENGTH:
+            raise ResourceLimitError(
+                f"decoy_count: {self.decoy_count} exceeds the limit of {MAX_MESSAGE_LENGTH:,} decoys"
             )
         if self.trials < 1:
             raise ContractError("trials: must be >= 1")

@@ -7,14 +7,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import measure_flying
+from helpers import dishonest_middle_announce, measure_flying
 from purification import carrier_density, purify, wire_density
 from qconf.adversary import (
     AdversaryRecord,
     AttackConfig,
     EntangleMeasureTap,
     InterceptResendTap,
-    dishonest_middle_announce,
     dos_attack,
     dos_cumulative,
     draw_substitute_blind,

@@ -7,15 +7,19 @@ the stream, and every golden transcript, is the one a draw per measurement
 gives.  These tests pin that identity and the count each ceremony draws.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from helpers import dishonest_middle_round_by_round
 from qconf.adversary import (
     AdversaryRecord,
     AttackConfig,
     DosTap,
     EntangleMeasureTap,
     InterceptResendTap,
+    dishonest_middle_rounds,
     make_tap,
 )
 from qconf.channels import (
@@ -27,10 +31,12 @@ from qconf.channels import (
     measure_payload,
     verify_decoys,
 )
+from qconf.codec import consistent_outcome_codes
+from qconf.errors import ContractError
 from qconf.protocols import ProtocolParams, Transcript, party_names
 from qconf.protocols.common import decoy_hop, relay_round
 from qconf.qsim import BASIS_X, BASIS_Z
-from qconf.rng import make_rng
+from qconf.rng import make_rng, uniform_rows_and_words
 
 PARTIES = ("P1", "P2", "P3")
 
@@ -109,6 +115,41 @@ def test_decoy_sets_of_unequal_links_equal_choice():
     drawn = make_decoy_sets(lens, 16, rng)
     assert drawn == [choice_decoys(n, 16, before) for n in lens]
     assert rng.bit_generator.state == before.bit_generator.state
+
+
+@pytest.mark.parametrize("n_parties", [3, 4, 10, 16])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 90])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_dishonest_middle_rounds_equal_round_by_round(n_parties, rounds, half_word):
+    # The one block of every kept round equals each round's rng.random(1 + n)
+    # then rng.integers(0, len(codes)), announced codes included, and leaves
+    # the generator where they leave it, PCG64's 32-bit buffer too.  Every
+    # third round is dephased, so MIXED carriers are measured as well.
+    rng = make_rng(100 * n_parties + rounds)
+    rows = [carriers(rng.integers(0, 4, size=n_parties).tolist(), r % 3 == 2) for r in range(rounds)]
+    # Drawing the rows takes 32-bit words too; one more flips the buffer.
+    if rng.bit_generator.state["has_uint32"] != half_word:
+        rng.integers(0, 2**31, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == half_word
+    before = twin(rng)
+    assert dishonest_middle_rounds(rows, rng) == dishonest_middle_round_by_round(rows, before)
+    assert rng.bit_generator.state == before.bit_generator.state
+
+
+@pytest.mark.parametrize("n_parties", range(3, 17))
+def test_consistent_code_counts_are_powers_of_two(n_parties):
+    # dishonest_middle_rounds reads rng.integers(0, len(codes)) as the top
+    # bits of one 32-bit word, which holds only for a power-of-two count.
+    for bits in product((0, 1), repeat=n_parties):
+        for x_round in (False, True):
+            count = len(consistent_outcome_codes(bits, x_round, n_parties))
+            assert count > 1 and count & (count - 1) == 0
+
+
+def test_round_words_need_pcg64():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(ContractError, match="PCG64"):
+        uniform_rows_and_words(rng, 2, 4)
 
 
 @pytest.mark.parametrize("entangled", [False, True])

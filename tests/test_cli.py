@@ -123,6 +123,11 @@ def test_oversized_joint_state_exits_2(tmp_path, capsys, overrides):
             {"attack": {"kind": "intercept_resend", "target_links": ["P1->P9"]}},
             "attack.target_links",
         ),
+        ({"attack": {"kind": "none", "target_links": ["P1->middle"]}}, "attack.target_links"),
+        (
+            {"attack": {"kind": "dishonest_middle", "target_links": ["P1->middle"]}},
+            "attack.target_links",
+        ),
     ],
 )
 def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):

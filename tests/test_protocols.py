@@ -541,6 +541,16 @@ class TestRunConfigValidation:
                 protocol="conferenceN", message_length=100, n_parties=17, attack=entangle
             ).validate()
 
+    def test_decoy_count_bound(self):
+        # Each hop link holds decoy_count decoys, so it is capped like the
+        # message length.  Validated only: a config at the cap is never run.
+        config = {"protocol": "conference3", "n_parties": 3, "message_length": 128}
+        RunConfig.from_dict({**config, "decoy_count": runner.MAX_MESSAGE_LENGTH})
+        with pytest.raises(ResourceLimitError, match="^decoy_count: "):
+            RunConfig.from_dict({**config, "decoy_count": 10**12})
+        with pytest.raises(ResourceLimitError, match="^decoy_count: "):
+            RunConfig.from_dict({**config, "decoy_count": runner.MAX_MESSAGE_LENGTH + 1})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ContractError, match="unknown fields"):
             RunConfig.from_dict({"protocol": "xor", "message_length": 32, "bogus": 1})
